@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fem import Quadrature, integrate_data, interior_blocks
 from .problem import BeamProblem
 from .stepper import SolutionTrace
 
@@ -113,17 +114,14 @@ def lambda_window(problem: BeamProblem, trace: SolutionTrace | None = None
             "the damper-only (theorem2) window depends on the solution; "
             "pass a computed trace")
 
-    from .diagnostics import _ElementFields, _breakpoints, _integrate
-
     bc = problem.boundary
     grid = trace.grid
     hist = trace.dof_history
-    n = hist.shape[1]
-    velocity = (hist[2:] - hist[:-2]) / (2.0 * grid.dt)
+    tip_vel, tip_ang = ((hist[2:, -2:] - hist[:-2, -2:]) / (2.0 * grid.dt)).T
 
     u1 = problem.initial.u1
-    tip_vel = np.concatenate([[float(u1(problem.length))], velocity[:, n - 2]])
-    tip_ang = np.concatenate([[float(u1.d1(problem.length))], velocity[:, n - 1]])
+    tip_vel = np.concatenate([[float(u1(problem.length))], tip_vel])
+    tip_ang = np.concatenate([[float(u1.d1(problem.length))], tip_ang])
     times = np.concatenate([[0.0], grid.times[1:-1]])
 
     motion = tip_ang**2 + tip_vel**2
@@ -140,11 +138,11 @@ def lambda_window(problem: BeamProblem, trace: SolutionTrace | None = None
             "admissible window is empty: the damper feedback power vanishes "
             "at some grid time")
 
-    fields = _ElementFields(trace)
-    ut_q = fields.values(velocity)
-    norms = np.einsum("eq,teq->t", fields.w_plain, ut_q**2)
-    norm0 = _integrate(lambda x: u1(x) ** 2, _breakpoints(problem))
-    sup_norm_sq = max(float(np.max(norms)), norm0)
+    quad = Quadrature(trace.system)
+    sup_norm_sq = integrate_data(problem, lambda x: u1(x) ** 2)
+    for _, _, ut in interior_blocks(hist, grid.dt):
+        ut_q = quad.values(ut)
+        sup_norm_sq = max(sup_norm_sq, float(np.max(quad.integral(quad.w_plain, ut_q, ut_q))))
     m = float(problem.rho(0.0))
     return min(1.0 / beta0, numerator / (2.0 * m * sup_norm_sq)), regime
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import diagnostics, problem as problem_mod, stepper
-from .fem import Mesh, assemble, hermite_shapes
+from .fem import FieldKernel, Mesh, assemble
 from .problem import BeamProblem, CoefficientField, load_problem, preset, validate
 
 __all__ = ["main", "RunConfig"]
@@ -192,16 +192,8 @@ def _nodal_history(trace) -> tuple[np.ndarray, np.ndarray]:
 
 def _nodal_curvature_basis(trace) -> np.ndarray:
     """Hermite-exact curvature at nodes (left-element limit at x > 0)."""
-    mesh = trace.system.mesh
-    from .diagnostics import _ElementFields
-
-    fields = _ElementFields(trace)
-    local = fields.gather(trace.dof_history)             # (N, E, 4)
-    s_left = hermite_shapes(0.0, mesh.h)[:, 2]
-    s_right = hermite_shapes(1.0, mesh.h)[:, 2]
-    first = local[:, 0, :] @ s_left                      # node 0: right limit
-    rest = np.einsum("tea,a->te", local, s_right)        # node i: left limit
-    return np.concatenate([first[:, None], rest], axis=1)
+    curv = FieldKernel(trace.system.mesh, (0.0, 1.0)).curvatures(trace.dof_history)
+    return np.concatenate([curv[:, :1, 0], curv[:, :, 1]], axis=1)  # node 0: right limit
 
 
 # ---------------------------------------------------------------------------

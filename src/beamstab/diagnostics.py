@@ -23,6 +23,13 @@ Curvature comes in two flavors: ``mode='basis'`` differentiates the Hermite
 interpolant exactly, ``mode='paper'`` reproduces the reference
 post-processing (centered x-differences of the nodal slopes, linearly
 interpolated between nodes).
+
+Fields are never formed for the whole history: ``energy`` and the
+damper-only window in ``bounds`` take the interior levels in blocks of
+``fem.CHUNK_LEVELS``, build each block's velocity rows, evaluate u, u_t and
+the curvature at the element Gauss points (``fem.Quadrature``) and reduce
+the block to per-level integrals at once.  Memory beyond the history is a
+few (CHUNK_LEVELS, E, q) blocks plus O(N) per-level arrays.
 """
 
 from __future__ import annotations
@@ -30,9 +37,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.integrate import cumulative_trapezoid
 
-from .fem import gauss_rule, hermite_shapes, _auto_points
+from . import bounds
+from .fem import Quadrature, evaluate_solution, integrate_data, interior_blocks
 from .problem import BeamProblem
 from .stepper import SolutionTrace
 
@@ -50,91 +59,14 @@ __all__ = [
 MODES = ("paper", "basis")
 
 
-# ---------------------------------------------------------------------------
-# spatial quadrature of analytic initial data
-# ---------------------------------------------------------------------------
-
-def _breakpoints(problem: BeamProblem) -> np.ndarray:
-    """Panel boundaries for [0, L] quadrature honoring all table knots."""
-    pts = set(np.linspace(0.0, problem.length, 9))
-    for coeff in (problem.rho, problem.mu, problem.rigidity):
-        if coeff.kind == "table":
-            pts.update(x for x in coeff.data[0] if 0.0 < x < problem.length)
-    for prof in (problem.initial.u0, problem.initial.u1):
-        if prof.kind == "table":
-            pts.update(x for x in prof.data[0] if 0.0 < x < problem.length)
-    return np.array(sorted(pts))
-
-
-def _integrate(f, panels: np.ndarray, points: int = 20) -> float:
-    xi, w = gauss_rule(points)
-    total = 0.0
-    for a, b in zip(panels[:-1], panels[1:]):
-        x = a + (b - a) * xi
-        total += (b - a) * float(w @ np.asarray(f(x), dtype=float))
-    return total
-
-
 def initial_energy(problem: BeamProblem) -> float:
     """Initial total energy from the analytic initial data."""
-    panels = _breakpoints(problem)
     u0, u1 = problem.initial.u0, problem.initial.u1
-    bending = _integrate(lambda x: problem.rigidity(x) * u0.d2(x) ** 2, panels)
-    kinetic = _integrate(lambda x: problem.rho(x) * u1(x) ** 2, panels)
+    bending = integrate_data(problem, lambda x: problem.rigidity(x) * u0.d2(x) ** 2)
+    kinetic = integrate_data(problem, lambda x: problem.rho(x) * u1(x) ** 2)
     L, bc = problem.length, problem.boundary
     return 0.5 * (kinetic + bending) + 0.5 * bc.k_r * float(u0.d1(L)) ** 2 \
         + 0.5 * bc.k_d * float(u0(L)) ** 2
-
-
-# ---------------------------------------------------------------------------
-# element-wise field evaluation
-# ---------------------------------------------------------------------------
-
-class _ElementFields:
-    """Precomputed shape tables for evaluating fields at element Gauss points."""
-
-    def __init__(self, trace: SolutionTrace):
-        system = trace.system
-        mesh, problem = system.mesh, system.problem
-        q = _auto_points(4, problem)
-        self.xi, w = gauss_rule(q)
-        shapes = np.stack([hermite_shapes(x, mesh.h) for x in self.xi])  # (q,4,3)
-        self.val_shapes = shapes[:, :, 0]
-        self.curv_shapes = shapes[:, :, 2]
-
-        n_elem = mesh.element_count
-        idx = np.zeros((n_elem, 4), dtype=int)
-        mask = np.zeros((n_elem, 4))
-        for e in range(n_elem):
-            dofs = system.dof_map.element_dofs(e)
-            for a in range(4):
-                if dofs[a] >= 0:
-                    idx[e, a] = dofs[a]
-                    mask[e, a] = 1.0
-        self.idx, self.mask = idx, mask
-
-        xq = mesh.nodes[:-1, None] + mesh.h * self.xi[None, :]  # (E, q)
-        wq = mesh.h * w[None, :]
-        self.w_plain = np.broadcast_to(wq, xq.shape).copy()
-        self.w_rho = wq * problem.rho(xq)
-        self.w_mu = wq * problem.mu(xq)
-        self.w_r = wq * problem.rigidity(xq)
-        self.h = mesh.h
-
-    def gather(self, dofs2d: np.ndarray) -> np.ndarray:
-        """(T, n) DOF rows -> (T, E, 4) local values, clamped node padded."""
-        return dofs2d[:, self.idx] * self.mask[None, :, :]
-
-    def values(self, dofs2d: np.ndarray) -> np.ndarray:
-        return np.einsum("tea,qa->teq", self.gather(dofs2d), self.val_shapes)
-
-    def curvatures(self, dofs2d: np.ndarray) -> np.ndarray:
-        return np.einsum("tea,qa->teq", self.gather(dofs2d), self.curv_shapes)
-
-    def paper_curvatures(self, dofs2d: np.ndarray) -> np.ndarray:
-        nodes = _nodal_curvature(dofs2d, self.h)
-        one_m = 1.0 - self.xi[None, None, :]
-        return nodes[:, :-1, None] * one_m + nodes[:, 1:, None] * self.xi[None, None, :]
 
 
 def _nodal_curvature(dofs2d: np.ndarray, h: float) -> np.ndarray:
@@ -167,8 +99,6 @@ def curvature_field(trace: SolutionTrace, j: int, mode: str = "basis"):
     system = trace.system
     dofs = trace.dof_history[j]
     if mode == "basis":
-        from .fem import evaluate_solution
-
         def field(x):
             xs = np.atleast_1d(np.asarray(x, dtype=float))
             out = np.array([evaluate_solution(system, dofs, xv)[2] for xv in xs])
@@ -186,10 +116,9 @@ def curvature_field(trace: SolutionTrace, j: int, mode: str = "basis"):
 
 def kinetic_integral(trace: SolutionTrace, j: int) -> float:
     """``int rho u_t(x, t_j)^2 dx`` at an interior grid level."""
-    fields = _ElementFields(trace)
-    vel = time_derivative(trace, j)[None, :]
-    ut = fields.values(vel)
-    return float(np.einsum("eq,teq->t", fields.w_rho, ut**2)[0])
+    quad = Quadrature(trace.system)
+    ut = quad.values(time_derivative(trace, j)[None, :])
+    return float(quad.integral(quad.w_rho, ut, ut)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -229,14 +158,11 @@ def energy(trace: SolutionTrace, lam: float | None = None, mode: str = "paper") 
     grid = trace.grid
     dt = grid.dt
     hist = trace.dof_history
-    n = hist.shape[1]
-
-    from .bounds import lambda_window
 
     lam_max = None
     window_error = None
     try:
-        lam_max, _ = lambda_window(problem, trace)
+        lam_max, _ = bounds.lambda_window(problem, trace)
     except ValueError as exc:
         window_error = str(exc)
     if lam is None:
@@ -248,32 +174,37 @@ def energy(trace: SolutionTrace, lam: float | None = None, mode: str = "paper") 
             raise ValueError(
                 f"lambda must satisfy 0 < lambda < lambda_max = {lam_max:.12g}; got {lam:g}")
 
-    fields = _ElementFields(trace)
-    interior = hist[1:-1]
-    velocity = (hist[2:] - hist[:-2]) / (2.0 * dt)
+    quad = Quadrature(trace.system)
+    h = trace.system.mesh.h
+    lerp = np.stack([1.0 - quad.xi, quad.xi])  # nodal values -> Gauss points
+    kinetic, bending, cross, mu_disp, mu_rate = np.empty((5, hist.shape[0] - 2))
+    for out, u, ut in interior_blocks(hist, dt):
+        u_q, ut_q = quad.values(u), quad.values(ut)
+        if mode == "basis":
+            curv_q = quad.curvatures(u)
+        else:
+            curv_q = sliding_window_view(_nodal_curvature(u, h), 2, axis=1) @ lerp
+        kinetic[out] = quad.integral(quad.w_rho, ut_q, ut_q)
+        bending[out] = quad.integral(quad.w_r, curv_q, curv_q)
+        cross[out] = quad.integral(quad.w_rho, u_q, ut_q)
+        mu_disp[out] = quad.integral(quad.w_mu, u_q, u_q)
+        mu_rate[out] = quad.integral(quad.w_mu, ut_q, ut_q)
 
-    u_q = fields.values(interior)
-    ut_q = fields.values(velocity)
-    curv_q = fields.curvatures(interior) if mode == "basis" else fields.paper_curvatures(interior)
-
-    end_disp, end_rot = interior[:, n - 2], interior[:, n - 1]
+    end_disp, end_rot = hist[1:-1, -2:].T
+    tip_vel, tip_ang = ((hist[2:, -2:] - hist[:-2, -2:]) / (2.0 * dt)).T
     bc = problem.boundary
 
-    e_vals = 0.5 * (np.einsum("eq,teq->t", fields.w_rho, ut_q**2)
-                    + np.einsum("eq,teq->t", fields.w_r, curv_q**2)) \
+    e_vals = 0.5 * (kinetic + bending) \
         + 0.5 * bc.k_r * end_rot**2 + 0.5 * bc.k_d * end_disp**2
-    j_vals = np.einsum("eq,teq->t", fields.w_rho, u_q * ut_q) \
-        + 0.5 * np.einsum("eq,teq->t", fields.w_mu, u_q**2) \
-        + 0.5 * bc.k_a * end_rot**2 + 0.5 * bc.k_v * end_disp**2
+    j_vals = cross + 0.5 * mu_disp + 0.5 * bc.k_a * end_rot**2 + 0.5 * bc.k_v * end_disp**2
 
     # dissipation integrands on grid times 0..N-2; t = 0 from analytic data
     u1 = problem.initial.u1
     L = problem.length
-    panels = _breakpoints(problem)
-    mu_rate0 = _integrate(lambda x: problem.mu(x) * u1(x) ** 2, panels)
-    mu_rate = np.concatenate([[mu_rate0], np.einsum("eq,teq->t", fields.w_mu, ut_q**2)])
-    a_rate = np.concatenate([[bc.k_a * float(u1.d1(L)) ** 2], bc.k_a * velocity[:, n - 1] ** 2])
-    v_rate = np.concatenate([[bc.k_v * float(u1(L)) ** 2], bc.k_v * velocity[:, n - 2] ** 2])
+    mu_rate0 = integrate_data(problem, lambda x: problem.mu(x) * u1(x) ** 2)
+    mu_rate = np.concatenate([[mu_rate0], mu_rate])
+    a_rate = np.concatenate([[bc.k_a * float(u1.d1(L)) ** 2], bc.k_a * tip_ang**2])
+    v_rate = np.concatenate([[bc.k_v * float(u1(L)) ** 2], bc.k_v * tip_vel**2])
 
     j_mu = cumulative_trapezoid(mu_rate, dx=dt, initial=0.0)[1:]
     j_a = cumulative_trapezoid(a_rate, dx=dt, initial=0.0)[1:]

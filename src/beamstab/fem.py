@@ -15,10 +15,12 @@ plus the time-dependent end-load vector.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas as _blas
 from scipy.linalg import cho_solve_banded, cholesky_banded
 
@@ -42,6 +44,11 @@ __all__ = [
 ]
 
 HALF_BANDWIDTH = 3  # two coupled nodes x two DOFs -> |i - j| <= 3
+
+# Levels per block when fields are streamed over a history: diagnostics need
+# the history plus a few blocks whatever the run length (one (levels, E, q)
+# block is 0.6 MiB at M = 321); 64 was the fastest of 32..512 at M = 321.
+CHUNK_LEVELS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -224,16 +231,35 @@ def hermite_shapes(xi: float, h: float) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=32)
 def gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to [0, 1]."""
+    """Gauss-Legendre nodes and weights mapped to [0, 1] (cached, read-only)."""
     x, w = np.polynomial.legendre.leggauss(points)
-    return 0.5 * (x + 1.0), 0.5 * w
+    nodes, weights = 0.5 * (x + 1.0), 0.5 * w
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def _auto_points(requested: int, problem: BeamProblem) -> int:
     # mass-type integrand: cubic x cubic x coefficient -> degree 6 + deg
     deg = max(problem.rho.degree, problem.mu.degree, problem.rigidity.degree)
     return max(requested, math.ceil((7 + deg) / 2))
+
+
+def integrate_data(problem: BeamProblem, f) -> float:
+    """``int_0^L f(x) dx`` for analytic data, by 20-point Gauss panels that
+    honor every table knot of the coefficients and initial profiles."""
+    pts = set(np.linspace(0.0, problem.length, 9))
+    for prof in (problem.rho, problem.mu, problem.rigidity,
+                 problem.initial.u0, problem.initial.u1):
+        if prof.kind == "table":
+            pts.update(x for x in prof.data[0] if 0.0 < x < problem.length)
+    panels = np.array(sorted(pts))
+    xi, w = gauss_rule(20)
+    total = 0.0
+    for a, b in zip(panels[:-1], panels[1:]):
+        total += (b - a) * float(w @ np.asarray(f(a + (b - a) * xi), dtype=float))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -338,16 +364,62 @@ def assemble(problem: BeamProblem, mesh: Mesh, quad_points: int = 4) -> SemiDisc
 # evaluation and interpolation
 # ---------------------------------------------------------------------------
 
-def _full_element_dofs(system: SemiDiscreteSystem, dofs: np.ndarray) -> np.ndarray:
-    """(element_count, 4) local DOF values with the clamped node zero-padded."""
-    mesh, dof_map = system.mesh, system.dof_map
-    out = np.zeros((mesh.element_count, 4))
-    for e in range(mesh.element_count):
-        idx = dof_map.element_dofs(e)
-        for a in range(4):
-            if idx[a] >= 0:
-                out[e, a] = dofs[idx[a]]
-    return out
+def element_local(rows: np.ndarray) -> np.ndarray:
+    """(T, n) DOF rows -> (T, E, 4) element-local values (a view).  Two zeros
+    padded in front stand for the clamped node, so element e reads [2e:2e+4]."""
+    padded = np.zeros((rows.shape[0], rows.shape[1] + 2))
+    padded[:, 2:] = rows
+    return sliding_window_view(padded, 4, axis=1)[:, ::2]
+
+
+class FieldKernel:
+    """Values and curvatures of DOF rows at local points ``xi`` of every element."""
+
+    def __init__(self, mesh: Mesh, xi):
+        self.xi = np.asarray(xi, dtype=float)
+        shapes = np.stack([hermite_shapes(x, mesh.h) for x in self.xi])  # (q, 4, 3)
+        self._value, self._curvature = shapes[:, :, 0].T, shapes[:, :, 2].T
+
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """u at the points: (T, n) rows -> (T, E, q)."""
+        return element_local(rows) @ self._value
+
+    def curvatures(self, rows: np.ndarray) -> np.ndarray:
+        """u_xx at the points (element-interior limits): (T, n) rows -> (T, E, q)."""
+        return element_local(rows) @ self._curvature
+
+
+class Quadrature(FieldKernel):
+    """Field kernel at the element Gauss points.  The flattened (E*q,) weights
+    ``w_plain``, ``w_rho``, ``w_mu``, ``w_r`` integrate against 1, rho, mu, r,
+    exactly for products of two fields with polynomial coefficients."""
+
+    def __init__(self, system: SemiDiscreteSystem):
+        mesh, problem = system.mesh, system.problem
+        xi, w = gauss_rule(_auto_points(4, problem))
+        super().__init__(mesh, xi)
+        xq = mesh.nodes[:-1, None] + mesh.h * xi[None, :]  # (E, q)
+        wq = mesh.h * w[None, :]
+        self.w_plain = np.broadcast_to(wq, xq.shape).ravel()
+        self.w_rho = (wq * problem.rho(xq)).ravel()
+        self.w_mu = (wq * problem.mu(xq)).ravel()
+        self.w_r = (wq * problem.rigidity(xq)).ravel()
+
+    @staticmethod
+    def integral(weights: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Per-level ``int c f g dx`` of two (T, E, q) fields."""
+        return (f * g).reshape(f.shape[0], -1) @ weights
+
+
+def interior_blocks(history: np.ndarray, dt: float):
+    """Yield ``(out, u, u_t)`` for the interior levels 1..N-2 in blocks of
+    CHUNK_LEVELS: the block's slice of arrays over interior levels, its DOF
+    rows and its centered velocity rows ``(U^{j+1} - U^{j-1}) / (2 dt)``."""
+    n_levels = history.shape[0]
+    for lo in range(1, n_levels - 1, CHUNK_LEVELS):
+        hi = min(lo + CHUNK_LEVELS, n_levels - 1)
+        yield (slice(lo - 1, hi - 1), history[lo:hi],
+               (history[lo + 1:hi + 1] - history[lo - 1:hi - 1]) / (2.0 * dt))
 
 
 def _containing_element(mesh: Mesh, x: float) -> int:
@@ -374,11 +446,7 @@ def evaluate_solution(system: SemiDiscreteSystem, dofs: np.ndarray, x: float):
     e = _containing_element(mesh, x)
     xi = (x - mesh.nodes[e]) / mesh.h
     xi = min(max(xi, 0.0), 1.0)
-    local = np.zeros(4)
-    idx = system.dof_map.element_dofs(e)
-    for a in range(4):
-        if idx[a] >= 0:
-            local[a] = dofs[idx[a]]
+    local = np.concatenate(([0.0, 0.0], dofs))[2 * e:2 * e + 4]  # clamped node padded
     s = hermite_shapes(xi, mesh.h)
     return tuple(float(local @ s[:, k]) for k in range(3))
 

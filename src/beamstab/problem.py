@@ -438,6 +438,11 @@ class ValidationReport:
         return "\n".join(lines) if lines else "ok"
 
 
+# raised by evaluating malformed data: wrong shapes (ValueError, IndexError),
+# non-numeric entries (TypeError), trapped overflow (ArithmeticError)
+_EVALUATION_ERRORS = (ValueError, TypeError, IndexError, ArithmeticError)
+
+
 def _check_evaluable(coeff, length, name, errors) -> bool:
     try:
         x = np.linspace(0.0, length, 101)
@@ -445,7 +450,7 @@ def _check_evaluable(coeff, length, name, errors) -> bool:
         if not np.all(np.isfinite(v)):
             errors.append(f"{name}: not finite everywhere on [0, {length}]")
             return False
-    except Exception as exc:
+    except _EVALUATION_ERRORS as exc:
         errors.append(f"{name}: not evaluable on [0, {length}] ({exc})")
         return False
     if coeff.kind == "table" and isinstance(coeff, CoefficientField):
@@ -513,7 +518,7 @@ def validate(problem: BeamProblem) -> ValidationReport:
                     "initial.u0: clamped compatibility u0(0) = u0'(0) = 0 fails "
                     f"(u0(0) = {u0_at_0:g}, u0'(0) = {u0x_at_0:g})"
                 )
-        except Exception:
+        except _EVALUATION_ERRORS:
             pass  # evaluability failure already recorded
 
     for name, g in (("forcing.g_M", problem.forcing.g_M), ("forcing.g_Q", problem.forcing.g_Q)):

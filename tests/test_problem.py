@@ -115,6 +115,26 @@ def test_unclamped_initial_displacement_is_flagged():
     assert any("clamped compatibility" in e for e in report.errors)
 
 
+@pytest.mark.parametrize("field, data, error", [
+    ("rho", pb.CoefficientField("polynomial", ()), IndexError),
+    ("mu", pb.CoefficientField("polynomial", ("a",)), TypeError),
+    ("rigidity", pb.CoefficientField("table", ((0.0, 1.0), (1.0,))), ValueError),
+    ("u0", pb.SpatialProfile("polynomial", ()), IndexError),
+])
+def test_malformed_data_is_reported_not_raised(field, data, error):
+    # each datum raises the named error when evaluated; validate reports it
+    prob = _ne1()
+    if field == "u0":
+        bad = dataclasses.replace(prob, initial=dataclasses.replace(prob.initial, u0=data))
+    else:
+        bad = dataclasses.replace(prob, **{field: data})
+    with pytest.raises(error):
+        data(np.linspace(0.0, 1.0, 5))
+    report = pb.validate(bad)
+    name = {"rigidity": "r", "u0": "initial.u0"}.get(field, field)
+    assert any(e.startswith(f"{name}: not evaluable") for e in report.errors)
+
+
 # ---------------------------------------------------------------------------
 # presets
 # ---------------------------------------------------------------------------
