@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import Quadrature, integrate_data, interior_blocks
+from .fem import integrate_data, interior_blocks
 from .problem import BeamProblem
 from .stepper import SolutionTrace
 
@@ -138,7 +138,7 @@ def lambda_window(problem: BeamProblem, trace: SolutionTrace | None = None
             "admissible window is empty: the damper feedback power vanishes "
             "at some grid time")
 
-    quad = Quadrature(trace.system)
+    quad = trace.system.quadrature
     sup_norm_sq = integrate_data(problem, lambda x: u1(x) ** 2)
     for _, _, ut in interior_blocks(hist, grid.dt):
         ut_q = quad.values(ut)
@@ -193,10 +193,19 @@ class DecayBound:
 
 
 def compute_decay_bound(problem: BeamProblem, trace: SolutionTrace | None = None,
-                        lam: float | None = None) -> DecayBound:
-    """Assemble the full certificate; lam defaults to 99% of the window."""
+                        lam: float | None = None,
+                        lambda_max: float | None = None) -> DecayBound:
+    """Assemble the full certificate; lam defaults to 99% of the window.
+
+    ``lambda_max`` passes in a window already computed for this trace (an
+    ``EnergyTrace.lambda_max``), which saves the damper-only window a second
+    pass over the history; None computes it with ``lambda_window``.
+    """
     beta0, beta1 = beta_constants(problem)
-    lam_max, regime = lambda_window(problem, trace)
+    if lambda_max is None:
+        lam_max, regime = lambda_window(problem, trace)
+    else:
+        lam_max, regime = lambda_max, classify_regime(problem)
     if lam_max <= 0.0:
         raise ValueError("admissible window is empty")
     if lam is None:

@@ -7,7 +7,7 @@
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 usage
 error.  Outputs are deterministic: identical inputs produce byte-identical
-files.  The environment variable BEAMSTAB_THREADS caps sweep concurrency.
+files.  ``sweep`` runs its members one after another.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,8 +152,9 @@ def _write_json(data: dict, path) -> None:
 
 def _bound_payload(prob: BeamProblem, trace, energy_trace, lam) -> dict:
     """Bound report, or a constants-only stub when no certificate applies."""
+    lam_max = energy_trace.lambda_max if energy_trace is not None else None
     try:
-        bound = bounds_mod.compute_decay_bound(prob, trace, lam)
+        bound = bounds_mod.compute_decay_bound(prob, trace, lam, lam_max)
     except ValueError as exc:
         beta0, beta1 = bounds_mod.beta_constants(prob)
         return {
@@ -371,9 +371,7 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
             "j_mu": float(e.j_mu[-1]), "j_a": float(e.j_a[-1]), "j_v": float(e.j_v[-1]),
         }
 
-    workers = int(os.environ.get("BEAMSTAB_THREADS", "0")) or (os.cpu_count() or 1)
-    with ThreadPoolExecutor(max_workers=min(workers, len(values))) as pool:
-        summaries = list(pool.map(job, values))
+    summaries = [job(value) for value in values]
 
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")

@@ -38,10 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.integrate import cumulative_trapezoid
 
 from . import bounds
-from .fem import Quadrature, evaluate_solution, integrate_data, interior_blocks
+from .fem import evaluate_solution, integrate_data, interior_blocks
 from .problem import BeamProblem
 from .stepper import SolutionTrace
 
@@ -77,6 +76,11 @@ def _nodal_curvature(dofs2d: np.ndarray, h: float) -> np.ndarray:
     out[:, 0] = (-3.0 * theta[:, 0] + 4.0 * theta[:, 1] - theta[:, 2]) / (2.0 * h)
     out[:, -1] = (3.0 * theta[:, -1] - 4.0 * theta[:, -2] + theta[:, -3]) / (2.0 * h)
     return out
+
+
+def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
+    """Trapezoidal integrals of y from its first sample to each later one."""
+    return np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +120,7 @@ def curvature_field(trace: SolutionTrace, j: int, mode: str = "basis"):
 
 def kinetic_integral(trace: SolutionTrace, j: int) -> float:
     """``int rho u_t(x, t_j)^2 dx`` at an interior grid level."""
-    quad = Quadrature(trace.system)
+    quad = trace.system.quadrature
     ut = quad.values(time_derivative(trace, j)[None, :])
     return float(quad.integral(quad.w_rho, ut, ut)[0])
 
@@ -174,7 +178,7 @@ def energy(trace: SolutionTrace, lam: float | None = None, mode: str = "paper") 
             raise ValueError(
                 f"lambda must satisfy 0 < lambda < lambda_max = {lam_max:.12g}; got {lam:g}")
 
-    quad = Quadrature(trace.system)
+    quad = trace.system.quadrature
     h = trace.system.mesh.h
     lerp = np.stack([1.0 - quad.xi, quad.xi])  # nodal values -> Gauss points
     kinetic, bending, cross, mu_disp, mu_rate = np.empty((5, hist.shape[0] - 2))
@@ -206,9 +210,9 @@ def energy(trace: SolutionTrace, lam: float | None = None, mode: str = "paper") 
     a_rate = np.concatenate([[bc.k_a * float(u1.d1(L)) ** 2], bc.k_a * tip_ang**2])
     v_rate = np.concatenate([[bc.k_v * float(u1(L)) ** 2], bc.k_v * tip_vel**2])
 
-    j_mu = cumulative_trapezoid(mu_rate, dx=dt, initial=0.0)[1:]
-    j_a = cumulative_trapezoid(a_rate, dx=dt, initial=0.0)[1:]
-    j_v = cumulative_trapezoid(v_rate, dx=dt, initial=0.0)[1:]
+    j_mu = _cumulative_trapezoid(mu_rate, dt)
+    j_a = _cumulative_trapezoid(a_rate, dt)
+    j_v = _cumulative_trapezoid(v_rate, dt)
 
     e0 = initial_energy(problem)
     residual = e0 - e_vals - (j_mu + j_a + j_v)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import blas as _blas
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import lapack as _lapack
 
 from .problem import BeamProblem, validate
 
@@ -120,7 +120,8 @@ class BandedSymmetricMatrix:
 
     ``bands[b + i - j, j] == A[i, j]`` for ``j - b <= i <= j`` with
     half-bandwidth ``b``; symmetry holds by construction since only the
-    upper triangle is stored.
+    upper triangle is stored.  The bands are Fortran-ordered, so BLAS and
+    LAPACK read them without a copy.
     """
 
     def __init__(self, n: int, halfband: int = HALF_BANDWIDTH):
@@ -128,7 +129,7 @@ class BandedSymmetricMatrix:
             raise ValueError("dimension must be >= 1")
         self.n = n
         self.halfband = min(halfband, n - 1)
-        self.bands = np.zeros((self.halfband + 1, n))
+        self.bands = np.zeros((self.halfband + 1, n), order="F")
 
     def add(self, i: int, j: int, value: float) -> None:
         if i > j:
@@ -153,8 +154,14 @@ class BandedSymmetricMatrix:
             a[idx + d, idx] = diag
         return a
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return _blas.dsbmv(self.halfband, 1.0, self.bands, x, lower=0)
+    def matvec(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``A x``, written into ``out`` (a contiguous float64 vector) if given."""
+        if out is None:
+            return _blas.dsbmv(self.halfband, 1.0, self.bands, x, lower=0)
+        if _blas.dsbmv(self.halfband, 1.0, self.bands, x, y=out, overwrite_y=1,
+                       lower=0) is not out:
+            raise ValueError("out must be a contiguous float64 vector")
+        return out
 
     def factor(self) -> "BandedCholesky":
         return BandedCholesky(self)
@@ -166,18 +173,29 @@ class BandedSymmetricMatrix:
 
 
 class BandedCholesky:
-    """Cholesky factorization of a banded SPD matrix, reusable across solves."""
+    """Cholesky factorization of a banded SPD matrix, reusable across solves.
+
+    The factor is checked once, here: positive definite and finite.  Solves
+    call LAPACK ``dpbtrs`` directly and check nothing, so a non-finite
+    right-hand side gives a non-finite solution, not an error.
+    """
 
     def __init__(self, matrix: BandedSymmetricMatrix):
-        try:
-            self._factor = cholesky_banded(matrix.bands, lower=False)
-        except np.linalg.LinAlgError as exc:
+        self._factor, info = _lapack.dpbtrf(matrix.bands, lower=0)
+        if info > 0:
             raise np.linalg.LinAlgError(
-                f"banded Cholesky failed (matrix not positive definite): {exc}"
-            ) from exc
+                "banded Cholesky failed (matrix not positive definite): "
+                f"{info}-th leading minor not positive definite")
+        if info < 0 or not np.all(np.isfinite(self._factor)):
+            raise np.linalg.LinAlgError("banded Cholesky failed (matrix not finite)")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return cho_solve_banded((self._factor, False), rhs)
+        return _lapack.dpbtrs(self._factor, rhs, lower=0)[0]
+
+    def solve_in_place(self, rhs: np.ndarray) -> None:
+        """Overwrite ``rhs``, a contiguous float64 vector, with the solution."""
+        if _lapack.dpbtrs(self._factor, rhs, lower=0, overwrite_b=1)[0] is not rhs:
+            raise ValueError("rhs must be a contiguous float64 vector")
 
 
 def combine(terms) -> BandedSymmetricMatrix:
@@ -268,7 +286,12 @@ def integrate_data(problem: BeamProblem, f) -> float:
 
 @dataclass(frozen=True)
 class SemiDiscreteSystem:
-    """Assembled matrices and load of the space-discretized beam."""
+    """Assembled matrices and load of the space-discretized beam.
+
+    ``load(t)`` is the load vector at one time.  ``end_load(times)`` holds
+    its only entries that can be nonzero, those of the end displacement and
+    end slope DOFs, for an array of times: shape ``times.shape + (2,)``.
+    """
 
     mass: BandedSymmetricMatrix
     damping: BandedSymmetricMatrix
@@ -277,10 +300,16 @@ class SemiDiscreteSystem:
     dof_map: DofMap
     mesh: Mesh
     problem: BeamProblem
+    end_load: callable = None
 
     @property
     def n(self) -> int:
         return self.mass.n
+
+    @functools.cached_property
+    def quadrature(self) -> "Quadrature":
+        """The Gauss-point field kernel of this system, built on first use."""
+        return Quadrature(self)
 
 
 def element_matrices(problem: BeamProblem, x_left: float, h: float,
@@ -350,14 +379,17 @@ def assemble(problem: BeamProblem, mesh: Mesh, quad_points: int = 4) -> SemiDisc
 
     g_m, g_q = problem.forcing.g_M, problem.forcing.g_Q
 
-    def load(t: float) -> np.ndarray:
+    def end_load(times) -> np.ndarray:
         # the extra end moment/shear enter the weak statement negated
+        return np.stack([-g_q(times), -g_m(times)], axis=-1)
+
+    def load(t: float) -> np.ndarray:
         f = np.zeros(n)
-        f[end_disp] = -g_q(t)
-        f[end_rot] = -g_m(t)
+        f[end_disp:] = end_load(t)
         return f
 
-    return SemiDiscreteSystem(mass, damping, stiffness, load, dof_map, mesh, problem)
+    return SemiDiscreteSystem(mass, damping, stiffness, load, dof_map, mesh, problem,
+                              end_load)
 
 
 # ---------------------------------------------------------------------------

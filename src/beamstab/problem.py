@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.interpolate import CubicSpline
 
 __all__ = [
     "CoefficientField",
@@ -246,6 +245,8 @@ class SpatialProfile:
         if self.kind not in ("polynomial", "table"):
             raise ValueError(f"unknown profile kind {self.kind!r}")
         if self.kind == "table":
+            from scipy.interpolate import CubicSpline  # slow import, tables only
+
             xs, ys = self.data
             left = (1, 0.0) if self.clamp_left else "not-a-knot"
             spline = CubicSpline(xs, ys, bc_type=(left, "not-a-knot"))

@@ -10,6 +10,19 @@ so each step solves one SPD banded system whose matrix is factored once per
 run.  The scheme needs three history levels; the first two steps come from
 the trapezoidal rule on the first-order reformulation, which keeps the
 global order at two.
+
+``TimeStepper.step`` advances one level on its own and is the reference
+the whole-run loop ``TimeStepper.run`` is tested against.  The step matrix
+is constant (fixed dt), so ``run`` factors it once and repeats only the two
+banded triangular solves (LAPACK ``dpbtrs``, in place on the history row).
+It evaluates the end loads once over the whole grid and builds each
+right-hand side in preallocated vectors with the same operations in the same
+order as ``step``: ``load + M x1``, then ``+ C x2``, with
+``x1 = (5 U^{j-1} - 4 U^{j-2} + U^{j-3}) / dt^2`` and
+``x2 = (4 U^{j-1} - U^{j-2}) / (2 dt)``.  The history is therefore bitwise
+identical to startup() followed by repeated step().  Every CHUNK_LEVELS
+levels the new block of the history is checked for non-finite values, so a
+run that blows up stops there and reports the first bad time.
 """
 
 from __future__ import annotations
@@ -19,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .fem import (
+    CHUNK_LEVELS,
     Mesh,
     SemiDiscreteSystem,
     assemble,
@@ -131,14 +145,40 @@ class TimeStepper:
         return self._step_solve.solve(rhs)
 
     def run(self) -> SolutionTrace:
-        n_levels = self.grid.step_count
-        history = np.zeros((n_levels, self.system.n))
-        u1, u2, u3 = self.startup()
-        history[0], history[1], history[2] = u1, u2, u3
-        for j in range(3, n_levels):
-            history[j] = self.step((history[j - 3], history[j - 2], history[j - 1]), j)
-        if not np.all(np.isfinite(history)):
-            raise FloatingPointError("time integration produced non-finite values")
+        """Integrate over the whole grid; bitwise equal to startup() + step()."""
+        sys_, grid = self.system, self.grid
+        n_levels, n, dt = grid.step_count, sys_.n, grid.dt
+        history = np.empty((n_levels, n))
+        history[:3] = self.startup()
+        end_loads = sys_.end_load(grid.times)
+        dt2, two_dt = dt**2, 2.0 * dt
+        mass, damping = sys_.mass, sys_.damping
+        solve = self._step_solve.solve_in_place
+        load, x1, x2, tmp, y_m, y_c = np.zeros((6, n))
+        for lo in range(0, n_levels, CHUNK_LEVELS):
+            hi = min(lo + CHUNK_LEVELS, n_levels)
+            for j in range(max(lo, 3), hi):
+                u3, u2, u1 = history[j - 3], history[j - 2], history[j - 1]
+                np.multiply(5.0, u1, out=x1)
+                np.multiply(4.0, u2, out=tmp)
+                np.subtract(x1, tmp, out=x1)
+                np.add(x1, u3, out=x1)
+                np.divide(x1, dt2, out=x1)
+                np.multiply(4.0, u1, out=x2)
+                np.subtract(x2, u2, out=x2)
+                np.divide(x2, two_dt, out=x2)
+                load[-2:] = end_loads[j]
+                mass.matvec(x1, out=y_m)
+                damping.matvec(x2, out=y_c)
+                row = history[j]
+                np.add(load, y_m, out=row)
+                np.add(row, y_c, out=row)
+                solve(row)
+            bad = ~np.isfinite(history[lo:hi]).all(axis=1)
+            if bad.any():
+                t = grid.times[lo + int(np.argmax(bad))]
+                raise FloatingPointError(
+                    f"time integration produced non-finite values at t = {t:.12g}")
         return SolutionTrace(self.grid, history, self.system)
 
 

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -157,8 +160,7 @@ def test_convergence_needs_levels_three(tmp_path):
 # sweep
 # ---------------------------------------------------------------------------
 
-def test_sweep_velocity_damper(tmp_path, monkeypatch):
-    monkeypatch.setenv("BEAMSTAB_THREADS", "2")
+def test_sweep_velocity_damper(tmp_path):
     out = tmp_path / "out"
     assert main(["sweep", "--preset", "cantilever_dampers", "--param", "k_v",
                  "--values", "0,1,2,4", "--nodes", "9", "--ratio", "10",
@@ -219,6 +221,35 @@ def test_bounds_command_theorem2_runs_a_simulation(tmp_path):
     data = json.loads((out / "bounds.json").read_text())
     assert data["regime"] == "theorem2"
     assert data["envelope"]["violations"]["decay"] == 0
+
+
+def test_bounds_command_streams_the_theorem2_window_once(tmp_path, monkeypatch):
+    import beamstab.bounds as bounds
+
+    calls = []
+    window = bounds.lambda_window
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return window(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "lambda_window", counted)
+    assert main(["bounds", "--preset", "mast_constant", "--nodes", "11",
+                 "--ratio", "10", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_import_leaves_interpolate_and_integrate_unloaded():
+    import beamstab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamstab.__file__)))
+    code = ("import sys, beamstab.cli; "
+            "print(sorted(m for m in ('scipy.interpolate', 'scipy.integrate') "
+            "if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip() == "[]"
 
 
 def test_bounds_command_undamped_exits_one(tmp_path, capsys):

@@ -280,6 +280,23 @@ def test_auxiliary_rate_identity_constant_coefficients():
     assert defects[1] / defects[2] >= 3.0
 
 
+def test_kinetic_integral_reuses_the_system_quadrature(monkeypatch):
+    import beamstab.fem as fem
+
+    built = []
+
+    class Counted(fem.Quadrature):
+        def __init__(self, system):
+            built.append(1)
+            super().__init__(system)
+
+    monkeypatch.setattr(fem, "Quadrature", Counted)
+    trace = _ne1_trace(nodes=5, ratio=5)
+    values = [bs.kinetic_integral(trace, j) for j in range(1, 6)]
+    assert len(built) == 1
+    assert values == [bs.kinetic_integral(trace, j) for j in range(1, 6)]
+
+
 def test_kinetic_integral_on_ne1():
     # exact kinetic weight: int rho u_t^2 = int 4 x^4 e^{-4t} = 0.8 e^{-4t}
     trace = _ne1_trace()

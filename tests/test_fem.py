@@ -244,6 +244,30 @@ def test_banded_cholesky_solves():
     assert system.stiffness.to_dense() @ x == pytest.approx(b, rel=1e-10)
 
 
+def test_banded_in_place_kernels_and_factor_time_checks():
+    system = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 11))
+    solve = system.stiffness.factor()
+    b = np.random.default_rng(5).standard_normal(system.n)
+    x = b.copy()
+    solve.solve_in_place(x)
+    assert np.array_equal(x, solve.solve(b))
+    y = np.empty(system.n)
+    assert system.stiffness.matvec(x, out=y) is y
+    assert np.array_equal(y, system.stiffness.matvec(x))
+    with pytest.raises(ValueError, match="contiguous"):
+        solve.solve_in_place(np.zeros(2 * system.n)[::2])
+
+    indefinite = system.stiffness.copy()
+    indefinite.add(4, 4, -1e9)
+    with pytest.raises(np.linalg.LinAlgError,
+                       match="not positive definite.*5-th leading minor"):
+        indefinite.factor()
+    not_finite = system.stiffness.copy()
+    not_finite.add(2, 3, np.nan)
+    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
+        not_finite.factor()
+
+
 def test_combine_linear_combination():
     system = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 7))
     combo = fem.combine([(2.0, system.mass), (-0.5, system.stiffness)])

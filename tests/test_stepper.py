@@ -1,11 +1,14 @@
 """Time integration: startup, stepping, convergence, stability."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 import beamstab as bs
-from beamstab.fem import BandedSymmetricMatrix, SemiDiscreteSystem, interpolate_profile
+from beamstab.fem import (
+    CHUNK_LEVELS, BandedSymmetricMatrix, SemiDiscreteSystem, interpolate_profile)
 from beamstab.stepper import TimeGrid, TimeStepper
 
 
@@ -15,8 +18,6 @@ def _nodal_u(trace):
 
 
 def _rest_problem():
-    import dataclasses
-
     from beamstab.problem import InitialData, SpatialProfile
 
     return dataclasses.replace(
@@ -121,6 +122,59 @@ def test_step_requires_three_history_levels():
     z = np.zeros(1)
     with pytest.raises(ValueError):
         stepper.step((z, z, z), 2)
+
+
+# ---------------------------------------------------------------------------
+# the whole-run loop against the one-step reference
+# ---------------------------------------------------------------------------
+
+def _forced_variable_problem():
+    from beamstab.problem import (
+        BoundaryForcing, BoundaryParams, CoefficientField, SpatialProfile, TimeFunction)
+
+    return dataclasses.replace(
+        bs.preset("cantilever_dampers"),
+        rho=CoefficientField.polynomial((1.0, 0.5)),
+        mu=CoefficientField.table((0.0, 0.5, 1.0), (1.0, 2.0, 0.5)),
+        rigidity=CoefficientField.polynomial((1.0, 0.3)),
+        boundary=BoundaryParams(k_r=1.0, k_d=2.0, k_a=1.0, k_v=0.5),
+        forcing=BoundaryForcing(
+            g_M=TimeFunction.table((0.0, 0.7, 3.0), (0.0, 0.4, -0.2)),
+            g_Q=TimeFunction.exponential(0.3, -1.1)),
+        initial=dataclasses.replace(
+            bs.preset("cantilever_dampers").initial,
+            u1=SpatialProfile.table((0.0, 0.3, 0.6, 1.0), (0.0, 0.1, -0.2, 0.4))))
+
+
+@pytest.mark.parametrize("name", [*bs.PRESET_NAMES, "forced_variable"])
+def test_run_is_bitwise_the_one_step_path(name):
+    prob = _forced_variable_problem() if name == "forced_variable" else bs.preset(name)
+    # two seams between finite-check blocks
+    stepper = TimeStepper(bs.assemble(prob, bs.Mesh(prob.length, 9)),
+                          TimeGrid(prob.final_time, 2 * CHUNK_LEVELS + 7))
+    levels = list(stepper.startup())
+    for j in range(3, stepper.grid.step_count):
+        levels.append(stepper.step(tuple(levels[-3:]), j))
+    reference = np.array(levels)
+    history = stepper.run().dof_history
+    assert np.array_equal(history, reference)
+    assert np.array_equal(np.signbit(history), np.signbit(reference))
+
+
+def test_blow_up_stops_at_the_first_non_finite_time():
+    # a*exp(b t) overflows to inf once b t > log(max double); the load, and
+    # with it the solution, is finite before that level and infinite at it
+    from beamstab.problem import BoundaryForcing, TimeFunction
+
+    prob = dataclasses.replace(
+        bs.preset("cantilever_dampers"),
+        forcing=BoundaryForcing(g_Q=TimeFunction.exponential(1e-300, 1000.0)))
+    grid = TimeGrid.from_dt(prob.final_time, 1 / 400)
+    first_bad = grid.times[grid.times * 1000.0 > np.log(np.finfo(float).max)][0]
+    assert 0.0 < first_bad < 0.5 * prob.final_time
+    with np.errstate(over="ignore"), \
+            pytest.raises(FloatingPointError, match=f"at t = {first_bad:.12g}$"):
+        bs.run(prob, bs.Mesh(1.0, 9), grid)
 
 
 # ---------------------------------------------------------------------------
