@@ -222,31 +222,19 @@ def hermite_shapes(xi: float, h: float) -> np.ndarray:
     """
     if not 0.0 <= xi <= 1.0:
         raise ValueError("xi must lie in [0, 1]")
-    v = np.array([
-        1.0 - 3.0 * xi**2 + 2.0 * xi**3,
-        xi - 2.0 * xi**2 + xi**3,
-        3.0 * xi**2 - 2.0 * xi**3,
-        -(xi**2) + xi**3,
+    # scalar form of (scale * v, scale * deriv * d1, scale * deriv**2 * d2)
+    # with scale = (1, h, 1, h) and deriv = 1/h: the products keep that order,
+    # since h * (1/h) need not round to 1
+    xi2, xi3 = xi**2, xi**3
+    g = 1.0 / h
+    g2 = g * g
+    hg, hg2 = h * g, h * g2
+    return np.array([
+        [1.0 - 3.0 * xi2 + 2.0 * xi3, g * (-6.0 * xi + 6.0 * xi2), g2 * (-6.0 + 12.0 * xi)],
+        [h * (xi - 2.0 * xi2 + xi3), hg * (1.0 - 4.0 * xi + 3.0 * xi2), hg2 * (-4.0 + 6.0 * xi)],
+        [3.0 * xi2 - 2.0 * xi3, g * (6.0 * xi - 6.0 * xi2), g2 * (6.0 - 12.0 * xi)],
+        [h * (-xi2 + xi3), hg * (-2.0 * xi + 3.0 * xi2), hg2 * (-2.0 + 6.0 * xi)],
     ])
-    d1 = np.array([
-        -6.0 * xi + 6.0 * xi**2,
-        1.0 - 4.0 * xi + 3.0 * xi**2,
-        6.0 * xi - 6.0 * xi**2,
-        -2.0 * xi + 3.0 * xi**2,
-    ])
-    d2 = np.array([
-        -6.0 + 12.0 * xi,
-        -4.0 + 6.0 * xi,
-        6.0 - 12.0 * xi,
-        -2.0 + 6.0 * xi,
-    ])
-    scale = np.array([1.0, h, 1.0, h])
-    deriv = np.array([1.0 / h, 1.0 / h, 1.0 / h, 1.0 / h])
-    out = np.empty((4, 3))
-    out[:, 0] = scale * v
-    out[:, 1] = scale * deriv * d1
-    out[:, 2] = scale * deriv**2 * d2
-    return out
 
 
 @functools.lru_cache(maxsize=32)
@@ -485,11 +473,10 @@ def evaluate_solution(system: SemiDiscreteSystem, dofs: np.ndarray, x: float):
 
 def interpolate_profile(profile, mesh: Mesh, dof_map: DofMap) -> np.ndarray:
     """Nodal Hermite interpolant (values and slopes) of a spatial profile."""
-    out = np.zeros(dof_map.n_free)
-    for node in range(1, mesh.node_count):
-        x = mesh.nodes[node]
-        out[dof_map.disp_dof(node)] = float(profile(x))
-        out[dof_map.rot_dof(node)] = float(profile.d1(x))
+    x = mesh.nodes[1:]  # node i >= 1 owns DOFs 2(i-1) (value) and 2(i-1)+1 (slope)
+    out = np.empty(dof_map.n_free)
+    out[0::2] = profile(x)
+    out[1::2] = profile.d1(x)
     return out
 
 

@@ -316,6 +316,59 @@ def test_energy_csv_export(tmp_path):
     assert data[:, 1] == pytest.approx(e.E)
 
 
+def _energy_csv_per_row(energy_trace, path):
+    """The per-row writer export_energy_csv replaced: the byte oracle."""
+    lam_col = energy_trace.L if energy_trace.L is not None \
+        else np.full_like(energy_trace.E, np.nan)
+    with open(path, "w") as fh:
+        fh.write("t, E, J, L, j_mu, j_a, j_v, residual\n")
+        for row in zip(energy_trace.times, energy_trace.E, energy_trace.J, lam_col,
+                       energy_trace.j_mu, energy_trace.j_a, energy_trace.j_v,
+                       energy_trace.residual):
+            fh.write(", ".join(f"{v:.17g}" for v in row) + "\n")
+
+
+def _assert_energy_csv_bytes(energy_trace, tmp_path):
+    bs.export_energy_csv(energy_trace, tmp_path / "block.csv")
+    _energy_csv_per_row(energy_trace, tmp_path / "row.csv")
+    block = (tmp_path / "block.csv").read_bytes()
+    assert block == (tmp_path / "row.csv").read_bytes()
+    return block
+
+
+@pytest.mark.parametrize("levels", [CHUNK_LEVELS - 1, CHUNK_LEVELS, CHUNK_LEVELS + 1,
+                                    3 * CHUNK_LEVELS + 5])
+@pytest.mark.parametrize("with_lyapunov", [True, False])
+def test_energy_csv_bytes_match_the_per_row_writer(tmp_path, levels, with_lyapunov):
+    # signed zero, subnormals, exponent-form and extreme values in every column
+    special = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1e300,
+               -1.7976931348623157e308, 1e17, 1.0000000000000002]
+    rng = np.random.default_rng(levels)
+    cols = rng.standard_normal((8, levels)) * 10.0 ** rng.integers(-40, 40, (8, levels))
+    for c in range(8):
+        cols[c, :len(special)] = np.roll(special, c)
+        cols[c, -len(special):] = np.roll(special, -c)
+    e = dataclasses.replace(
+        bs.energy(_rest_trace()), times=cols[0], E=cols[1], J=cols[2],
+        L=cols[3] if with_lyapunov else None, j_mu=cols[4], j_a=cols[5], j_v=cols[6],
+        residual=cols[7])
+    block = _assert_energy_csv_bytes(e, tmp_path)
+    assert block.count(b"\n") == levels + 1
+    assert (b", nan, " in block) == (not with_lyapunov)
+
+
+def test_energy_csv_of_forced_and_unset_lyapunov_runs_matches_the_per_row_writer(tmp_path):
+    forced = bs.energy(_ne1_trace(nodes=9, ratio=10), mode="basis")
+    assert forced.forced and forced.L is not None
+    _assert_energy_csv_bytes(forced, tmp_path)
+    undamped = dataclasses.replace(bs.preset("cantilever_free"),
+                                   mu=CoefficientField.constant(0.0),
+                                   boundary=BoundaryParams())
+    e = bs.energy(bs.run(undamped, bs.Mesh(1.0, 9), TimeGrid(1.0, 2 * CHUNK_LEVELS + 3)))
+    assert e.L is None
+    assert b", nan, " in _assert_energy_csv_bytes(e, tmp_path)
+
+
 # ---------------------------------------------------------------------------
 # streamed field kernel: matrix-form oracle across block seams, bounded memory
 # ---------------------------------------------------------------------------

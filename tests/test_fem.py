@@ -71,6 +71,49 @@ def test_shapes_reject_outside_reference_element():
         fem.hermite_shapes(1.2, 1.0)
 
 
+def _hermite_shapes_array_form(xi, h):
+    """The array-building formula hermite_shapes replaced: the bitwise oracle."""
+    v = np.array([
+        1.0 - 3.0 * xi**2 + 2.0 * xi**3,
+        xi - 2.0 * xi**2 + xi**3,
+        3.0 * xi**2 - 2.0 * xi**3,
+        -(xi**2) + xi**3,
+    ])
+    d1 = np.array([
+        -6.0 * xi + 6.0 * xi**2,
+        1.0 - 4.0 * xi + 3.0 * xi**2,
+        6.0 * xi - 6.0 * xi**2,
+        -2.0 * xi + 3.0 * xi**2,
+    ])
+    d2 = np.array([
+        -6.0 + 12.0 * xi,
+        -4.0 + 6.0 * xi,
+        6.0 - 12.0 * xi,
+        -2.0 + 6.0 * xi,
+    ])
+    scale = np.array([1.0, h, 1.0, h])
+    deriv = np.array([1.0 / h, 1.0 / h, 1.0 / h, 1.0 / h])
+    out = np.empty((4, 3))
+    out[:, 0] = scale * v
+    out[:, 1] = scale * deriv * d1
+    out[:, 2] = scale * deriv**2 * d2
+    return out
+
+
+def test_shapes_are_bitwise_the_array_formula():
+    rng = np.random.default_rng(5)
+    xis = np.concatenate([np.linspace(0.0, 1.0, 101), rng.random(200)])
+    hs = [1.0, 0.5, 0.3, 0.7, 1 / 40, 1 / 320, 7 / 33, 3.7, np.float64(1 / 160)]
+    hs += list(rng.uniform(1e-3, 2.0, 8))
+    for h in hs:
+        for x in xis:
+            for xi in (float(x), x):  # Python and numpy scalars take different paths
+                got, want = fem.hermite_shapes(xi, h), _hermite_shapes_array_form(xi, h)
+                assert got.shape == (4, 3) and got.dtype == np.float64
+                assert np.array_equal(got, want), (xi, h)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), (xi, h)
+
+
 # ---------------------------------------------------------------------------
 # element matrices against the 50-point oracle
 # ---------------------------------------------------------------------------
@@ -314,6 +357,33 @@ def test_cubic_interpolation_is_exact(nodes):
         assert abs(u - float(poly(x))) <= 1e-10
         assert abs(ux - float(poly.d1(x))) <= 1e-10
         assert abs(uxx - float(poly.d2(x))) <= 1e-10
+
+
+def _interpolate_profile_per_node(profile, mesh, dof_map):
+    """The per-node loop interpolate_profile replaced: the bitwise oracle."""
+    out = np.zeros(dof_map.n_free)
+    for node in range(1, mesh.node_count):
+        x = mesh.nodes[node]
+        out[dof_map.disp_dof(node)] = float(profile(x))
+        out[dof_map.rot_dof(node)] = float(profile.d1(x))
+    return out
+
+
+@pytest.mark.parametrize("profile", [
+    pb.SpatialProfile.polynomial((0.0,)),
+    pb.SpatialProfile.polynomial((0.0, 0.0, 2.0, -0.7, 0.31, -1e-3)),
+    pb.SpatialProfile.table((0.0, 0.2, 0.45, 0.7, 1.0), (0.0, 0.1, -0.3, 0.25, 1.0),
+                            clamp_left=True),
+    pb.SpatialProfile.table((0.0, 0.3, 0.5, 0.8, 1.0), (1.0, -2.0, 0.5, 0.0, 3.0)),
+], ids=["zero", "polynomial", "clamped-table", "table"])
+@pytest.mark.parametrize("nodes", [3, 17, 41])
+def test_interpolate_profile_is_bitwise_the_per_node_loop(profile, nodes):
+    mesh = fem.Mesh(1.0, nodes)
+    dof_map = fem.DofMap(nodes)
+    got = fem.interpolate_profile(profile, mesh, dof_map)
+    want = _interpolate_profile_per_node(profile, mesh, dof_map)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_ne1_initial_interpolant_end_values():

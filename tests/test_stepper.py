@@ -1,6 +1,8 @@
 """Time integration: startup, stepping, convergence, stability."""
 
 import dataclasses
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ import scipy.linalg
 import beamstab as bs
 from beamstab.fem import (
     CHUNK_LEVELS, BandedSymmetricMatrix, SemiDiscreteSystem, interpolate_profile)
-from beamstab.stepper import TimeGrid, TimeStepper
+from beamstab.stepper import SolutionTrace, TimeGrid, TimeStepper
 
 
 def _nodal_u(trace):
@@ -331,3 +333,79 @@ def test_trace_csv_export(tmp_path):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape[1] == 4
     assert data[-1, 0] == 1.5  # final level always exported
+
+
+def _trace_csv_per_row(trace, path, decimate=1):
+    """The per-row writer export_trace_csv replaced: the byte oracle."""
+    grid, mesh = trace.grid, trace.system.mesh
+    dof_map = trace.system.dof_map
+    indices = list(range(0, grid.step_count, decimate))
+    if indices[-1] != grid.step_count - 1:
+        indices.append(grid.step_count - 1)
+    with open(path, "w") as fh:
+        fh.write("t, node, u, u_x\n")
+        for j in indices:
+            t = grid.times[j]
+            dofs = trace.dof_history[j]
+            for node in range(mesh.node_count):
+                di, ri = dof_map.disp_dof(node), dof_map.rot_dof(node)
+                u = dofs[di] if di >= 0 else 0.0
+                ux = dofs[ri] if ri >= 0 else 0.0
+                fh.write(f"{t:.17g}, {node}, {u:.17g}, {ux:.17g}\n")
+
+
+def _special_trace(levels):
+    # random magnitudes over 80 decades; the first, middle and last rows hold
+    # signed zero, subnormals, exponent-form values and the extremes
+    system = bs.assemble(bs.preset("test_NE1"), bs.Mesh(1.0, 7))
+    rng = np.random.default_rng(levels)
+    hist = rng.standard_normal((levels, system.n)) \
+        * 10.0 ** rng.integers(-40, 40, (levels, system.n))
+    hist[[0, levels // 2, -1]] = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1e-300,
+                                  1e300, -1.7976931348623157e308, 1e17,
+                                  -123456789012345678.0, 1.0000000000000002, 0.1, -1e-5]
+    return SolutionTrace(TimeGrid(1.5, levels), hist, system)
+
+
+@pytest.mark.parametrize("levels, decimate", [
+    (CHUNK_LEVELS - 1, 1), (CHUNK_LEVELS, 1), (CHUNK_LEVELS + 1, 1),
+    (201, 1), (201, 5), (201, 7), (201, 200), (201, 201), (201, 1000),
+    (5 * CHUNK_LEVELS - 4, 5),  # CHUNK_LEVELS levels written
+    (5 * CHUNK_LEVELS + 1, 5),  # CHUNK_LEVELS + 1 levels written
+])
+def test_trace_csv_bytes_match_the_per_row_writer(tmp_path, levels, decimate):
+    trace = _special_trace(levels)
+    bs.export_trace_csv(trace, tmp_path / "block.csv", decimate=decimate)
+    _trace_csv_per_row(trace, tmp_path / "row.csv", decimate=decimate)
+    block = (tmp_path / "block.csv").read_bytes()
+    assert block == (tmp_path / "row.csv").read_bytes()
+    assert b"e+300" in block and b", -0, " in block and b"4.9406564584124654e-324" in block
+
+
+def test_trace_csv_of_a_forced_run_matches_the_per_row_writer(tmp_path):
+    trace = bs.run(bs.preset("test_NE1"), bs.Mesh(1.0, 9), TimeGrid.from_dt(1.5, 1 / 80))
+    bs.export_trace_csv(trace, tmp_path / "block.csv")
+    _trace_csv_per_row(trace, tmp_path / "row.csv")
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+@pytest.mark.parametrize("decimate", [0, -3])
+def test_trace_csv_rejects_decimate_below_one(tmp_path, decimate):
+    with pytest.raises(ValueError, match="decimate"):
+        bs.export_trace_csv(_special_trace(8), tmp_path / "t.csv", decimate=decimate)
+
+
+def test_trace_csv_streams_in_blocks():
+    # the file (about 20 MB here) is never held whole: the writer's extra
+    # memory is one block of CHUNK_LEVELS levels, whatever the run length
+    system = bs.assemble(bs.preset("mast_constant"), bs.Mesh(1.0, 81))
+    levels = 60 * CHUNK_LEVELS + 1
+    history = np.random.default_rng(3).standard_normal((levels, system.n))
+    trace = SolutionTrace(TimeGrid(1.0, levels), history, system)
+    tracemalloc.start()
+    try:
+        bs.export_trace_csv(trace, os.devnull)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < history.nbytes / 4
