@@ -7,13 +7,16 @@
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 usage
 error.  Outputs are deterministic: identical inputs produce byte-identical
-files.  ``sweep`` runs its members one after another.
+files.  ``sweep`` runs its members in forked worker processes, at most one
+per CPU this process may run on (in-process when only one would run); its
+outputs are byte-identical whatever the worker count.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -341,6 +344,33 @@ def _with_parameter(prob: BeamProblem, param: str, value: float) -> BeamProblem:
         prob, boundary=dataclasses.replace(prob.boundary, **{param: value}))
 
 
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _member_dir(param: str, value: float) -> str:
+    return f"{param}_{value:g}"
+
+
+def _sweep_member(base: BeamProblem, param: str, value: float, config: RunConfig) -> dict:
+    """Run one sweep member, write its artifacts and return its sweep.csv row."""
+    prob = _with_parameter(base, param, value)
+    sub = os.path.join(config.out_dir, _member_dir(param, value))
+    result = _simulate_pipeline(prob, config, sub)
+    e, b = result["energy"], result["bounds"]
+    return {
+        "value": value,
+        "beta0": b["beta0"], "beta1": b["beta1"],
+        "lambda_max": b["lambda_max"], "lambda": b["lambda"],
+        "M_d": b["M_d"], "sigma": b["sigma"],
+        "E0": e.E0, "E_final_over_E0": float(e.E[-1] / e.E0) if e.E0 else 0.0,
+        "j_mu": float(e.j_mu[-1]), "j_a": float(e.j_a[-1]), "j_v": float(e.j_v[-1]),
+    }
+
+
 def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
     try:
         values = [float(v) for v in values_text.split(",") if v.strip() != ""]
@@ -350,6 +380,10 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
         raise _UsageError("--values is empty")
     if any(v < 0 for v in values):
         raise _UsageError(f"negative {param} values are not admissible")
+    dirs = [_member_dir(param, v) for v in values]
+    for d in dirs:
+        if dirs.count(d) > 1:  # members run at once: both would write its files
+            raise _UsageError(f"two --values share the member directory {d}")
 
     base = _load(config)
     report = validate(base)
@@ -357,21 +391,25 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
         print(report, file=sys.stderr)
         return 1
 
-    def job(value: float) -> dict:
-        prob = _with_parameter(base, param, value)
-        sub = os.path.join(config.out_dir, f"{param}_{value:g}")
-        result = _simulate_pipeline(prob, config, sub)
-        e, b = result["energy"], result["bounds"]
-        return {
-            "value": value,
-            "beta0": b["beta0"], "beta1": b["beta1"],
-            "lambda_max": b["lambda_max"], "lambda": b["lambda"],
-            "M_d": b["M_d"], "sigma": b["sigma"],
-            "E0": e.E0, "E_final_over_E0": float(e.E[-1] / e.E0) if e.E0 else 0.0,
-            "j_mu": float(e.j_mu[-1]), "j_a": float(e.j_a[-1]), "j_v": float(e.j_v[-1]),
-        }
+    # Members share nothing, so they run in worker processes.  ``fork`` keeps
+    # this process's imports (a ``spawn`` worker would import numpy and scipy
+    # again); the only other threads are OpenBLAS's, which it shuts down
+    # before a fork.  pool.map re-raises a member's exception with its own
+    # type, and the members not yet started are then cancelled.
+    import multiprocessing
 
-    summaries = [job(value) for value in values]
+    member = functools.partial(_sweep_member, base, param, config=config)
+    workers = min(len(values), _usable_cpus())
+    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+        try:
+            summaries = list(pool.map(member, values))   # in value order
+        finally:
+            pool.shutdown(cancel_futures=True)
+    else:
+        summaries = list(map(member, values))
 
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")

@@ -442,33 +442,30 @@ def interior_blocks(history: np.ndarray, dt: float):
                (history[lo + 1:hi + 1] - history[lo - 1:hi - 1]) / (2.0 * dt))
 
 
-def _containing_element(mesh: Mesh, x: float) -> int:
-    """Element index for x; interior nodes resolve to the left element."""
-    if not (0.0 <= x <= mesh.length * (1.0 + 1e-12)):
-        raise ValueError(f"x = {x} outside [0, {mesh.length}]")
-    h = mesh.h
-    node = int(round(x / h))
-    if abs(x - node * h) <= 1e-12 * mesh.length and node >= 1:
-        return min(node - 1, mesh.element_count - 1)
-    return min(int(x / h), mesh.element_count - 1)
-
-
 def evaluate_solution(system: SemiDiscreteSystem, dofs: np.ndarray, x: float):
     """Evaluate (u, u_x, u_xx) of the Hermite interpolant at one point.
 
     u and u_x are continuous; u_xx is piecewise linear and interior nodes
     return the left-element limit.
     """
-    dofs = np.asarray(dofs, dtype=float)
+    dofs = np.ascontiguousarray(dofs, dtype=float)
     if dofs.shape != (system.n,):
         raise ValueError(f"dofs must have length {system.n}")
     mesh = system.mesh
-    e = _containing_element(mesh, x)
-    xi = (x - mesh.nodes[e]) / mesh.h
-    xi = min(max(xi, 0.0), 1.0)
-    local = np.concatenate(([0.0, 0.0], dofs))[2 * e:2 * e + 4]  # clamped node padded
-    s = hermite_shapes(xi, mesh.h)
-    return tuple(float(local @ s[:, k]) for k in range(3))
+    x, length, h = float(x), mesh.length, mesh.h
+    if not 0.0 <= x <= length * (1.0 + 1e-12):
+        raise ValueError(f"x = {x} outside [0, {length}]")
+    last = mesh.element_count - 1
+    node = round(x / h)
+    if node >= 1 and abs(x - node * h) <= 1e-12 * length:
+        e = min(node - 1, last)  # an interior node resolves to its left element
+    else:
+        e = min(int(x / h), last)
+    xi = min(max((x - mesh.nodes.item(e)) / h, 0.0), 1.0)
+    s = hermite_shapes(xi, h)
+    # element e's local DOFs; element 0's left node is the clamped one
+    local = dofs[2 * e - 2:2 * e + 2] if e else np.array([0.0, 0.0, dofs[0], dofs[1]])
+    return float(local @ s[:, 0]), float(local @ s[:, 1]), float(local @ s[:, 2])
 
 
 def interpolate_profile(profile, mesh: Mesh, dof_map: DofMap) -> np.ndarray:

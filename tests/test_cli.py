@@ -1,14 +1,18 @@
 """Command-line interface: commands, exit codes, artifacts, idempotence."""
 
+import contextlib
 import dataclasses
 import json
+import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import beamstab.cli as cli
 from beamstab import problem as pb
 from beamstab.cli import main
 
@@ -199,6 +203,129 @@ def test_sweep_mu_scale_grows_bulk_dissipation(tmp_path):
 def test_sweep_rejects_negative_values(tmp_path):
     assert main(["sweep", "--preset", "cantilever_dampers", "--param", "k_v",
                  "--values", "1,-2", "--out", str(tmp_path)]) == 3
+
+
+@pytest.mark.parametrize("values", ["1,2,1", "1.0000001,1.0000002"])
+def test_sweep_rejects_values_that_share_a_member_directory(tmp_path, capsys, values):
+    assert main(["sweep", "--preset", "cantilever_dampers", "--param", "k_v",
+                 "--values", values, "--out", str(tmp_path / "out")]) == 3
+    assert "share the member directory k_v_1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail with TimeoutError, rather than hang, if the body outlives ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _sweep(source, param, values, out, *extra):
+    """Run ``sweep`` in this process (so the tests can patch the CLI) under a time limit."""
+    with _time_limit(60):
+        code = main(["sweep", *source, "--param", param, "--values", values,
+                     "--nodes", "9", *extra, "--out", str(out)])
+    assert multiprocessing.active_children() == []  # every worker was joined
+    return code
+
+
+def _files(root):
+    return {p.relative_to(root).as_posix(): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
+    # forcing two workers also runs the pooled path on a one-CPU machine
+    real_pipeline = cli._simulate_pipeline
+    runs, pids = {}, {}
+    for workers in (1, 2):
+        log = tmp_path / f"pids_{workers}.txt"
+
+        def logged(prob, config, out_dir, log=log):
+            with open(log, "a") as fh:  # one short append per member
+                fh.write(f"{os.getpid()}\n")
+            return real_pipeline(prob, config, out_dir)
+
+        monkeypatch.setattr(cli, "_simulate_pipeline", logged)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+        out = tmp_path / f"workers_{workers}"
+        assert _sweep(["--preset", "cantilever_dampers"], "k_v", "4,0,2,1", out,
+                      "--ratio", "10") == 0
+        runs[workers], pids[workers] = _files(out), log.read_text().split()
+
+    members = [f"k_v_{v}/{name}" for v in "4021"
+               for name in ("bounds.json", "energy.csv", "trace.csv")]
+    assert sorted(runs[1]) == sorted(members + ["sweep.csv"])
+    assert runs[2] == runs[1]
+    rows = runs[2]["sweep.csv"].decode().splitlines()[1:]
+    assert [float(r.split(",")[1]) for r in rows] == [4.0, 0.0, 2.0, 1.0]
+    assert pids[1] == [str(os.getpid())] * 4
+    assert len(pids[2]) == 4 and str(os.getpid()) not in pids[2]
+    assert 1 <= len(set(pids[2])) <= 2
+
+
+@pytest.mark.parametrize("cpus, values, pool_size", [
+    (8, "1,2", 2),          # capped by the members
+    (3, "1,2,3,4", 3),      # capped by the CPUs
+    (1, "1,2,3", None),     # one CPU: in-process, no pool
+    (4, "2", None),         # one member: in-process, no pool
+])
+def test_sweep_starts_no_more_workers_than_cpus_or_members(
+        tmp_path, monkeypatch, cpus, values, pool_size):
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    assert _sweep(["--preset", "cantilever_dampers"], "k_d", values, tmp_path / "out",
+                  "--ratio", "4") == 0
+    assert sizes == ([] if pool_size is None else [pool_size])
+
+
+@pytest.mark.parametrize("forcing, values, message", [
+    # every member meets the 1e-300 exp(1000 t) end shear, which overflows
+    (pb.BoundaryForcing(g_Q=pb.TimeFunction.exponential(1e-300, 1000.0)),
+     "4,0,2,1", "at t = "),
+    # only the k_v = 1e308 member overflows its step matrix
+    (pb.BoundaryForcing(), "1,1e308,2,3", "matrix not finite"),
+])
+def test_sweep_member_numerical_failure_exits_two_through_the_pool(
+        tmp_path, monkeypatch, capsys, forcing, values, message):
+    prob = dataclasses.replace(pb.preset("cantilever_dampers"), forcing=forcing)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    with np.errstate(over="ignore"):
+        code = _sweep(["--problem", _write(tmp_path, prob)], "k_v", values,
+                      tmp_path / "out", "--dt", "0.0025")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and message in err
+    assert "Traceback" not in err and "BrokenProcessPool" not in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
+def test_sweep_member_that_fails_to_assemble_exits_three_through_the_pool(
+        tmp_path, monkeypatch, capsys):
+    # mu scaled by inf is not finite, so that member's assemble() rejects it
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    assert _sweep(["--preset", "cantilever_dampers"], "mu_scale", "1,inf,2",
+                  tmp_path / "out", "--ratio", "10") == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot assemble an invalid problem")
+    assert "mu: not finite" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,52 @@ def test_cubic_interpolation_is_exact(nodes):
         assert abs(uxx - float(poly.d2(x))) <= 1e-10
 
 
+def _evaluate_solution_padded_row(system, dofs, x):
+    """The evaluate_solution that padded the whole row: the bitwise oracle."""
+    dofs = np.asarray(dofs, dtype=float)
+    mesh = system.mesh
+    if not (0.0 <= x <= mesh.length * (1.0 + 1e-12)):
+        raise ValueError(f"x = {x} outside [0, {mesh.length}]")
+    h = mesh.h
+    node = int(round(x / h))
+    if abs(x - node * h) <= 1e-12 * mesh.length and node >= 1:
+        e = min(node - 1, mesh.element_count - 1)
+    else:
+        e = min(int(x / h), mesh.element_count - 1)
+    xi = (x - mesh.nodes[e]) / mesh.h
+    xi = min(max(xi, 0.0), 1.0)
+    local = np.concatenate(([0.0, 0.0], dofs))[2 * e:2 * e + 4]
+    s = fem.hermite_shapes(xi, mesh.h)
+    return tuple(float(local @ s[:, k]) for k in range(3))
+
+
+@pytest.mark.parametrize("nodes", [3, 7, 41])
+def test_evaluate_solution_is_bitwise_the_padded_row_formula(nodes):
+    system = fem.assemble(_unit_problem(), fem.Mesh(1.0, nodes))
+    rng = np.random.default_rng(nodes)
+    rows = rng.standard_normal((2, system.n)) * np.array([[1.0], [1e-300]])
+    rows[0, :4] = (-0.0, 0.0, -0.0, 3e300)
+    h = system.mesh.h
+    # element 0, an interior and the last element, every node, xi = 0 and 1
+    # from either side, points near nodes, and the far end's tolerance band
+    xs = [0.0, 0.3 * h, h, (nodes // 2 + 0.6) * h, 1.0 - 0.2 * h, 1.0, 1.0 + 5e-13]
+    xs += list(system.mesh.nodes)
+    xs += [x + d for x in system.mesh.nodes[1:-1] for d in (-1e-13, 1e-13, -1e-9, 1e-9)]
+    xs += list(rng.random(40))
+    strided = np.repeat(rows[0], 2)[::2]  # a non-contiguous view of row 0
+    for dofs in (rows[0], rows[1], strided, list(rows[0])):
+        for x in xs:
+            for point in (float(x), np.float64(x)):
+                got = fem.evaluate_solution(system, dofs, point)
+                want = _evaluate_solution_padded_row(system, dofs, point)
+                assert all(type(v) is float for v in got)
+                assert np.array_equal(got, want), (x, dofs is strided)
+                assert np.array_equal(np.signbit(got), np.signbit(want)), x
+    for x in (-1e-300, 1.0 + 1e-11):
+        with pytest.raises(ValueError, match="outside"):
+            fem.evaluate_solution(system, rows[0], x)
+
+
 def _interpolate_profile_per_node(profile, mesh, dof_map):
     """The per-node loop interpolate_profile replaced: the bitwise oracle."""
     out = np.zeros(dof_map.n_free)
