@@ -6,8 +6,11 @@ the tip rotation rate (j_a), the velocity damper k_v the tip velocity
 (j_v).  Sweeping one constant at a time and re-running the simulation
 shows the certified rate sigma and the realized decay E(T)/E(0) moving in
 response.  Note sigma is a guaranteed lower bound on the decay, not a
-prediction: raising k_v widens beta1, so the certificate can get more
-conservative even while the realized decay improves.
+prediction.  In the ranges swept here more damping slows the realized
+decay (overdamping): E(T)/E(0) rises in all three sweeps.  For k_v and k_a
+the certified decay slows with it, since both widen beta1 and so shrink
+sigma.  For mu the certificate moves the other way: a larger mu0 also
+widens the window lambda_max, so sigma grows while the realized decay slows.
 """
 
 import dataclasses

@@ -39,12 +39,14 @@ from .stepper import (
     SolutionTrace,
     TimeGrid,
     TimeStepper,
+    TraceWriter,
     export_trace_csv,
     interpolate,
     run,
     run_system,
 )
 from .diagnostics import (
+    EnergyAccumulator,
     EnergyTrace,
     curvature_field,
     energy,
@@ -55,6 +57,7 @@ from .diagnostics import (
     time_derivative,
 )
 from .bounds import (
+    DamperWindow,
     DecayBound,
     EnvelopeReport,
     beta_constants,

@@ -22,7 +22,11 @@ from a computed trace:
 
 provided the tip never comes to rest, u_xt(L,t)^2 + u_t(L,t)^2 > 0.  Grid
 infima/suprema stand in for the continuum values, so theorem2 results are
-conditional certificates attached to the trace that produced them.
+conditional certificates attached to the trace that produced them.  They
+need only running reductions over the run (``DamperWindow``): the first
+time the tip is at rest, the least feedback and the largest ||u_t||^2.  So
+the window is computed in the same streamed pass as the energies and never
+needs the stored history.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ __all__ = [
     "beta_constants",
     "classify_regime",
     "lambda_window",
+    "DamperWindow",
     "decay_estimate",
     "scan_lambda",
     "compute_decay_bound",
@@ -94,17 +99,19 @@ def beta_constants(problem: BeamProblem) -> tuple[float, float]:
     return beta0, beta0 * bracket
 
 
-def lambda_window(problem: BeamProblem, trace: SolutionTrace | None = None
+def lambda_window(problem: BeamProblem, trace: SolutionTrace | DamperWindow | None = None
                   ) -> tuple[float, str]:
     """Admissible penalty window upper bound and the regime that produced it.
 
-    The damper-only regime needs a computed trace; the tip-motion condition
-    is checked at every grid time it covers and the window quotient uses grid
-    infima/suprema.
+    The damper-only regime needs the run: a stored trace, whose interior
+    levels are fed to a ``DamperWindow`` here, or a ``DamperWindow`` already
+    fed every interior level of a streamed run.  The tip-motion condition is
+    checked at every grid time the run covers and the window quotient uses
+    grid infima/suprema.
     """
     regime = classify_regime(problem)
-    beta0, _ = beta_constants(problem)
     if regime in ("theorem1", "theorem1_special_4_1"):
+        beta0, _ = beta_constants(problem)
         mu0, _ = problem.mu_bounds
         _, rho1 = problem.rho_bounds
         return min(1.0 / beta0, mu0 / (2.0 * rho1)), regime
@@ -113,38 +120,65 @@ def lambda_window(problem: BeamProblem, trace: SolutionTrace | None = None
         raise ValueError(
             "the damper-only (theorem2) window depends on the solution; "
             "pass a computed trace")
+    window = trace
+    if not isinstance(trace, DamperWindow):
+        quad = trace.system.quadrature
+        window = DamperWindow(problem, trace.grid)
+        for out, _, ut in interior_blocks(trace.dof_history, trace.grid.dt):
+            ut_q = quad.values(ut)
+            window.add(out, ut, quad.integral(quad.w_plain, ut_q, ut_q))
+    return window.value(), regime
 
-    bc = problem.boundary
-    grid = trace.grid
-    hist = trace.dof_history
-    tip_vel, tip_ang = ((hist[2:, -2:] - hist[:-2, -2:]) / (2.0 * grid.dt)).T
 
-    u1 = problem.initial.u1
-    tip_vel = np.concatenate([[float(u1(problem.length))], tip_vel])
-    tip_ang = np.concatenate([[float(u1.d1(problem.length))], tip_ang])
-    times = np.concatenate([[0.0], grid.times[1:-1]])
+class DamperWindow:
+    """Running reductions of the damper-only (theorem2) window over one run.
 
-    motion = tip_ang**2 + tip_vel**2
-    dead = np.flatnonzero(motion <= 0.0)
-    if dead.size:
-        raise ValueError(
-            f"tip-motion condition u_xt(L,t)^2 + u_t(L,t)^2 > 0 fails at "
-            f"t = {times[dead[0]]:.12g}")
+    ``add(out, ut, ut_norm_sq)`` takes one block of interior levels as
+    ``fem.InteriorBlocks`` yields it: the block's slice of the interior
+    levels, its centered velocity rows and their squared L2 norms.  The
+    window keeps the first grid time at which the tip is at rest, the running
+    minimum of the damper feedback ``k_a^2 u_xt(L)^2 + k_v^2 u_t(L)^2`` and
+    the running supremum of ``||u_t||^2``, all three seeded at t = 0 from the
+    analytic initial velocity.  ``value()`` gives ``lambda_max`` or raises
+    ValueError naming the first time the tip-motion condition fails.
+    """
 
-    feedback = bc.k_a**2 * tip_ang**2 + bc.k_v**2 * tip_vel**2
-    numerator = float(np.min(feedback))
-    if numerator <= 0.0:
-        raise ValueError(
-            "admissible window is empty: the damper feedback power vanishes "
-            "at some grid time")
+    def __init__(self, problem: BeamProblem, grid):
+        self._problem, self._times = problem, grid.times
+        u1, L = problem.initial.u1, problem.length
+        self._first_rest = None          # grid level
+        self._min_feedback = np.inf
+        self._sup_norm_sq = integrate_data(problem, lambda x: u1(x) ** 2)
+        self._tip(0, np.array([float(u1(L))]), np.array([float(u1.d1(L))]))
 
-    quad = trace.system.quadrature
-    sup_norm_sq = integrate_data(problem, lambda x: u1(x) ** 2)
-    for _, _, ut in interior_blocks(hist, grid.dt):
-        ut_q = quad.values(ut)
-        sup_norm_sq = max(sup_norm_sq, float(np.max(quad.integral(quad.w_plain, ut_q, ut_q))))
-    m = float(problem.rho(0.0))
-    return min(1.0 / beta0, numerator / (2.0 * m * sup_norm_sq)), regime
+    def _tip(self, level: int, tip_vel: np.ndarray, tip_ang: np.ndarray) -> None:
+        """Fold in the tip velocities of the levels ``level, level + 1, ...``."""
+        if self._first_rest is None:
+            rest = np.flatnonzero(tip_ang**2 + tip_vel**2 <= 0.0)
+            if rest.size:
+                self._first_rest = level + int(rest[0])
+        bc = self._problem.boundary
+        feedback = bc.k_a**2 * tip_ang**2 + bc.k_v**2 * tip_vel**2
+        self._min_feedback = np.minimum(self._min_feedback, np.min(feedback))
+
+    def add(self, out: slice, ut: np.ndarray, ut_norm_sq: np.ndarray) -> None:
+        self._tip(out.start + 1, ut[:, -2], ut[:, -1])
+        self._sup_norm_sq = max(self._sup_norm_sq, float(np.max(ut_norm_sq)))
+
+    def value(self) -> float:
+        if self._first_rest is not None:
+            raise ValueError(
+                f"tip-motion condition u_xt(L,t)^2 + u_t(L,t)^2 > 0 fails at "
+                f"t = {self._times[self._first_rest]:.12g}")
+        numerator = float(self._min_feedback)
+        if numerator <= 0.0:
+            raise ValueError(
+                "admissible window is empty: the damper feedback power vanishes "
+                "at some grid time")
+        problem = self._problem
+        beta0, _ = beta_constants(problem)
+        m = float(problem.rho(0.0))
+        return min(1.0 / beta0, numerator / (2.0 * m * self._sup_norm_sq))
 
 
 # ---------------------------------------------------------------------------

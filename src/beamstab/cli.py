@@ -10,11 +10,19 @@ error.  Outputs are deterministic: identical inputs produce byte-identical
 files.  ``sweep`` runs its members in forked worker processes, at most one
 per CPU this process may run on (in-process when only one would run); its
 outputs are byte-identical whatever the worker count.
+
+``simulate``, ``sweep`` members and ``bounds`` feed each block of
+``TimeStepper.blocks()`` to the diagnostics and the trace writer, so they
+hold O(N + CHUNK_LEVELS n) of a run of N levels and n DOFs, not the O(N n)
+history, and write their artifacts only when the run succeeds.  ``verify``
+and ``convergence`` compare every level with an exact solution, so they
+keep the stored history.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -153,11 +161,19 @@ def _write_json(data: dict, path) -> None:
         fh.write("\n")
 
 
-def _bound_payload(prob: BeamProblem, trace, energy_trace, lam) -> dict:
-    """Bound report, or a constants-only stub when no certificate applies."""
-    lam_max = energy_trace.lambda_max if energy_trace is not None else None
+def _bound_payload(prob: BeamProblem, energy_trace, lam) -> dict:
+    """Bound report, or a constants-only stub when no certificate applies.
+
+    The window is the one ``energy_trace`` carries; without a trace (the
+    theorem-1 ``bounds`` command) it needs no run.
+    """
     try:
-        bound = bounds_mod.compute_decay_bound(prob, trace, lam, lam_max)
+        lam_max = None
+        if energy_trace is not None:
+            lam_max = energy_trace.lambda_max
+            if lam_max is None:
+                raise ValueError(energy_trace.window_error)
+        bound = bounds_mod.compute_decay_bound(prob, lam=lam, lambda_max=lam_max)
     except ValueError as exc:
         beta0, beta1 = bounds_mod.beta_constants(prob)
         return {
@@ -171,17 +187,50 @@ def _bound_payload(prob: BeamProblem, trace, energy_trace, lam) -> dict:
     return bounds_mod.bound_report(bound, envelope=envelope)
 
 
+def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None):
+    """Integrate the configured run once and feed each block of levels to the
+    energy diagnostics and, given an open ``trace.csv``, to the trace writer;
+    the DOF history is never stored."""
+    mesh, grid = config.mesh(prob), config.grid(prob)
+    system = assemble(prob, mesh)
+    acc = diagnostics.EnergyAccumulator(system, grid, lam=config.lam, mode=config.mode)
+    writer = None
+    if trace_file is not None:
+        writer = stepper.TraceWriter(system, grid, decimate=config.decimate)
+    for block in stepper.TimeStepper(system, grid).blocks():
+        if writer is not None:
+            writer.write(trace_file, block)
+        acc.add(block)
+    return acc.result()
+
+
+@contextlib.contextmanager
+def _published(out_dir: str, names):
+    """Temporary paths in ``out_dir`` to write ``names`` under.  They are
+    renamed into place if the block succeeds and removed if it fails, so a
+    run that fails part-way leaves no partial artifact."""
+    tmp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
+    try:
+        yield tmp
+    except BaseException:
+        for path in tmp.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
+        raise
+    for name, path in tmp.items():
+        os.replace(path, os.path.join(out_dir, name))
+
+
 def _simulate_pipeline(prob: BeamProblem, config: RunConfig, out_dir: str) -> dict:
     """Run one simulation and write trace.csv, energy.csv, bounds.json."""
     os.makedirs(out_dir, exist_ok=True)
-    trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
-    energy_trace = diagnostics.energy(trace, lam=config.lam, mode=config.mode)
-    stepper.export_trace_csv(trace, os.path.join(out_dir, "trace.csv"),
-                             decimate=config.decimate)
-    diagnostics.export_energy_csv(energy_trace, os.path.join(out_dir, "energy.csv"))
-    payload = _bound_payload(prob, trace, energy_trace, config.lam)
-    _write_json(payload, os.path.join(out_dir, "bounds.json"))
-    return {"trace": trace, "energy": energy_trace, "bounds": payload}
+    with _published(out_dir, ("trace.csv", "energy.csv", "bounds.json")) as paths:
+        with open(paths["trace.csv"], "w") as fh:
+            energy_trace = _streamed_energy(prob, config, fh)
+        diagnostics.export_energy_csv(energy_trace, paths["energy.csv"])
+        payload = _bound_payload(prob, energy_trace, config.lam)
+        _write_json(payload, paths["bounds.json"])
+    return {"energy": energy_trace, "bounds": payload}
 
 
 def _nodal_history(trace) -> tuple[np.ndarray, np.ndarray]:
@@ -437,12 +486,11 @@ def cmd_bounds(config: RunConfig) -> int:
         print(f"no decay certificate: {exc}", file=sys.stderr)
         return 1
 
-    trace = energy_trace = None
+    energy_trace = None
     if regime == "theorem2":
         # window depends on the solution: run the configured simulation
-        trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
-        energy_trace = diagnostics.energy(trace, lam=config.lam, mode=config.mode)
-    payload = _bound_payload(prob, trace, energy_trace, config.lam)
+        energy_trace = _streamed_energy(prob, config)
+    payload = _bound_payload(prob, energy_trace, config.lam)
     os.makedirs(config.out_dir, exist_ok=True)
     _write_json(payload, os.path.join(config.out_dir, "bounds.json"))
     if payload.get("note"):

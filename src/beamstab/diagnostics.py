@@ -24,15 +24,22 @@ interpolant exactly, ``mode='paper'`` reproduces the reference
 post-processing (centered x-differences of the nodal slopes, linearly
 interpolated between nodes).
 
-Fields are never formed for the whole history: ``energy`` and the
-damper-only window in ``bounds`` take the interior levels in blocks of
-``fem.CHUNK_LEVELS``, build each block's velocity rows, evaluate u, u_t and
-the curvature at the element Gauss points (``fem.Quadrature``) and reduce
-the block to per-level integrals at once.  Memory beyond the history is a
-few (CHUNK_LEVELS, E, q) blocks plus O(N) per-level arrays.
-``export_energy_csv`` writes its rows in blocks of CHUNK_LEVELS too, one
-``%`` template and one write per block, byte-identical to a per-row
-``%.17g`` writer.
+Fields are never formed for the whole history.  ``EnergyAccumulator`` is
+fed the levels of one run as consecutive blocks of any sizes: the blocks
+of ``TimeStepper.blocks()`` as they are made (the CLI's ``simulate``,
+``sweep`` and ``bounds``, which never store the history) or a stored
+history as one block (``energy``).  ``fem.InteriorBlocks`` regroups them
+into blocks of ``fem.CHUNK_LEVELS`` interior levels; each block's velocity
+rows are formed, u, u_t and the curvature are evaluated at the element
+Gauss points (``fem.Quadrature``) into reused buffers, and the block is
+reduced to per-level integrals at once.  In the damper-only regime the same
+velocities feed a ``bounds.DamperWindow``, so the window costs no second
+pass.  Memory beyond the levels fed in is a few (CHUNK_LEVELS, E, q) blocks
+plus O(N) per-level arrays, and the per-block partition is the same
+however the levels arrive, so a streamed and a stored run give bitwise the
+same results.  ``export_energy_csv`` writes its rows in blocks of
+CHUNK_LEVELS too, one ``%`` template and one write per block,
+byte-identical to a per-row ``%.17g`` writer.
 """
 
 from __future__ import annotations
@@ -43,12 +50,19 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bounds
-from .fem import CHUNK_LEVELS, evaluate_solution, integrate_data, interior_blocks
+from .fem import (
+    CHUNK_LEVELS,
+    InteriorBlocks,
+    SemiDiscreteSystem,
+    evaluate_solution,
+    integrate_data,
+)
 from .problem import BeamProblem
-from .stepper import SolutionTrace
+from .stepper import SolutionTrace, TimeGrid
 
 __all__ = [
     "EnergyTrace",
+    "EnergyAccumulator",
     "time_derivative",
     "curvature_field",
     "energy",
@@ -134,7 +148,11 @@ def kinetic_integral(trace: SolutionTrace, j: int) -> float:
 
 @dataclass(frozen=True)
 class EnergyTrace:
-    """Energy diagnostics on interior grid times of one run."""
+    """Energy diagnostics on interior grid times of one run.
+
+    ``window_error`` says why ``lambda_max`` is None: no certificate applies,
+    or the damper-only window failed on this trace.
+    """
 
     times: np.ndarray
     E: np.ndarray
@@ -150,93 +168,149 @@ class EnergyTrace:
     mode: str
     forced: bool
     problem: BeamProblem
+    window_error: str | None = None
 
 
-def energy(trace: SolutionTrace, lam: float | None = None, mode: str = "paper") -> EnergyTrace:
-    """Compute E, J, L and the dissipation integrals for a trace.
+class EnergyAccumulator:
+    """Energy diagnostics of one run, fed its history as consecutive blocks of
+    levels of any sizes (the blocks of ``TimeStepper.blocks()``, or a stored
+    history as one block).
+
+    ``add(block)`` reduces every interior block it completes (see
+    ``fem.InteriorBlocks``) to per-level integrals and tip values;
+    ``result()`` reduces the last one and returns the ``EnergyTrace``.  In
+    the damper-only regime the same Gauss-point velocities feed a
+    ``bounds.DamperWindow``, so the window costs no second pass.
 
     ``lam`` is the Lyapunov penalty weight; None picks 99% of the admissible
-    window (and leaves L unset when no window exists, e.g. undamped systems).
-    An explicit ``lam`` outside the window is rejected.
+    window (and leaves L unset when no window exists, e.g. undamped
+    systems).  An explicit ``lam`` outside the window is rejected: here when
+    the window does not depend on the run, by ``result()`` when it does.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
-    problem = trace.problem
-    grid = trace.grid
-    dt = grid.dt
-    hist = trace.dof_history
 
-    lam_max = None
-    window_error = None
-    try:
-        lam_max, _ = bounds.lambda_window(problem, trace)
-    except ValueError as exc:
-        window_error = str(exc)
-    if lam is None:
-        lam = 0.99 * lam_max if lam_max is not None else None
-    else:
+    def __init__(self, system: SemiDiscreteSystem, grid: TimeGrid,
+                 lam: float | None = None, mode: str = "paper"):
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+        problem = system.problem
+        self._system, self._grid, self._lam, self._mode = system, grid, lam, mode
+        self._window = self._lam_max = self._window_error = None
+        try:
+            if bounds.classify_regime(problem) == "theorem2":
+                self._window = bounds.DamperWindow(problem, grid)
+            else:
+                self._lam_max, _ = bounds.lambda_window(problem)
+        except ValueError as exc:
+            self._window_error = str(exc)
+        if self._window is None:
+            self._check_lam()
+        self._chunks = InteriorBlocks(system.n, grid.dt)
+        quad = system.quadrature
+        self._lerp = np.stack([1.0 - quad.xi, quad.xi])  # nodal values -> Gauss points
+        # u, u_t and the curvature at the Gauss points, and a product: reused
+        # by every block, so the reduction allocates no block-sized arrays
+        self._fields = np.empty((4, CHUNK_LEVELS, system.mesh.element_count, len(quad.xi)))
+        (self._kinetic, self._bending, self._cross, self._mu_disp, self._mu_rate,
+         self._end_disp, self._end_rot, self._tip_vel, self._tip_ang) = \
+            np.empty((9, grid.step_count - 2))
+
+    def _check_lam(self) -> None:
+        lam, lam_max = self._lam, self._lam_max
+        if lam is None:
+            return
         if lam_max is None:
-            raise ValueError(f"no admissible penalty weight: {window_error}")
+            raise ValueError(f"no admissible penalty weight: {self._window_error}")
         if not 0.0 < lam < lam_max:
             raise ValueError(
                 f"lambda must satisfy 0 < lambda < lambda_max = {lam_max:.12g}; got {lam:g}")
 
-    quad = trace.system.quadrature
-    h = trace.system.mesh.h
-    lerp = np.stack([1.0 - quad.xi, quad.xi])  # nodal values -> Gauss points
-    kinetic, bending, cross, mu_disp, mu_rate = np.empty((5, hist.shape[0] - 2))
-    for out, u, ut in interior_blocks(hist, dt):
-        u_q, ut_q = quad.values(u), quad.values(ut)
-        if mode == "basis":
-            curv_q = quad.curvatures(u)
+    def add(self, block: np.ndarray) -> None:
+        for piece in self._chunks.push(block):
+            self._reduce(*piece)
+
+    def _reduce(self, out: slice, u: np.ndarray, ut: np.ndarray) -> None:
+        quad = self._system.quadrature
+        u_q, ut_q, curv_q, work = self._fields[:, :len(u)]
+        quad.values(u, out=u_q)
+        quad.values(ut, out=ut_q)
+        if self._mode == "basis":
+            quad.curvatures(u, out=curv_q)
         else:
-            curv_q = sliding_window_view(_nodal_curvature(u, h), 2, axis=1) @ lerp
-        kinetic[out] = quad.integral(quad.w_rho, ut_q, ut_q)
-        bending[out] = quad.integral(quad.w_r, curv_q, curv_q)
-        cross[out] = quad.integral(quad.w_rho, u_q, ut_q)
-        mu_disp[out] = quad.integral(quad.w_mu, u_q, u_q)
-        mu_rate[out] = quad.integral(quad.w_mu, ut_q, ut_q)
+            np.matmul(sliding_window_view(_nodal_curvature(u, self._system.mesh.h), 2, axis=1),
+                      self._lerp, out=curv_q)
+        self._kinetic[out] = quad.integral(quad.w_rho, ut_q, ut_q, work)
+        self._bending[out] = quad.integral(quad.w_r, curv_q, curv_q, work)
+        self._cross[out] = quad.integral(quad.w_rho, u_q, ut_q, work)
+        self._mu_disp[out] = quad.integral(quad.w_mu, u_q, u_q, work)
+        self._mu_rate[out] = quad.integral(quad.w_mu, ut_q, ut_q, work)
+        self._end_disp[out], self._end_rot[out] = u[:, -2], u[:, -1]
+        self._tip_vel[out], self._tip_ang[out] = ut[:, -2], ut[:, -1]
+        if self._window is not None:
+            self._window.add(out, ut, quad.integral(quad.w_plain, ut_q, ut_q, work))
 
-    end_disp, end_rot = hist[1:-1, -2:].T
-    tip_vel, tip_ang = ((hist[2:, -2:] - hist[:-2, -2:]) / (2.0 * dt)).T
-    bc = problem.boundary
+    def result(self) -> EnergyTrace:
+        for piece in self._chunks.flush():
+            self._reduce(*piece)
+        problem, dt = self._system.problem, self._grid.dt
+        if self._window is not None:
+            try:
+                self._lam_max, _ = bounds.lambda_window(problem, self._window)
+            except ValueError as exc:
+                self._window_error = str(exc)
+            self._check_lam()
+        lam, lam_max = self._lam, self._lam_max
+        if lam is None and lam_max is not None:
+            lam = 0.99 * lam_max
 
-    e_vals = 0.5 * (kinetic + bending) \
-        + 0.5 * bc.k_r * end_rot**2 + 0.5 * bc.k_d * end_disp**2
-    j_vals = cross + 0.5 * mu_disp + 0.5 * bc.k_a * end_rot**2 + 0.5 * bc.k_v * end_disp**2
+        bc = problem.boundary
+        end_disp, end_rot = self._end_disp, self._end_rot
+        e_vals = 0.5 * (self._kinetic + self._bending) \
+            + 0.5 * bc.k_r * end_rot**2 + 0.5 * bc.k_d * end_disp**2
+        j_vals = self._cross + 0.5 * self._mu_disp \
+            + 0.5 * bc.k_a * end_rot**2 + 0.5 * bc.k_v * end_disp**2
 
-    # dissipation integrands on grid times 0..N-2; t = 0 from analytic data
-    u1 = problem.initial.u1
-    L = problem.length
-    mu_rate0 = integrate_data(problem, lambda x: problem.mu(x) * u1(x) ** 2)
-    mu_rate = np.concatenate([[mu_rate0], mu_rate])
-    a_rate = np.concatenate([[bc.k_a * float(u1.d1(L)) ** 2], bc.k_a * tip_ang**2])
-    v_rate = np.concatenate([[bc.k_v * float(u1(L)) ** 2], bc.k_v * tip_vel**2])
+        # dissipation integrands on grid times 0..N-2; t = 0 from analytic data
+        u1 = problem.initial.u1
+        L = problem.length
+        mu_rate0 = integrate_data(problem, lambda x: problem.mu(x) * u1(x) ** 2)
+        mu_rate = np.concatenate([[mu_rate0], self._mu_rate])
+        a_rate = np.concatenate([[bc.k_a * float(u1.d1(L)) ** 2], bc.k_a * self._tip_ang**2])
+        v_rate = np.concatenate([[bc.k_v * float(u1(L)) ** 2], bc.k_v * self._tip_vel**2])
 
-    j_mu = _cumulative_trapezoid(mu_rate, dt)
-    j_a = _cumulative_trapezoid(a_rate, dt)
-    j_v = _cumulative_trapezoid(v_rate, dt)
+        j_mu = _cumulative_trapezoid(mu_rate, dt)
+        j_a = _cumulative_trapezoid(a_rate, dt)
+        j_v = _cumulative_trapezoid(v_rate, dt)
 
-    e0 = initial_energy(problem)
-    residual = e0 - e_vals - (j_mu + j_a + j_v)
-    lyapunov = e_vals + lam * j_vals if lam is not None else None
+        e0 = initial_energy(problem)
+        residual = e0 - e_vals - (j_mu + j_a + j_v)
+        lyapunov = e_vals + lam * j_vals if lam is not None else None
 
-    return EnergyTrace(
-        times=grid.times[1:-1],
-        E=e_vals,
-        J=j_vals,
-        L=lyapunov,
-        j_mu=j_mu,
-        j_a=j_a,
-        j_v=j_v,
-        residual=residual,
-        E0=e0,
-        lam=lam,
-        lambda_max=lam_max,
-        mode=mode,
-        forced=problem.has_forcing,
-        problem=problem,
-    )
+        return EnergyTrace(
+            times=self._grid.times[1:-1],
+            E=e_vals,
+            J=j_vals,
+            L=lyapunov,
+            j_mu=j_mu,
+            j_a=j_a,
+            j_v=j_v,
+            residual=residual,
+            E0=e0,
+            lam=lam,
+            lambda_max=lam_max,
+            mode=self._mode,
+            forced=problem.has_forcing,
+            problem=problem,
+            window_error=self._window_error,
+        )
+
+
+def energy(trace: SolutionTrace, lam: float | None = None, mode: str = "paper") -> EnergyTrace:
+    """Compute E, J, L and the dissipation integrals of a stored trace: its
+    history fed to an ``EnergyAccumulator`` as one block (see there for
+    ``lam``)."""
+    acc = EnergyAccumulator(trace.system, trace.grid, lam, mode)
+    acc.add(trace.dof_history)
+    return acc.result()
 
 
 def identity_residual(energy_trace: EnergyTrace) -> float:

@@ -39,8 +39,6 @@ __all__ = [
     "assemble",
     "evaluate_solution",
     "interpolate_profile",
-    "write_matrix_market",
-    "dump_system",
 ]
 
 HALF_BANDWIDTH = 3  # two coupled nodes x two DOFs -> |i - j| <= 3
@@ -400,13 +398,14 @@ class FieldKernel:
         shapes = np.stack([hermite_shapes(x, mesh.h) for x in self.xi])  # (q, 4, 3)
         self._value, self._curvature = shapes[:, :, 0].T, shapes[:, :, 2].T
 
-    def values(self, rows: np.ndarray) -> np.ndarray:
-        """u at the points: (T, n) rows -> (T, E, q)."""
-        return element_local(rows) @ self._value
+    def values(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """u at the points: (T, n) rows -> (T, E, q), into ``out`` if given."""
+        return np.matmul(element_local(rows), self._value, out=out)
 
-    def curvatures(self, rows: np.ndarray) -> np.ndarray:
-        """u_xx at the points (element-interior limits): (T, n) rows -> (T, E, q)."""
-        return element_local(rows) @ self._curvature
+    def curvatures(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """u_xx at the points (element-interior limits): (T, n) rows -> (T, E, q),
+        into ``out`` if given."""
+        return np.matmul(element_local(rows), self._curvature, out=out)
 
 
 class Quadrature(FieldKernel):
@@ -426,20 +425,63 @@ class Quadrature(FieldKernel):
         self.w_r = (wq * problem.rigidity(xq)).ravel()
 
     @staticmethod
-    def integral(weights: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
-        """Per-level ``int c f g dx`` of two (T, E, q) fields."""
-        return (f * g).reshape(f.shape[0], -1) @ weights
+    def integral(weights: np.ndarray, f: np.ndarray, g: np.ndarray,
+                 work: np.ndarray | None = None) -> np.ndarray:
+        """Per-level ``int c f g dx`` of two (T, E, q) fields; ``work`` is an
+        optional contiguous (T, E, q) array that receives the product."""
+        return np.multiply(f, g, out=work).reshape(f.shape[0], -1) @ weights
+
+
+class InteriorBlocks:
+    """Regroups a history that arrives as consecutive level blocks of any
+    sizes into the interior levels 1..N-2, in blocks of CHUNK_LEVELS starting
+    at level 1.
+
+    ``push(block)`` takes the next levels and yields every interior block
+    they complete; ``flush()`` yields the last, shorter one once every level
+    is in.  Each yield is ``(out, u, u_t)``: the block's slice of arrays over
+    interior levels, its DOF rows and its centered velocity rows
+    ``(U^{j+1} - U^{j-1}) / (2 dt)``.  The rows pass through one buffer of
+    CHUNK_LEVELS + 2 levels, so ``u`` is valid only until the next yield.
+    The partition does not depend on how the levels arrive, so every
+    per-block reduction is bitwise the same for a stored and a streamed
+    history.
+    """
+
+    def __init__(self, n: int, dt: float):
+        self._dt = dt
+        self._rows = np.empty((CHUNK_LEVELS + 2, n))  # levels lo - 1 .. lo + CHUNK_LEVELS
+        self._filled = 0
+        self._lo = 1
+
+    def push(self, block: np.ndarray):
+        while len(block):
+            take = min(CHUNK_LEVELS + 2 - self._filled, len(block))
+            self._rows[self._filled:self._filled + take] = block[:take]
+            self._filled += take
+            block = block[take:]
+            if self._filled == CHUNK_LEVELS + 2:
+                yield self._block()
+                self._rows[:2] = self._rows[-2:]
+                self._filled = 2
+                self._lo += CHUNK_LEVELS
+
+    def flush(self):
+        if self._filled > 2:
+            yield self._block()
+            self._filled = 2
+
+    def _block(self):
+        rows = self._rows[:self._filled]
+        return (slice(self._lo - 1, self._lo + self._filled - 3), rows[1:-1],
+                (rows[2:] - rows[:-2]) / (2.0 * self._dt))
 
 
 def interior_blocks(history: np.ndarray, dt: float):
-    """Yield ``(out, u, u_t)`` for the interior levels 1..N-2 in blocks of
-    CHUNK_LEVELS: the block's slice of arrays over interior levels, its DOF
-    rows and its centered velocity rows ``(U^{j+1} - U^{j-1}) / (2 dt)``."""
-    n_levels = history.shape[0]
-    for lo in range(1, n_levels - 1, CHUNK_LEVELS):
-        hi = min(lo + CHUNK_LEVELS, n_levels - 1)
-        yield (slice(lo - 1, hi - 1), history[lo:hi],
-               (history[lo + 1:hi + 1] - history[lo - 1:hi - 1]) / (2.0 * dt))
+    """``InteriorBlocks`` over a stored (N, n) history."""
+    chunks = InteriorBlocks(history.shape[1], dt)
+    yield from chunks.push(history)
+    yield from chunks.flush()
 
 
 def evaluate_solution(system: SemiDiscreteSystem, dofs: np.ndarray, x: float):
@@ -476,31 +518,3 @@ def interpolate_profile(profile, mesh: Mesh, dof_map: DofMap) -> np.ndarray:
     out[1::2] = profile.d1(x)
     return out
 
-
-# ---------------------------------------------------------------------------
-# MatrixMarket export
-# ---------------------------------------------------------------------------
-
-def write_matrix_market(matrix: BandedSymmetricMatrix, path) -> None:
-    """Dump a banded symmetric matrix in MatrixMarket coordinate format."""
-    entries = []
-    for j in range(matrix.n):
-        for i in range(max(0, j - matrix.halfband), j + 1):
-            v = matrix.entry(i, j)
-            if v != 0.0:
-                entries.append((j + 1, i + 1, v))  # lower triangle, 1-based
-    with open(path, "w") as fh:
-        fh.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        fh.write(f"{matrix.n} {matrix.n} {len(entries)}\n")
-        for i, j, v in sorted(entries):
-            fh.write(f"{i} {j} {v:.17g}\n")
-
-
-def dump_system(system: SemiDiscreteSystem, directory) -> None:
-    """Write M/C/K in MatrixMarket format into a directory."""
-    import os
-
-    os.makedirs(directory, exist_ok=True)
-    write_matrix_market(system.mass, os.path.join(directory, "M.mtx"))
-    write_matrix_market(system.damping, os.path.join(directory, "C.mtx"))
-    write_matrix_market(system.stiffness, os.path.join(directory, "K.mtx"))

@@ -12,23 +12,30 @@ the trapezoidal rule on the first-order reformulation, which keeps the
 global order at two.
 
 ``TimeStepper.step`` advances one level on its own and is the reference
-the whole-run loop ``TimeStepper.run`` is tested against.  The step matrix
-is constant (fixed dt), so ``run`` factors it once and repeats only the two
-banded triangular solves (LAPACK ``dpbtrs``, in place on the history row).
-It evaluates the end loads once over the whole grid and builds each
-right-hand side in preallocated vectors with the same operations in the same
-order as ``step``: ``load + M x1``, then ``+ C x2``, with
-``x1 = (5 U^{j-1} - 4 U^{j-2} + U^{j-3}) / dt^2`` and
+the whole-run loop ``TimeStepper.blocks`` is tested against.  The step
+matrix is constant (fixed dt), so the loop factors it once and repeats only
+the two banded triangular solves (LAPACK ``dpbtrs``, in place on the new
+level's row).  It evaluates the end loads once over the whole grid and
+builds each right-hand side in preallocated vectors with the same
+operations in the same order as ``step``: ``load + M x1``, then ``+ C x2``,
+with ``x1 = (5 U^{j-1} - 4 U^{j-2} + U^{j-3}) / dt^2`` and
 ``x2 = (4 U^{j-1} - U^{j-2}) / (2 dt)``.  The history is therefore bitwise
-identical to startup() followed by repeated step().  Every CHUNK_LEVELS
-levels the new block of the history is checked for non-finite values, so a
-run that blows up stops there and reports the first bad time.
+identical to startup() followed by repeated step().
 
-``export_trace_csv`` streams the trace the same way: it takes CHUNK_LEVELS
-written levels at a time, formats them with one ``%`` template (node labels
-and the clamped node's zeros baked in, each t formatted once) and writes the
-block in one call.  Its output is byte-identical to a per-row ``%.17g``
-writer.
+``blocks`` yields the history CHUNK_LEVELS levels at a time and keeps only
+the block being computed, the three levels before it and the block before
+that, so a caller that reduces each block as it comes (``diagnostics.EnergyAccumulator``,
+``TraceWriter``) holds O(CHUNK_LEVELS n) of the run, not O(N n).  Each
+block is checked for non-finite values before it is yielded, so a run that
+blows up stops there and reports the first bad time.  ``run`` keeps every
+block in a ``SolutionTrace`` for the callers that need random access to
+the levels (interpolation, error norms against an exact solution).
+
+``TraceWriter`` writes the trace block by block: it takes up to
+CHUNK_LEVELS written levels at a time, formats them with one ``%``
+template (node labels and the clamped node's zeros baked in, each t
+formatted once) and writes them in one call.  Its output is byte-identical
+to a per-row ``%.17g`` writer.
 """
 
 from __future__ import annotations
@@ -47,8 +54,8 @@ from .fem import (
     interpolate_profile,
 )
 
-__all__ = ["TimeGrid", "SolutionTrace", "TimeStepper", "run", "run_system",
-           "interpolate", "export_trace_csv"]
+__all__ = ["TimeGrid", "SolutionTrace", "TimeStepper", "TraceWriter", "run",
+           "run_system", "interpolate", "export_trace_csv"]
 
 
 @dataclass(frozen=True)
@@ -150,21 +157,34 @@ class TimeStepper:
                + self.system.damping.matvec((4.0 * u1 - u2) / (2.0 * dt)))
         return self._step_solve.solve(rhs)
 
-    def run(self) -> SolutionTrace:
-        """Integrate over the whole grid; bitwise equal to startup() + step()."""
+    def blocks(self):
+        """Integrate over the whole grid, yielding the history as consecutive
+        (levels, n) blocks of CHUNK_LEVELS levels (the last may be shorter).
+
+        Each block is computed in a fresh buffer of CHUNK_LEVELS + 3 rows
+        whose first three hold the last three levels of the previous block,
+        so a yielded block is never written again.  It is checked for
+        non-finite values before it is yielded; a run that blows up raises
+        FloatingPointError naming the first bad time and yields nothing
+        past it.
+        """
         sys_, grid = self.system, self.grid
         n_levels, n, dt = grid.step_count, sys_.n, grid.dt
-        history = np.empty((n_levels, n))
-        history[:3] = self.startup()
         end_loads = sys_.end_load(grid.times)
         dt2, two_dt = dt**2, 2.0 * dt
         mass, damping = sys_.mass, sys_.damping
         solve = self._step_solve.solve_in_place
         load, x1, x2, tmp, y_m, y_c = np.zeros((6, n))
+        buf = np.empty((CHUNK_LEVELS + 3, n))  # level j of block [lo, hi) in row j - lo + 3
+        buf[3:6] = self.startup()
         for lo in range(0, n_levels, CHUNK_LEVELS):
             hi = min(lo + CHUNK_LEVELS, n_levels)
+            if lo:
+                buf, previous = np.empty_like(buf), buf
+                buf[:3] = previous[-3:]
             for j in range(max(lo, 3), hi):
-                u3, u2, u1 = history[j - 3], history[j - 2], history[j - 1]
+                row = j - lo + 3
+                u3, u2, u1 = buf[row - 3], buf[row - 2], buf[row - 1]
                 np.multiply(5.0, u1, out=x1)
                 np.multiply(4.0, u2, out=tmp)
                 np.subtract(x1, tmp, out=x1)
@@ -176,15 +196,26 @@ class TimeStepper:
                 load[-2:] = end_loads[j]
                 mass.matvec(x1, out=y_m)
                 damping.matvec(x2, out=y_c)
-                row = history[j]
-                np.add(load, y_m, out=row)
-                np.add(row, y_c, out=row)
-                solve(row)
-            bad = ~np.isfinite(history[lo:hi]).all(axis=1)
+                new = buf[row]
+                np.add(load, y_m, out=new)
+                np.add(new, y_c, out=new)
+                solve(new)
+            block = buf[3:hi - lo + 3]
+            bad = ~np.isfinite(block).all(axis=1)
             if bad.any():
                 t = grid.times[lo + int(np.argmax(bad))]
                 raise FloatingPointError(
                     f"time integration produced non-finite values at t = {t:.12g}")
+            yield block
+
+    def run(self) -> SolutionTrace:
+        """Integrate over the whole grid and keep every block of ``blocks()``;
+        bitwise equal to startup() + step()."""
+        history = np.empty((self.grid.step_count, self.system.n))
+        lo = 0
+        for block in self.blocks():
+            history[lo:lo + len(block)] = block
+            lo += len(block)
         return SolutionTrace(self.grid, history, self.system)
 
 
@@ -235,26 +266,46 @@ def interpolate(trace: SolutionTrace, x: float, t: float):
     return blend[0], blend[1], blend[2], u_t
 
 
-def export_trace_csv(trace: SolutionTrace, path, decimate: int = 1) -> None:
-    """Write the nodal trace as CSV rows ``t, node, u, u_x``.
+class TraceWriter:
+    """Writes the nodal trace of one run as CSV rows ``t, node, u, u_x``, fed
+    its history as consecutive blocks of levels of any sizes.
 
-    Every ``decimate``-th level is written, and the last level always, in
-    blocks of CHUNK_LEVELS levels (see the module docstring).
+    Every ``decimate``-th level is written, and the last level always.  The
+    written levels are formatted up to CHUNK_LEVELS at a time with one ``%``
+    template (node labels and the clamped node's zeros baked in, each t
+    formatted once) and written in one call, so the writer holds at most one
+    such chunk of text, never the file.
     """
-    if decimate < 1:
-        raise ValueError("decimate must be >= 1")
-    last = trace.grid.step_count - 1
-    levels = np.arange(0, last + 1, decimate)
-    if levels[-1] != last:
-        levels = np.append(levels, last)
-    # joined with the level's t: the clamped node 0, then node i >= 1 with
-    # the history columns 2(i-1), 2(i-1)+1
-    pieces = ["", ", 0, 0, 0\n"] + [f", {node}, %.17g, %.17g\n"
-                                   for node in range(1, trace.system.mesh.node_count)]
+
+    def __init__(self, system: SemiDiscreteSystem, grid: TimeGrid, decimate: int = 1):
+        if decimate < 1:
+            raise ValueError("decimate must be >= 1")
+        self._times, self._last, self._decimate = grid.times, grid.step_count - 1, decimate
+        # joined with the level's t: the clamped node 0, then node i >= 1 with
+        # the history columns 2(i-1), 2(i-1)+1
+        self._pieces = ["", ", 0, 0, 0\n"] + [f", {node}, %.17g, %.17g\n"
+                                             for node in range(1, system.mesh.node_count)]
+        self._next = 0   # the level the next block starts at
+
+    def write(self, fh, block: np.ndarray) -> None:
+        """Write the levels of ``block`` that belong in the trace; the block
+        starting at level 0 also writes the header."""
+        lo, step = self._next, self._decimate
+        self._next += len(block)
+        if lo == 0:
+            fh.write("t, node, u, u_x\n")
+        rows = np.arange(-lo % step, len(block), step)
+        if lo <= self._last < self._next and self._last % step:
+            rows = np.append(rows, self._last - lo)
+        for k in range(0, len(rows), CHUNK_LEVELS):
+            chunk = rows[k:k + CHUNK_LEVELS]
+            template = "".join([("%.17g" % t).join(self._pieces)
+                                for t in self._times[lo + chunk].tolist()])
+            fh.write(template % tuple(block[chunk].ravel().tolist()))
+
+
+def export_trace_csv(trace: SolutionTrace, path, decimate: int = 1) -> None:
+    """Write a stored trace as CSV rows ``t, node, u, u_x`` (see ``TraceWriter``)."""
+    writer = TraceWriter(trace.system, trace.grid, decimate)
     with open(path, "w") as fh:
-        fh.write("t, node, u, u_x\n")
-        for lo in range(0, len(levels), CHUNK_LEVELS):
-            block = levels[lo:lo + CHUNK_LEVELS]
-            template = "".join([("%.17g" % t).join(pieces)
-                                for t in trace.grid.times[block].tolist()])
-            fh.write(template % tuple(trace.dof_history[block].ravel().tolist()))
+        writer.write(fh, trace.dof_history)

@@ -8,13 +8,16 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 
 import beamstab.cli as cli
+from beamstab import bounds, diagnostics, stepper
 from beamstab import problem as pb
 from beamstab.cli import main
+from beamstab.fem import CHUNK_LEVELS
 
 
 def _write(tmp_path, prob, name="problem.json"):
@@ -111,6 +114,79 @@ def test_simulate_invalid_problem_exits_one(tmp_path):
                               rho=pb.CoefficientField.constant(-1.0))
     assert main(["simulate", "--problem", _write(tmp_path, bad),
                  "--out", str(tmp_path / "out")]) == 1
+
+
+def test_simulate_blow_up_leaves_no_partial_artifacts(tmp_path, capsys):
+    # the 1e-300 exp(1000 t) end shear overflows near t = 0.71, so several
+    # blocks of the trace are written before the run fails
+    prob = dataclasses.replace(
+        pb.preset("cantilever_dampers"),
+        forcing=pb.BoundaryForcing(g_Q=pb.TimeFunction.exponential(1e-300, 1000.0)))
+    problem_file = _write(tmp_path, prob)
+    good, bad = tmp_path / "good", tmp_path / "bad"
+    with np.errstate(over="ignore"):
+        assert main(["simulate", "--problem", problem_file, "--nodes", "9",
+                     "--dt", "0.0025", "--out", str(bad)]) == 2
+    assert "non-finite values at t = " in capsys.readouterr().err
+    assert os.listdir(bad) == []
+    assert main(["simulate", "--preset", "test_NE1", "--nodes", "9", "--ratio", "10",
+                 "--out", str(good)]) == 0
+    assert sorted(os.listdir(good)) == ["bounds.json", "energy.csv", "trace.csv"]
+
+
+def _assert_same_energy(stored, streamed):
+    for field in dataclasses.fields(stored):
+        a, b = getattr(stored, field.name), getattr(streamed, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), field.name
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize("explicit_lam", [False, True])
+@pytest.mark.parametrize("mode", ["paper", "basis"])
+@pytest.mark.parametrize("name", pb.PRESET_NAMES)
+def test_streamed_pass_is_bitwise_the_stored_energy_and_window(name, mode, explicit_lam):
+    prob = pb.preset(name)
+    config = cli.RunConfig(name, True, nodes=9, ratio=20.0, mode=mode)
+    trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
+    assert trace.grid.step_count > 2 * CHUNK_LEVELS + 1
+    lam_max, _ = bounds.lambda_window(prob, trace)
+    if explicit_lam:
+        config.lam = 0.5 * lam_max
+    streamed = cli._streamed_energy(prob, config)
+    _assert_same_energy(diagnostics.energy(trace, lam=config.lam, mode=mode), streamed)
+    assert streamed.lambda_max == lam_max
+    assert streamed.window_error is None
+
+
+@pytest.mark.parametrize("lam", [None, 0.01])
+@pytest.mark.parametrize("case", ["dead_tip", "undamped"])
+def test_streamed_pass_fails_the_window_like_the_stored_one(case, lam):
+    base = pb.preset("mast_constant")
+    if case == "dead_tip":  # the tip starts at rest
+        prob = dataclasses.replace(base, initial=dataclasses.replace(
+            base.initial, u1=pb.SpatialProfile.polynomial((0.0,))))
+    else:
+        prob = dataclasses.replace(base, boundary=pb.BoundaryParams())
+    config = cli.RunConfig("", False, nodes=9, ratio=20.0, lam=lam)
+    trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
+    with pytest.raises(ValueError) as window:
+        bounds.lambda_window(prob, trace)
+    if lam is None:
+        streamed = cli._streamed_energy(prob, config)
+        _assert_same_energy(diagnostics.energy(trace, mode=config.mode), streamed)
+        assert streamed.lambda_max is None
+        assert streamed.window_error == str(window.value)
+    else:
+        with pytest.raises(ValueError) as stored:
+            diagnostics.energy(trace, lam=lam)
+        with pytest.raises(ValueError) as streamed:
+            cli._streamed_energy(prob, config)
+        assert str(streamed.value) == str(stored.value)
+        assert str(window.value) in str(stored.value)
+    if case == "dead_tip":
+        assert "fails at t = 0" in str(window.value)
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +442,40 @@ def test_bounds_command_streams_the_theorem2_window_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_bounds_peak_memory_does_not_grow_with_the_history(tmp_path):
+    # Peak RSS of whole `bounds` processes (os.wait4) on the damper-only
+    # preset, whose window needs a full run.  At M = 641 and dt = h/10 the
+    # run has 12801 levels of 1280 DOFs: a stored history would be 125 MiB.
+    # Streamed, M = 641 peaked 9.8 MiB above M = 41 (70.0 against 60.2 MiB
+    # on a 2-core x86-64 Linux box); storing the history put it 135 MiB above.
+    import beamstab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamstab.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def peak_mib(nodes):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "beamstab.cli", "bounds", "--preset", "mast_constant",
+             "--nodes", str(nodes), "--ratio", "10", "--out", str(tmp_path / str(nodes))],
+            env=env, stdout=subprocess.DEVNULL)
+        killer = threading.Timer(120.0, proc.kill)
+        killer.start()
+        try:
+            _, status, usage = os.wait4(proc.pid, 0)
+        finally:
+            killer.cancel()
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        assert proc.returncode == 0
+        return usage.ru_maxrss / 1024.0
+
+    prob = pb.preset("mast_constant")
+    levels = cli.RunConfig("mast_constant", True, nodes=641, ratio=10.0).grid(prob).step_count
+    assert levels * 2 * 640 * 8 >= 125 * 2**20   # the history a stored run would hold
+    assert peak_mib(641) - peak_mib(41) < 40.0
+
+
 def test_cli_import_leaves_interpolate_and_integrate_unloaded():
     import beamstab
 
@@ -395,7 +505,7 @@ def test_numerical_failure_exits_two(tmp_path, monkeypatch, capsys):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("factorization failed")
 
-    monkeypatch.setattr(cli.stepper, "run", boom)
+    monkeypatch.setattr(cli.stepper.TimeStepper, "blocks", boom)
     assert main(["simulate", "--preset", "test_NE1", "--nodes", "9",
                  "--ratio", "10", "--out", str(tmp_path / "out")]) == 2
     assert "numerical failure" in capsys.readouterr().err

@@ -325,15 +325,31 @@ def test_out_of_band_entry_rejected():
     assert m.entry(0, 7) == 0.0
 
 
-def test_matrix_market_round_trip(tmp_path):
-    import scipy.io
-
-    system = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 7))
-    fem.dump_system(system, tmp_path)
-    for name, mat in (("M", system.mass), ("C", system.damping),
-                      ("K", system.stiffness)):
-        back = scipy.io.mmread(tmp_path / f"{name}.mtx").toarray()
-        assert back == pytest.approx(mat.to_dense(), rel=1e-15, abs=1e-300)
+@pytest.mark.parametrize("name", pb.PRESET_NAMES)
+def test_system_matrices_equal_the_dense_element_scatter(name):
+    # oracle: each element's matrices added into dense globals in element
+    # order through DofMap.element_dofs, then the end constants; the banded
+    # upper triangle holds the same sums, so the match is exact
+    prob = pb.preset(name)
+    mesh = fem.Mesh(prob.length, 7)
+    system = fem.assemble(prob, mesh)
+    n = system.n
+    dense = np.zeros((3, n, n))
+    for e in range(mesh.element_count):
+        local = fem.element_matrices(prob, mesh.nodes[e], mesh.h)
+        dofs = system.dof_map.element_dofs(e)
+        free = np.flatnonzero(dofs >= 0)
+        for d, m_e in zip(dense, local):
+            d[np.ix_(dofs[free], dofs[free])] += m_e[np.ix_(free, free)]
+    bc = prob.boundary
+    dense[1, n - 2, n - 2] += bc.k_v
+    dense[1, n - 1, n - 1] += bc.k_a
+    dense[2, n - 2, n - 2] += bc.k_d
+    dense[2, n - 1, n - 1] += bc.k_r
+    for d, mat in zip(dense, (system.mass, system.damping, system.stiffness)):
+        upper = np.triu(d)
+        assert np.array_equal(mat.to_dense(), upper + np.triu(d, 1).T)
+        assert np.any(upper)
 
 
 # ---------------------------------------------------------------------------

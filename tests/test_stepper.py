@@ -163,7 +163,25 @@ def test_run_is_bitwise_the_one_step_path(name):
     assert np.array_equal(np.signbit(history), np.signbit(reference))
 
 
-def test_blow_up_stops_at_the_first_non_finite_time():
+@pytest.mark.parametrize("n_levels", [
+    4, CHUNK_LEVELS + 1, CHUNK_LEVELS + 2, CHUNK_LEVELS + 3, CHUNK_LEVELS + 4,
+    2 * CHUNK_LEVELS + 3])
+def test_blocks_concatenate_to_the_stored_history(n_levels):
+    # one block; a last block shorter than, as long as and longer than the
+    # three levels carried over a seam; two seams.  Every yielded block
+    # stays valid after the next one is made.
+    prob = _forced_variable_problem()
+    stepper = TimeStepper(bs.assemble(prob, bs.Mesh(prob.length, 9)),
+                          TimeGrid(prob.final_time, n_levels))
+    blocks = list(stepper.blocks())
+    assert [len(b) for b in blocks[:-1]] == [CHUNK_LEVELS] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= CHUNK_LEVELS
+    streamed = np.concatenate(blocks)
+    stored = stepper.run().dof_history
+    assert streamed.tobytes() == stored.tobytes()
+
+
+def _blow_up_problem():
     # a*exp(b t) overflows to inf once b t > log(max double); the load, and
     # with it the solution, is finite before that level and infinite at it
     from beamstab.problem import BoundaryForcing, TimeFunction
@@ -172,11 +190,29 @@ def test_blow_up_stops_at_the_first_non_finite_time():
         bs.preset("cantilever_dampers"),
         forcing=BoundaryForcing(g_Q=TimeFunction.exponential(1e-300, 1000.0)))
     grid = TimeGrid.from_dt(prob.final_time, 1 / 400)
-    first_bad = grid.times[grid.times * 1000.0 > np.log(np.finfo(float).max)][0]
-    assert 0.0 < first_bad < 0.5 * prob.final_time
-    with np.errstate(over="ignore"), \
-            pytest.raises(FloatingPointError, match=f"at t = {first_bad:.12g}$"):
+    first_bad = int(np.argmax(grid.times * 1000.0 > np.log(np.finfo(float).max)))
+    assert CHUNK_LEVELS < first_bad < grid.step_count // 2
+    return prob, grid, first_bad
+
+
+def test_blow_up_stops_at_the_first_non_finite_time():
+    prob, grid, first_bad = _blow_up_problem()
+    with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match=f"at t = {grid.times[first_bad]:.12g}$"):
         bs.run(prob, bs.Mesh(1.0, 9), grid)
+
+
+def test_blocks_yield_only_finite_levels_before_a_blow_up():
+    prob, grid, first_bad = _blow_up_problem()
+    stepper = TimeStepper(bs.assemble(prob, bs.Mesh(1.0, 9)), grid)
+    blocks = []
+    with np.errstate(over="ignore"), pytest.raises(
+            FloatingPointError, match=f"at t = {grid.times[first_bad]:.12g}$"):
+        for block in stepper.blocks():
+            blocks.append(block)
+    streamed = np.concatenate(blocks)
+    assert len(streamed) == first_bad // CHUNK_LEVELS * CHUNK_LEVELS
+    assert np.isfinite(streamed).all()
 
 
 # ---------------------------------------------------------------------------
@@ -387,6 +423,23 @@ def test_trace_csv_of_a_forced_run_matches_the_per_row_writer(tmp_path):
     bs.export_trace_csv(trace, tmp_path / "block.csv")
     _trace_csv_per_row(trace, tmp_path / "row.csv")
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+@pytest.mark.parametrize("decimate", [1, 5, 7, 64, 200])
+def test_trace_writer_fed_in_blocks_matches_the_per_row_writer(tmp_path, decimate):
+    # blocks of the stepper's size and of odd sizes, so written levels fall
+    # on block seams and in one-level blocks
+    trace = _special_trace(3 * CHUNK_LEVELS + 9)
+    sizes = [CHUNK_LEVELS, 1, 7, CHUNK_LEVELS + 5, 2, CHUNK_LEVELS - 6]
+    assert sum(sizes) == trace.grid.step_count
+    writer = bs.TraceWriter(trace.system, trace.grid, decimate)
+    lo = 0
+    with open(tmp_path / "blocks.csv", "w") as fh:
+        for size in sizes:
+            writer.write(fh, trace.dof_history[lo:lo + size])
+            lo += size
+    _trace_csv_per_row(trace, tmp_path / "row.csv", decimate=decimate)
+    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
 @pytest.mark.parametrize("decimate", [0, -3])
