@@ -28,7 +28,6 @@ from .problem import (
 )
 from .fem import (
     BandedSymmetricMatrix,
-    DofMap,
     Mesh,
     SemiDiscreteSystem,
     assemble,

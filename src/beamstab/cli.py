@@ -244,7 +244,7 @@ def _nodal_history(trace) -> tuple[np.ndarray, np.ndarray]:
 
 def _nodal_curvature_basis(trace) -> np.ndarray:
     """Hermite-exact curvature at nodes (left-element limit at x > 0)."""
-    curv = FieldKernel(trace.system.mesh, (0.0, 1.0)).curvatures(trace.dof_history)
+    curv = FieldKernel(trace.system.mesh.h, (0.0, 1.0)).curvatures(trace.dof_history)
     return np.concatenate([curv[:, :1, 0], curv[:, :, 1]], axis=1)  # node 0: right limit
 
 
@@ -298,8 +298,7 @@ def cmd_verify(config: RunConfig) -> int:
     if config.mode == "basis":
         uxx_num = _nodal_curvature_basis(trace)[1:-1]
     else:
-        from .diagnostics import _nodal_curvature
-        uxx_num = _nodal_curvature(trace.dof_history, mesh.h)[1:-1]
+        uxx_num = diagnostics._nodal_curvature(trace.dof_history, mesh.h)[1:-1]
     err_uxx = uxx_num - exact.u_xx(xs, t_int)
 
     cell = mesh.h * dt

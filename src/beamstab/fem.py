@@ -2,9 +2,17 @@
 
 Space is discretized on a uniform mesh with two degrees of freedom per node
 (displacement and physical slope; slope shape functions are scaled by the
-element length so both DOF kinds stay well conditioned).  The clamped node at
-``x = 0`` is eliminated, leaving ``n = 2 (M - 1)`` unknowns.  Assembly
-produces symmetric banded mass/damping/stiffness matrices
+element length so both DOF kinds stay well conditioned).
+
+DOF layout: the clamped node 0 at ``x = 0`` is eliminated, and node i >= 1
+owns the displacement DOF 2(i-1) and the slope DOF 2(i-1)+1, leaving
+``n = 2 (M - 1)`` unknowns.  Element e's local DOFs are therefore the global
+DOFs 2e-2 .. 2e+1, of which element 0 keeps only its right-node pair.
+
+Assembly, ``element_matrices`` and the field kernel of the diagnostics read
+one Gauss table: the shape values and curvatures at the element Gauss points
+and the weights ``h w``, ``h w rho``, ``h w mu``, ``h w r`` (``Quadrature``).
+Assembly produces symmetric banded mass/damping/stiffness matrices
 
     mass      = integral rho psi_i psi_j
     damping   = integral mu  psi_i psi_j   + k_v and k_a on the end DOFs
@@ -28,7 +36,6 @@ from .problem import BeamProblem, validate
 
 __all__ = [
     "Mesh",
-    "DofMap",
     "BandedSymmetricMatrix",
     "BandedCholesky",
     "combine",
@@ -50,7 +57,7 @@ CHUNK_LEVELS = 64
 
 
 # ---------------------------------------------------------------------------
-# mesh and DOF bookkeeping
+# mesh
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -76,37 +83,6 @@ class Mesh:
     @property
     def element_count(self) -> int:
         return self.node_count - 1
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Node -> global DOF numbering with the clamped node eliminated.
-
-    Node 0 carries no unknowns; node i >= 1 owns displacement DOF 2(i-1)
-    and slope DOF 2(i-1)+1.  Eliminated DOFs are reported as -1 and never
-    appear in assembled matrices.
-    """
-
-    node_count: int
-
-    @property
-    def n_free(self) -> int:
-        return 2 * (self.node_count - 1)
-
-    def disp_dof(self, node: int) -> int:
-        return -1 if node == 0 else 2 * (node - 1)
-
-    def rot_dof(self, node: int) -> int:
-        return -1 if node == 0 else 2 * (node - 1) + 1
-
-    def element_dofs(self, element: int) -> np.ndarray:
-        """Global indices of the 4 local DOFs (value/slope at both nodes)."""
-        left, right = element, element + 1
-        return np.array(
-            [self.disp_dof(left), self.rot_dof(left),
-             self.disp_dof(right), self.rot_dof(right)],
-            dtype=int,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +112,6 @@ class BandedSymmetricMatrix:
             raise IndexError(f"entry ({i}, {j}) outside half-bandwidth {self.halfband}")
         self.bands[self.halfband + i - j, j] += value
 
-    def entry(self, i: int, j: int) -> float:
-        if i > j:
-            i, j = j, i
-        if j - i > self.halfband:
-            return 0.0
-        return self.bands[self.halfband + i - j, j]
-
     def to_dense(self) -> np.ndarray:
         a = np.zeros((self.n, self.n))
         for d in range(self.halfband + 1):
@@ -163,11 +132,6 @@ class BandedSymmetricMatrix:
 
     def factor(self) -> "BandedCholesky":
         return BandedCholesky(self)
-
-    def copy(self) -> "BandedSymmetricMatrix":
-        out = BandedSymmetricMatrix(self.n, self.halfband)
-        out.bands[:] = self.bands
-        return out
 
 
 class BandedCholesky:
@@ -244,10 +208,25 @@ def gauss_rule(points: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-def _auto_points(requested: int, problem: BeamProblem) -> int:
+def _auto_points(problem: BeamProblem) -> int:
     # mass-type integrand: cubic x cubic x coefficient -> degree 6 + deg
     deg = max(problem.rho.degree, problem.mu.degree, problem.rigidity.degree)
-    return max(requested, math.ceil((7 + deg) / 2))
+    return math.ceil((7 + deg) / 2)
+
+
+def _gauss_weights(problem: BeamProblem, x_left: np.ndarray, h: float):
+    """Gauss points ``xi`` of the problem's element rule and the (4, E, q)
+    weights ``h w``, ``h w rho``, ``h w mu``, ``h w r`` at the points
+    ``x_left[:, None] + h xi`` of the elements [x_left, x_left + h].
+
+    The rule integrates products of two fields against the polynomial
+    coefficients exactly (cubic x cubic x coefficient).
+    """
+    xi, w = gauss_rule(_auto_points(problem))
+    xq = x_left[:, None] + h * xi
+    wq = h * w
+    return xi, np.stack([np.broadcast_to(wq, xq.shape), wq * problem.rho(xq),
+                         wq * problem.mu(xq), wq * problem.rigidity(xq)])
 
 
 def integrate_data(problem: BeamProblem, f) -> float:
@@ -277,84 +256,72 @@ class SemiDiscreteSystem:
     ``load(t)`` is the load vector at one time.  ``end_load(times)`` holds
     its only entries that can be nonzero, those of the end displacement and
     end slope DOFs, for an array of times: shape ``times.shape + (2,)``.
+    ``quadrature`` is the Gauss table the matrices were assembled from; the
+    diagnostics integrate fields with it.
     """
 
     mass: BandedSymmetricMatrix
     damping: BandedSymmetricMatrix
     stiffness: BandedSymmetricMatrix
     load: callable
-    dof_map: DofMap
     mesh: Mesh
     problem: BeamProblem
     end_load: callable = None
+    quadrature: "Quadrature" = None
 
     @property
     def n(self) -> int:
         return self.mass.n
 
-    @functools.cached_property
-    def quadrature(self) -> "Quadrature":
-        """The Gauss-point field kernel of this system, built on first use."""
-        return Quadrature(self)
+
+def _element_batch(kernel: "FieldKernel", weights: np.ndarray):
+    """(E, 4, 4) element mass, damping and stiffness matrices from a kernel at
+    the Gauss points and the (4, E, q) weights of ``_gauss_weights``."""
+    vals, curv = kernel._value.T, kernel._curvature.T  # (q, 4)
+    _, w_rho, w_mu, w_r = weights
+    return (np.einsum("eq,qa,qb->eab", w_rho, vals, vals),
+            np.einsum("eq,qa,qb->eab", w_mu, vals, vals),
+            np.einsum("eq,qa,qb->eab", w_r, curv, curv))
 
 
-def element_matrices(problem: BeamProblem, x_left: float, h: float,
-                     quad_points: int = 4):
-    """Element mass/damping/stiffness for one element [x_left, x_left + h].
+def element_matrices(problem: BeamProblem, x_left: float, h: float):
+    """Element mass/damping/stiffness for one element [x_left, x_left + h]:
+    the one-element case of what ``assemble`` computes for all elements.
 
     Local DOF order is (left value, left slope, right value, right slope);
     no boundary or clamping terms are applied here.
     """
-    q = _auto_points(quad_points, problem)
-    xi, w = gauss_rule(q)
-    shapes = np.stack([hermite_shapes(x, h) for x in xi])  # (q, 4, 3)
-    vals = shapes[:, :, 0]
-    curv = shapes[:, :, 2]
-    xq = x_left + h * xi
-    m_e = np.einsum("q,qa,qb->ab", h * w * problem.rho(xq), vals, vals)
-    c_e = np.einsum("q,qa,qb->ab", h * w * problem.mu(xq), vals, vals)
-    k_e = np.einsum("q,qa,qb->ab", h * w * problem.rigidity(xq), curv, curv)
-    return m_e, c_e, k_e
+    xi, weights = _gauss_weights(problem, np.array([x_left], dtype=float), h)
+    return tuple(m[0] for m in _element_batch(FieldKernel(h, xi), weights))
 
 
-def assemble(problem: BeamProblem, mesh: Mesh, quad_points: int = 4) -> SemiDiscreteSystem:
+def assemble(problem: BeamProblem, mesh: Mesh) -> SemiDiscreteSystem:
     """Assemble the semi-discrete system for a validated problem.
 
-    ``quad_points`` is the Gauss count per element; at least 4 points are
-    required (cubic products are degree six) and the count is raised
-    automatically for higher-degree polynomial coefficients so element
-    integrals stay exact.
+    All element matrices come from one ``Quadrature`` of the mesh, whose
+    Gauss rule is exact for the polynomial coefficients.  Their upper
+    triangles are scattered into the bands pair by pair of local DOFs, over
+    every element at once; the end springs and dampers are added last.
     """
-    if quad_points < 4:
-        raise ValueError("quad_points must be >= 4 (cubic-cubic products under-integrate)")
     report = validate(problem)
     if not report.ok:
         raise ValueError(f"cannot assemble an invalid problem:\n{report}")
     if abs(mesh.length - problem.length) > 1e-12 * problem.length:
         raise ValueError("mesh does not span the problem domain")
 
-    dof_map = DofMap(mesh.node_count)
-    n = dof_map.n_free
-    h = mesh.h
-
-    mass = BandedSymmetricMatrix(n)
-    damping = BandedSymmetricMatrix(n)
-    stiffness = BandedSymmetricMatrix(n)
-
-    for e in range(mesh.element_count):
-        m_e, c_e, k_e = element_matrices(problem, mesh.nodes[e], h, quad_points)
-        dofs = dof_map.element_dofs(e)
-        for a in range(4):
-            ga = dofs[a]
-            if ga < 0:
-                continue
-            for b in range(a, 4):
-                gb = dofs[b]
-                if gb < 0:
-                    continue
-                mass.add(ga, gb, m_e[a, b])
-                damping.add(ga, gb, c_e[a, b])
-                stiffness.add(ga, gb, k_e[a, b])
+    quadrature = Quadrature(mesh, problem)
+    local = _element_batch(quadrature, quadrature._weights)
+    n = 2 * mesh.element_count
+    matrices = [BandedSymmetricMatrix(n) for _ in local]
+    for a in range(4):
+        for b in range(a, 4):
+            # element e's local DOF b is global 2e-2+b; element 0 keeps only
+            # its right-node block, the left node being clamped
+            first = 0 if a >= 2 else 1
+            cols = slice(2 * first - 2 + b, n - 2 + b, 2)
+            for mat, m_e in zip(matrices, local):
+                mat.bands[HALF_BANDWIDTH + a - b, cols] += m_e[first:, a, b]
+    mass, damping, stiffness = matrices
 
     bc = problem.boundary
     end_disp, end_rot = n - 2, n - 1
@@ -374,8 +341,8 @@ def assemble(problem: BeamProblem, mesh: Mesh, quad_points: int = 4) -> SemiDisc
         f[end_disp:] = end_load(t)
         return f
 
-    return SemiDiscreteSystem(mass, damping, stiffness, load, dof_map, mesh, problem,
-                              end_load)
+    return SemiDiscreteSystem(mass, damping, stiffness, load, mesh, problem, end_load,
+                              quadrature)
 
 
 # ---------------------------------------------------------------------------
@@ -391,11 +358,12 @@ def element_local(rows: np.ndarray) -> np.ndarray:
 
 
 class FieldKernel:
-    """Values and curvatures of DOF rows at local points ``xi`` of every element."""
+    """Values and curvatures of DOF rows at local points ``xi`` of every
+    element of length ``h``."""
 
-    def __init__(self, mesh: Mesh, xi):
+    def __init__(self, h: float, xi):
         self.xi = np.asarray(xi, dtype=float)
-        shapes = np.stack([hermite_shapes(x, mesh.h) for x in self.xi])  # (q, 4, 3)
+        shapes = np.stack([hermite_shapes(x, h) for x in self.xi])  # (q, 4, 3)
         self._value, self._curvature = shapes[:, :, 0].T, shapes[:, :, 2].T
 
     def values(self, rows: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -409,20 +377,15 @@ class FieldKernel:
 
 
 class Quadrature(FieldKernel):
-    """Field kernel at the element Gauss points.  The flattened (E*q,) weights
-    ``w_plain``, ``w_rho``, ``w_mu``, ``w_r`` integrate against 1, rho, mu, r,
-    exactly for products of two fields with polynomial coefficients."""
+    """Field kernel at the Gauss points of every element of a mesh.  The
+    flattened (E*q,) weights ``w_plain``, ``w_rho``, ``w_mu``, ``w_r``
+    integrate against 1, rho, mu, r, exactly for products of two fields with
+    polynomial coefficients."""
 
-    def __init__(self, system: SemiDiscreteSystem):
-        mesh, problem = system.mesh, system.problem
-        xi, w = gauss_rule(_auto_points(4, problem))
-        super().__init__(mesh, xi)
-        xq = mesh.nodes[:-1, None] + mesh.h * xi[None, :]  # (E, q)
-        wq = mesh.h * w[None, :]
-        self.w_plain = np.broadcast_to(wq, xq.shape).ravel()
-        self.w_rho = (wq * problem.rho(xq)).ravel()
-        self.w_mu = (wq * problem.mu(xq)).ravel()
-        self.w_r = (wq * problem.rigidity(xq)).ravel()
+    def __init__(self, mesh: Mesh, problem: BeamProblem):
+        xi, self._weights = _gauss_weights(problem, mesh.nodes[:-1], mesh.h)
+        super().__init__(mesh.h, xi)
+        self.w_plain, self.w_rho, self.w_mu, self.w_r = self._weights.reshape(4, -1)
 
     @staticmethod
     def integral(weights: np.ndarray, f: np.ndarray, g: np.ndarray,
@@ -510,10 +473,10 @@ def evaluate_solution(system: SemiDiscreteSystem, dofs: np.ndarray, x: float):
     return float(local @ s[:, 0]), float(local @ s[:, 1]), float(local @ s[:, 2])
 
 
-def interpolate_profile(profile, mesh: Mesh, dof_map: DofMap) -> np.ndarray:
+def interpolate_profile(profile, mesh: Mesh) -> np.ndarray:
     """Nodal Hermite interpolant (values and slopes) of a spatial profile."""
     x = mesh.nodes[1:]  # node i >= 1 owns DOFs 2(i-1) (value) and 2(i-1)+1 (slope)
-    out = np.empty(dof_map.n_free)
+    out = np.empty(2 * mesh.element_count)
     out[0::2] = profile(x)
     out[1::2] = profile.d1(x)
     return out

@@ -121,8 +121,8 @@ class TimeStepper:
         """
         sys_ = self.system
         initial = sys_.problem.initial
-        u = interpolate_profile(initial.u0, sys_.mesh, sys_.dof_map)
-        v = interpolate_profile(initial.u1, sys_.mesh, sys_.dof_map)
+        u = interpolate_profile(initial.u0, sys_.mesh)
+        v = interpolate_profile(initial.u1, sys_.mesh)
         a = self._mass_solve.solve(
             sys_.load(0.0) - sys_.damping.matvec(v) - sys_.stiffness.matvec(u))
         return u, v, a
@@ -224,9 +224,9 @@ def run_system(system: SemiDiscreteSystem, grid: TimeGrid) -> SolutionTrace:
     return TimeStepper(system, grid).run()
 
 
-def run(problem, mesh: Mesh, grid: TimeGrid, quad_points: int = 4) -> SolutionTrace:
+def run(problem, mesh: Mesh, grid: TimeGrid) -> SolutionTrace:
     """Assemble and integrate in one call; deterministic for fixed inputs."""
-    return run_system(assemble(problem, mesh, quad_points), grid)
+    return run_system(assemble(problem, mesh), grid)
 
 
 def interpolate(trace: SolutionTrace, x: float, t: float):

@@ -1,6 +1,7 @@
 """Finite element layer: shapes, assembly, banded storage, evaluation."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -170,15 +171,12 @@ def test_boundary_constants_add_to_end_diagonals():
     spring_free = dataclasses.replace(pb.preset("test_NE1"),
                                       boundary=pb.BoundaryParams())
     bare = fem.assemble(spring_free, fem.Mesh(1.0, 9))
-    n = base.n
-    assert base.stiffness.entry(n - 2, n - 2) - bare.stiffness.entry(n - 2, n - 2) \
-        == pytest.approx(4.0, abs=1e-14)
-    assert base.stiffness.entry(n - 1, n - 1) - bare.stiffness.entry(n - 1, n - 1) \
-        == pytest.approx(6.0, abs=1e-14)
-    assert base.damping.entry(n - 2, n - 2) - bare.damping.entry(n - 2, n - 2) \
-        == pytest.approx(2.0, abs=1e-14)
-    assert base.damping.entry(n - 1, n - 1) - bare.damping.entry(n - 1, n - 1) \
-        == pytest.approx(3.0, abs=1e-14)
+    k = base.stiffness.to_dense() - bare.stiffness.to_dense()
+    c = base.damping.to_dense() - bare.damping.to_dense()
+    assert k[-2, -2] == pytest.approx(4.0, abs=1e-14)
+    assert k[-1, -1] == pytest.approx(6.0, abs=1e-14)
+    assert c[-2, -2] == pytest.approx(2.0, abs=1e-14)
+    assert c[-1, -1] == pytest.approx(3.0, abs=1e-14)
 
 
 def test_load_vector_carries_end_forcing():
@@ -216,47 +214,32 @@ def test_definiteness():
         assert v @ system.stiffness.matvec(v) > 0.0
 
 
-def test_quadrature_exactness_for_constant_coefficients():
-    prob = pb.preset("cantilever_dampers")
-    a = fem.assemble(prob, fem.Mesh(1.0, 9), quad_points=4)
-    b = fem.assemble(prob, fem.Mesh(1.0, 9), quad_points=10)
-    for m_a, m_b in ((a.mass, b.mass), (a.damping, b.damping),
-                     (a.stiffness, b.stiffness)):
-        scale = np.max(np.abs(m_b.bands))
-        assert np.max(np.abs(m_a.bands - m_b.bands)) <= 1e-12 * scale
-
-
 def test_banded_assembly_equals_dense_naive_assembly():
-    # oracle: scatter oracle element matrices into a dense global matrix
+    # oracle: 50-point Gauss element matrices scattered into dense globals
+    # (the mass-type oracle with mu in place of rho gives the damping); the
+    # assembled rule must integrate the polynomial coefficients exactly
     prob = dataclasses.replace(
         _unit_problem(),
         rho=pb.CoefficientField.polynomial((1.0, 0.3)),
-        mu=pb.CoefficientField.constant(0.5),
+        mu=pb.CoefficientField.polynomial((0.5, -0.2, 0.4, 0.1)),
         rigidity=pb.CoefficientField.polynomial((2.0, -0.5)))
     mesh = fem.Mesh(1.0, 6)
     system = fem.assemble(prob, mesh)
     n, h = system.n, mesh.h
-    dense_m = np.zeros((n, n))
-    dense_k = np.zeros((n, n))
+    dense = np.zeros((3, n, n))
     for e in range(mesh.element_count):
         x0 = mesh.nodes[e]
         om, ok = _oracle_element_matrices(
             h, lambda s: prob.rho(x0 + s), lambda s: prob.rigidity(x0 + s))
-        dofs = system.dof_map.element_dofs(e)
+        oc, _ = _oracle_element_matrices(
+            h, lambda s: prob.mu(x0 + s), lambda s: prob.rigidity(x0 + s))
         for a in range(4):
             for b in range(4):
-                if dofs[a] >= 0 and dofs[b] >= 0:
-                    dense_m[dofs[a], dofs[b]] += om[a, b]
-                    dense_k[dofs[a], dofs[b]] += ok[a, b]
-    assert np.max(np.abs(system.mass.to_dense() - dense_m)) \
-        <= 1e-12 * np.max(np.abs(dense_m))
-    assert np.max(np.abs(system.stiffness.to_dense() - dense_k)) \
-        <= 1e-12 * np.max(np.abs(dense_k))
-
-
-def test_low_quadrature_rejected():
-    with pytest.raises(ValueError, match="quad_points"):
-        fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 5), quad_points=3)
+                ga, gb = 2 * e - 2 + a, 2 * e - 2 + b
+                if ga >= 0 and gb >= 0:
+                    dense[:, ga, gb] += om[a, b], oc[a, b], ok[a, b]
+    for d, mat in zip(dense, (system.mass, system.damping, system.stiffness)):
+        assert np.max(np.abs(mat.to_dense() - d)) <= 1e-12 * np.max(np.abs(d))
 
 
 def test_invalid_problem_rejected():
@@ -300,12 +283,12 @@ def test_banded_in_place_kernels_and_factor_time_checks():
     with pytest.raises(ValueError, match="contiguous"):
         solve.solve_in_place(np.zeros(2 * system.n)[::2])
 
-    indefinite = system.stiffness.copy()
+    indefinite = fem.combine([(1.0, system.stiffness)])
     indefinite.add(4, 4, -1e9)
     with pytest.raises(np.linalg.LinAlgError,
                        match="not positive definite.*5-th leading minor"):
         indefinite.factor()
-    not_finite = system.stiffness.copy()
+    not_finite = fem.combine([(1.0, system.stiffness)])
     not_finite.add(2, 3, np.nan)
     with pytest.raises(np.linalg.LinAlgError, match="not finite"):
         not_finite.factor()
@@ -322,34 +305,66 @@ def test_out_of_band_entry_rejected():
     m = fem.BandedSymmetricMatrix(8, 3)
     with pytest.raises(IndexError):
         m.add(0, 4, 1.0)
-    assert m.entry(0, 7) == 0.0
 
 
-@pytest.mark.parametrize("name", pb.PRESET_NAMES)
+def _element_matrices_per_point(problem, x_left, h):
+    """The per-element formula batched assembly replaced: ``hermite_shapes``
+    at each Gauss point and one single-element einsum per matrix."""
+    deg = max(problem.rho.degree, problem.mu.degree, problem.rigidity.degree)
+    xi, w = fem.gauss_rule(max(4, math.ceil((7 + deg) / 2)))
+    shapes = np.stack([fem.hermite_shapes(x, h) for x in xi])  # (q, 4, 3)
+    vals, curv = shapes[:, :, 0], shapes[:, :, 2]
+    xq = x_left + h * xi
+    return (np.einsum("q,qa,qb->ab", h * w * problem.rho(xq), vals, vals),
+            np.einsum("q,qa,qb->ab", h * w * problem.mu(xq), vals, vals),
+            np.einsum("q,qa,qb->ab", h * w * problem.rigidity(xq), curv, curv))
+
+
+def _polynomial_table_problem():
+    # quadratic rho and cubic r with a table mu: a 6-point rule
+    return dataclasses.replace(
+        pb.preset("mast_constant"),
+        rho=pb.CoefficientField.polynomial((1.0, 0.3, -0.2)),
+        mu=pb.CoefficientField.table((0.0, 0.3, 0.7, 1.0), (0.5, 1.0, 0.2, 0.4)),
+        rigidity=pb.CoefficientField.polynomial((2.0, -0.5, 0.1, 0.05)))
+
+
+@pytest.mark.parametrize("name", pb.PRESET_NAMES + ("polynomial_table",))
 def test_system_matrices_equal_the_dense_element_scatter(name):
     # oracle: each element's matrices added into dense globals in element
-    # order through DofMap.element_dofs, then the end constants; the banded
-    # upper triangle holds the same sums, so the match is exact
-    prob = pb.preset(name)
-    mesh = fem.Mesh(prob.length, 7)
-    system = fem.assemble(prob, mesh)
-    n = system.n
-    dense = np.zeros((3, n, n))
-    for e in range(mesh.element_count):
-        local = fem.element_matrices(prob, mesh.nodes[e], mesh.h)
-        dofs = system.dof_map.element_dofs(e)
-        free = np.flatnonzero(dofs >= 0)
-        for d, m_e in zip(dense, local):
-            d[np.ix_(dofs[free], dofs[free])] += m_e[np.ix_(free, free)]
-    bc = prob.boundary
-    dense[1, n - 2, n - 2] += bc.k_v
-    dense[1, n - 1, n - 1] += bc.k_a
-    dense[2, n - 2, n - 2] += bc.k_d
-    dense[2, n - 1, n - 1] += bc.k_r
-    for d, mat in zip(dense, (system.mass, system.damping, system.stiffness)):
-        upper = np.triu(d)
-        assert np.array_equal(mat.to_dense(), upper + np.triu(d, 1).T)
-        assert np.any(upper)
+    # order at DOFs 2e-2+a (element 0's clamped left node dropped), then the
+    # end constants; the banded upper triangle holds the same sums, so the
+    # match is exact, sign bits included.  element_matrices, the one-element
+    # case of the batch, must give each element's matrices bitwise too
+    prob = _polynomial_table_problem() if name == "polynomial_table" else pb.preset(name)
+    for nodes in (3, 4, 7, 41):
+        mesh = fem.Mesh(prob.length, nodes)
+        system = fem.assemble(prob, mesh)
+        n = system.n
+        dense = np.zeros((3, n, n))
+        for e in range(mesh.element_count):
+            local = _element_matrices_per_point(prob, mesh.nodes[e], mesh.h)
+            for got, want in zip(fem.element_matrices(prob, mesh.nodes[e], mesh.h), local):
+                assert np.array_equal(got, want)
+                assert np.array_equal(np.signbit(got), np.signbit(want))
+            for d, m_e in zip(dense, local):
+                for a in range(4):
+                    for b in range(4):
+                        if 2 * e - 2 + min(a, b) >= 0:
+                            d[2 * e - 2 + a, 2 * e - 2 + b] += m_e[a, b]
+        bc = prob.boundary
+        dense[1, n - 2, n - 2] += bc.k_v
+        dense[1, n - 1, n - 1] += bc.k_a
+        dense[2, n - 2, n - 2] += bc.k_d
+        dense[2, n - 1, n - 1] += bc.k_r
+        for d, mat in zip(dense, (system.mass, system.damping, system.stiffness)):
+            # the bands hold the dense upper diagonals and zeros elsewhere
+            want = np.zeros((4, n))
+            for k in range(4):
+                want[3 - k, k:] = np.diagonal(d, k)
+            assert np.array_equal(mat.bands, want), (nodes, name)
+            assert np.array_equal(np.signbit(mat.bands), np.signbit(want)), (nodes, name)
+            assert np.any(want)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +382,7 @@ def test_cubic_interpolation_is_exact(nodes):
     prob = _unit_problem()
     system = fem.assemble(prob, fem.Mesh(1.0, nodes))
     poly = pb.SpatialProfile.polynomial((0.0, 0.0, 2.0, -0.7))
-    dofs = fem.interpolate_profile(poly, system.mesh, system.dof_map)
+    dofs = fem.interpolate_profile(poly, system.mesh)
     for x in np.linspace(0.0, 1.0, 23):
         u, ux, uxx = fem.evaluate_solution(system, dofs, x)
         assert abs(u - float(poly(x))) <= 1e-10
@@ -421,13 +436,13 @@ def test_evaluate_solution_is_bitwise_the_padded_row_formula(nodes):
             fem.evaluate_solution(system, rows[0], x)
 
 
-def _interpolate_profile_per_node(profile, mesh, dof_map):
+def _interpolate_profile_per_node(profile, mesh):
     """The per-node loop interpolate_profile replaced: the bitwise oracle."""
-    out = np.zeros(dof_map.n_free)
+    out = np.zeros(2 * (mesh.node_count - 1))
     for node in range(1, mesh.node_count):
         x = mesh.nodes[node]
-        out[dof_map.disp_dof(node)] = float(profile(x))
-        out[dof_map.rot_dof(node)] = float(profile.d1(x))
+        out[2 * (node - 1)] = float(profile(x))
+        out[2 * (node - 1) + 1] = float(profile.d1(x))
     return out
 
 
@@ -441,9 +456,8 @@ def _interpolate_profile_per_node(profile, mesh, dof_map):
 @pytest.mark.parametrize("nodes", [3, 17, 41])
 def test_interpolate_profile_is_bitwise_the_per_node_loop(profile, nodes):
     mesh = fem.Mesh(1.0, nodes)
-    dof_map = fem.DofMap(nodes)
-    got = fem.interpolate_profile(profile, mesh, dof_map)
-    want = _interpolate_profile_per_node(profile, mesh, dof_map)
+    got = fem.interpolate_profile(profile, mesh)
+    want = _interpolate_profile_per_node(profile, mesh)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
@@ -451,7 +465,7 @@ def test_interpolate_profile_is_bitwise_the_per_node_loop(profile, nodes):
 def test_ne1_initial_interpolant_end_values():
     prob = pb.preset("test_NE1")
     system = fem.assemble(prob, fem.Mesh(1.0, 9))
-    dofs = fem.interpolate_profile(prob.initial.u0, system.mesh, system.dof_map)
+    dofs = fem.interpolate_profile(prob.initial.u0, system.mesh)
     u, ux, _ = fem.evaluate_solution(system, dofs, 1.0)
     assert u == pytest.approx(1.0, abs=1e-12)
     assert ux == pytest.approx(2.0, abs=1e-12)
@@ -482,11 +496,3 @@ def test_mesh_invariants():
     assert np.max(np.abs(spacing - mesh.h)) <= 1e-12 * mesh.h
     with pytest.raises(ValueError):
         fem.Mesh(1.0, 2)
-
-
-def test_dof_map_eliminates_clamped_node():
-    dmap = fem.DofMap(5)
-    assert dmap.disp_dof(0) == -1 and dmap.rot_dof(0) == -1
-    assert dmap.n_free == 8
-    assert list(dmap.element_dofs(0)) == [-1, -1, 0, 1]
-    assert list(dmap.element_dofs(3)) == [4, 5, 6, 7]

@@ -294,8 +294,8 @@ def test_mast_matches_truncated_modal_series():
     a_state[n:, :n] = -np.linalg.solve(m, k)
     a_state[n:, n:] = -np.linalg.solve(m, c)
 
-    u0 = interpolate_profile(prob.initial.u0, system.mesh, system.dof_map)
-    v0 = interpolate_profile(prob.initial.u1, system.mesh, system.dof_map)
+    u0 = interpolate_profile(prob.initial.u0, system.mesh)
+    v0 = interpolate_profile(prob.initial.u1, system.mesh)
     z0 = np.concatenate([u0, v0])
 
     lam, vecs = scipy.linalg.eig(a_state)
@@ -374,7 +374,6 @@ def test_trace_csv_export(tmp_path):
 def _trace_csv_per_row(trace, path, decimate=1):
     """The per-row writer export_trace_csv replaced: the byte oracle."""
     grid, mesh = trace.grid, trace.system.mesh
-    dof_map = trace.system.dof_map
     indices = list(range(0, grid.step_count, decimate))
     if indices[-1] != grid.step_count - 1:
         indices.append(grid.step_count - 1)
@@ -384,9 +383,8 @@ def _trace_csv_per_row(trace, path, decimate=1):
             t = grid.times[j]
             dofs = trace.dof_history[j]
             for node in range(mesh.node_count):
-                di, ri = dof_map.disp_dof(node), dof_map.rot_dof(node)
-                u = dofs[di] if di >= 0 else 0.0
-                ux = dofs[ri] if ri >= 0 else 0.0
+                u = dofs[2 * (node - 1)] if node else 0.0
+                ux = dofs[2 * (node - 1) + 1] if node else 0.0
                 fh.write(f"{t:.17g}, {node}, {u:.17g}, {ux:.17g}\n")
 
 
