@@ -56,13 +56,13 @@ from .diagnostics import (
     time_derivative,
 )
 from .bounds import (
-    DamperWindow,
     DecayBound,
     EnvelopeReport,
     beta_constants,
     bound_report,
     classify_regime,
     compute_decay_bound,
+    damper_window,
     decay_estimate,
     lambda_window,
     scan_lambda,

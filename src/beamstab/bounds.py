@@ -22,11 +22,11 @@ from a computed trace:
 
 provided the tip never comes to rest, u_xt(L,t)^2 + u_t(L,t)^2 > 0.  Grid
 infima/suprema stand in for the continuum values, so theorem2 results are
-conditional certificates attached to the trace that produced them.  They
-need only running reductions over the run (``DamperWindow``): the first
-time the tip is at rest, the least feedback and the largest ||u_t||^2.  So
-the window is computed in the same streamed pass as the energies and never
-needs the stored history.
+conditional certificates attached to the trace that produced them.
+``damper_window`` needs only three per-level arrays over the interior grid
+times: the tip velocities u_t(L), u_xt(L) and ||u_t||^2.  The energy
+diagnostics collect them in the same streamed pass as the energies, so the
+window never needs the stored history.
 """
 
 from __future__ import annotations
@@ -46,16 +46,13 @@ __all__ = [
     "beta_constants",
     "classify_regime",
     "lambda_window",
-    "DamperWindow",
+    "damper_window",
     "decay_estimate",
     "scan_lambda",
     "compute_decay_bound",
     "verify_envelopes",
     "bound_report",
 ]
-
-REGIMES = ("theorem1", "theorem1_special_4_1", "theorem2")
-
 
 # ---------------------------------------------------------------------------
 # comparison constants
@@ -99,15 +96,12 @@ def beta_constants(problem: BeamProblem) -> tuple[float, float]:
     return beta0, beta0 * bracket
 
 
-def lambda_window(problem: BeamProblem, trace: SolutionTrace | DamperWindow | None = None
+def lambda_window(problem: BeamProblem, trace: SolutionTrace | None = None
                   ) -> tuple[float, str]:
     """Admissible penalty window upper bound and the regime that produced it.
 
     The damper-only regime needs the run: a stored trace, whose interior
-    levels are fed to a ``DamperWindow`` here, or a ``DamperWindow`` already
-    fed every interior level of a streamed run.  The tip-motion condition is
-    checked at every grid time the run covers and the window quotient uses
-    grid infima/suprema.
+    levels are reduced block by block to the arrays of ``damper_window``.
     """
     regime = classify_regime(problem)
     if regime in ("theorem1", "theorem1_special_4_1"):
@@ -120,65 +114,43 @@ def lambda_window(problem: BeamProblem, trace: SolutionTrace | DamperWindow | No
         raise ValueError(
             "the damper-only (theorem2) window depends on the solution; "
             "pass a computed trace")
-    window = trace
-    if not isinstance(trace, DamperWindow):
-        quad = trace.system.quadrature
-        window = DamperWindow(problem, trace.grid)
-        for out, _, ut in interior_blocks(trace.dof_history, trace.grid.dt):
-            ut_q = quad.values(ut)
-            window.add(out, ut, quad.integral(quad.w_plain, ut_q, ut_q))
-    return window.value(), regime
+    quad = trace.system.quadrature
+    tip_vel, tip_ang, ut_norm_sq = np.empty((3, trace.grid.step_count - 2))
+    for out, _, ut in interior_blocks(trace.dof_history, trace.grid.dt):
+        ut_q = quad.values(ut)
+        ut_norm_sq[out] = quad.integral(quad.w_plain, ut_q, ut_q)
+        tip_vel[out], tip_ang[out] = ut[:, -2], ut[:, -1]
+    return damper_window(problem, trace.grid, tip_vel, tip_ang, ut_norm_sq), regime
 
 
-class DamperWindow:
-    """Running reductions of the damper-only (theorem2) window over one run.
+def damper_window(problem: BeamProblem, grid, tip_vel: np.ndarray, tip_ang: np.ndarray,
+                  ut_norm_sq: np.ndarray) -> float:
+    """``lambda_max`` of the damper-only (theorem2) window of one run.
 
-    ``add(out, ut, ut_norm_sq)`` takes one block of interior levels as
-    ``fem.InteriorBlocks`` yields it: the block's slice of the interior
-    levels, its centered velocity rows and their squared L2 norms.  The
-    window keeps the first grid time at which the tip is at rest, the running
-    minimum of the damper feedback ``k_a^2 u_xt(L)^2 + k_v^2 u_t(L)^2`` and
-    the running supremum of ``||u_t||^2``, all three seeded at t = 0 from the
-    analytic initial velocity.  ``value()`` gives ``lambda_max`` or raises
-    ValueError naming the first time the tip-motion condition fails.
+    The arrays hold u_t(L), u_xt(L) and ||u_t||^2 at the interior grid times
+    t_1..t_{N-2}; t = 0 is taken from the analytic initial velocity.  Raises
+    ValueError naming the first grid time at which the tip is at rest, or
+    when the least damper feedback ``k_a^2 u_xt(L)^2 + k_v^2 u_t(L)^2``
+    vanishes.
     """
-
-    def __init__(self, problem: BeamProblem, grid):
-        self._problem, self._times = problem, grid.times
-        u1, L = problem.initial.u1, problem.length
-        self._first_rest = None          # grid level
-        self._min_feedback = np.inf
-        self._sup_norm_sq = integrate_data(problem, lambda x: u1(x) ** 2)
-        self._tip(0, np.array([float(u1(L))]), np.array([float(u1.d1(L))]))
-
-    def _tip(self, level: int, tip_vel: np.ndarray, tip_ang: np.ndarray) -> None:
-        """Fold in the tip velocities of the levels ``level, level + 1, ...``."""
-        if self._first_rest is None:
-            rest = np.flatnonzero(tip_ang**2 + tip_vel**2 <= 0.0)
-            if rest.size:
-                self._first_rest = level + int(rest[0])
-        bc = self._problem.boundary
-        feedback = bc.k_a**2 * tip_ang**2 + bc.k_v**2 * tip_vel**2
-        self._min_feedback = np.minimum(self._min_feedback, np.min(feedback))
-
-    def add(self, out: slice, ut: np.ndarray, ut_norm_sq: np.ndarray) -> None:
-        self._tip(out.start + 1, ut[:, -2], ut[:, -1])
-        self._sup_norm_sq = max(self._sup_norm_sq, float(np.max(ut_norm_sq)))
-
-    def value(self) -> float:
-        if self._first_rest is not None:
-            raise ValueError(
-                f"tip-motion condition u_xt(L,t)^2 + u_t(L,t)^2 > 0 fails at "
-                f"t = {self._times[self._first_rest]:.12g}")
-        numerator = float(self._min_feedback)
-        if numerator <= 0.0:
-            raise ValueError(
-                "admissible window is empty: the damper feedback power vanishes "
-                "at some grid time")
-        problem = self._problem
-        beta0, _ = beta_constants(problem)
-        m = float(problem.rho(0.0))
-        return min(1.0 / beta0, numerator / (2.0 * m * self._sup_norm_sq))
+    u1, L = problem.initial.u1, problem.length
+    tip_vel = np.concatenate([[float(u1(L))], tip_vel])
+    tip_ang = np.concatenate([[float(u1.d1(L))], tip_ang])
+    rest = np.flatnonzero(tip_ang**2 + tip_vel**2 <= 0.0)
+    if rest.size:
+        raise ValueError(
+            f"tip-motion condition u_xt(L,t)^2 + u_t(L,t)^2 > 0 fails at "
+            f"t = {grid.times[rest[0]]:.12g}")
+    bc = problem.boundary
+    numerator = float(np.min(bc.k_a**2 * tip_ang**2 + bc.k_v**2 * tip_vel**2))
+    if numerator <= 0.0:
+        raise ValueError(
+            "admissible window is empty: the damper feedback power vanishes "
+            "at some grid time")
+    sup_norm_sq = max(integrate_data(problem, lambda x: u1(x) ** 2), float(np.max(ut_norm_sq)))
+    beta0, _ = beta_constants(problem)
+    m = float(problem.rho(0.0))
+    return min(1.0 / beta0, numerator / (2.0 * m * sup_norm_sq))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ files.  ``sweep`` runs its members in forked worker processes, at most one
 per CPU this process may run on (in-process when only one would run); its
 outputs are byte-identical whatever the worker count.
 
-``simulate``, ``sweep`` members and ``bounds`` feed each block of
+``simulate``, ``sweep`` members and ``bounds`` feed each window of
 ``TimeStepper.blocks()`` to the diagnostics and the trace writer, so they
 hold O(N + CHUNK_LEVELS n) of a run of N levels and n DOFs, not the O(N n)
 history, and write their artifacts only when the run succeeds.  ``verify``
@@ -123,6 +123,9 @@ def _config_from_args(args) -> RunConfig:
         raise _UsageError("give at most one of --dt and --ratio")
     if args.nodes < 3:
         raise _UsageError("--nodes must be >= 3")
+    for flag, value in (("--dt", args.dt), ("--ratio", args.ratio)):
+        if value is not None and not (0.0 < value < math.inf):
+            raise _UsageError(f"{flag} must be positive and finite; got {value:g}")
     ratio = args.ratio if args.dt is None else None
     if args.dt is None and ratio is None:
         ratio = 40.0
@@ -188,7 +191,7 @@ def _bound_payload(prob: BeamProblem, energy_trace, lam) -> dict:
 
 
 def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None):
-    """Integrate the configured run once and feed each block of levels to the
+    """Integrate the configured run once and feed each window of levels to the
     energy diagnostics and, given an open ``trace.csv``, to the trace writer;
     the DOF history is never stored."""
     mesh, grid = config.mesh(prob), config.grid(prob)
@@ -197,10 +200,10 @@ def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None):
     writer = None
     if trace_file is not None:
         writer = stepper.TraceWriter(system, grid, decimate=config.decimate)
-    for block in stepper.TimeStepper(system, grid).blocks():
+    for first, window in stepper.TimeStepper(system, grid).blocks():
         if writer is not None:
-            writer.write(trace_file, block)
-        acc.add(block)
+            writer.write(trace_file, window, first)
+        acc.add(window, first)
     return acc.result()
 
 

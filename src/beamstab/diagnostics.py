@@ -25,20 +25,21 @@ post-processing (centered x-differences of the nodal slopes, linearly
 interpolated between nodes).
 
 Fields are never formed for the whole history.  ``EnergyAccumulator`` is
-fed the levels of one run as consecutive blocks of any sizes: the blocks
-of ``TimeStepper.blocks()`` as they are made (the CLI's ``simulate``,
-``sweep`` and ``bounds``, which never store the history) or a stored
-history as one block (``energy``).  ``fem.InteriorBlocks`` regroups them
-into blocks of ``fem.CHUNK_LEVELS`` interior levels; each block's velocity
-rows are formed, u, u_t and the curvature are evaluated at the element
-Gauss points (``fem.Quadrature``) into reused buffers, and the block is
-reduced to per-level integrals at once.  In the damper-only regime the same
-velocities feed a ``bounds.DamperWindow``, so the window costs no second
-pass.  Memory beyond the levels fed in is a few (CHUNK_LEVELS, E, q) blocks
-plus O(N) per-level arrays, and the per-block partition is the same
-however the levels arrive, so a streamed and a stored run give bitwise the
-same results.  ``export_energy_csv`` writes its rows in blocks of
-CHUNK_LEVELS too, one ``%`` template and one write per block,
+fed the levels of one run as windows that may overlap but leave no gap:
+the windows of ``TimeStepper.blocks()`` as they are made (the CLI's
+``simulate``, ``sweep`` and ``bounds``, which never store the history) or a
+stored history as one window (``energy``).  ``fem.interior_blocks`` cuts
+each window, without copying, at the block bounds of ``fem.CHUNK_LEVELS``
+interior levels; each block's velocity rows are formed, u, u_t and the
+curvature are evaluated at the element Gauss points (``fem.Quadrature``)
+into reused buffers, and the block is reduced to per-level integrals at
+once.  In the damper-only regime the same velocities also give a
+per-level ``||u_t||^2``, from which ``bounds.damper_window`` computes the
+window, so it costs no second pass.  Memory beyond the levels fed in is a
+few (CHUNK_LEVELS, E, q) blocks plus O(N) per-level arrays, and the blocks
+are the same however the levels arrive, so a streamed and a stored run
+give bitwise the same results.  ``export_energy_csv`` writes its rows in
+blocks of CHUNK_LEVELS too, one ``%`` template and one write per block,
 byte-identical to a per-row ``%.17g`` writer.
 """
 
@@ -52,10 +53,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import bounds
 from .fem import (
     CHUNK_LEVELS,
-    InteriorBlocks,
     SemiDiscreteSystem,
     evaluate_solution,
     integrate_data,
+    interior_blocks,
 )
 from .problem import BeamProblem
 from .stepper import SolutionTrace, TimeGrid
@@ -172,15 +173,17 @@ class EnergyTrace:
 
 
 class EnergyAccumulator:
-    """Energy diagnostics of one run, fed its history as consecutive blocks of
-    levels of any sizes (the blocks of ``TimeStepper.blocks()``, or a stored
-    history as one block).
+    """Energy diagnostics of one run, fed its history as windows of levels
+    that may overlap but leave no gap (the windows of
+    ``TimeStepper.blocks()``, or a stored history as one window).
 
-    ``add(block)`` reduces every interior block it completes (see
-    ``fem.InteriorBlocks``) to per-level integrals and tip values;
-    ``result()`` reduces the last one and returns the ``EnergyTrace``.  In
-    the damper-only regime the same Gauss-point velocities feed a
-    ``bounds.DamperWindow``, so the window costs no second pass.
+    ``add(rows, first)`` reduces the interior levels of the window it has
+    not reduced before, block by block (``fem.interior_blocks``), to
+    per-level integrals and tip values; ``result()`` returns the
+    ``EnergyTrace`` once every level is in.  In the damper-only regime the
+    same Gauss-point velocities give a per-level ``||u_t||^2`` column, and
+    ``bounds.damper_window`` turns it and the tip velocities into the
+    window, so the window costs no second pass.
 
     ``lam`` is the Lyapunov penalty weight; None picks 99% of the admissible
     window (and leaves L unset when no window exists, e.g. undamped
@@ -194,17 +197,17 @@ class EnergyAccumulator:
             raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
         problem = system.problem
         self._system, self._grid, self._lam, self._mode = system, grid, lam, mode
-        self._window = self._lam_max = self._window_error = None
+        self._ut_norm_sq = self._lam_max = self._window_error = None
         try:
             if bounds.classify_regime(problem) == "theorem2":
-                self._window = bounds.DamperWindow(problem, grid)
+                self._ut_norm_sq = np.empty(grid.step_count - 2)
             else:
                 self._lam_max, _ = bounds.lambda_window(problem)
         except ValueError as exc:
             self._window_error = str(exc)
-        if self._window is None:
+        if self._ut_norm_sq is None:
             self._check_lam()
-        self._chunks = InteriorBlocks(system.n, grid.dt)
+        self._next = 1   # the first interior level not yet reduced
         quad = system.quadrature
         self._lerp = np.stack([1.0 - quad.xi, quad.xi])  # nodal values -> Gauss points
         # u, u_t and the curvature at the Gauss points, and a product: reused
@@ -224,9 +227,16 @@ class EnergyAccumulator:
             raise ValueError(
                 f"lambda must satisfy 0 < lambda < lambda_max = {lam_max:.12g}; got {lam:g}")
 
-    def add(self, block: np.ndarray) -> None:
-        for piece in self._chunks.push(block):
+    def add(self, rows: np.ndarray, first: int = 0) -> None:
+        """Reduce the interior levels of the levels ``first .. first + len(rows) - 1``
+        that were not reduced before."""
+        lo = self._next
+        if first > lo - 1:
+            raise ValueError(f"window starts at level {first}, leaving a gap: "
+                             f"interior level {lo} needs level {lo - 1}")
+        for piece in interior_blocks(rows[lo - 1 - first:], self._grid.dt, lo - 1):
             self._reduce(*piece)
+        self._next = max(lo, first + len(rows) - 1)
 
     def _reduce(self, out: slice, u: np.ndarray, ut: np.ndarray) -> None:
         quad = self._system.quadrature
@@ -245,16 +255,17 @@ class EnergyAccumulator:
         self._mu_rate[out] = quad.integral(quad.w_mu, ut_q, ut_q, work)
         self._end_disp[out], self._end_rot[out] = u[:, -2], u[:, -1]
         self._tip_vel[out], self._tip_ang[out] = ut[:, -2], ut[:, -1]
-        if self._window is not None:
-            self._window.add(out, ut, quad.integral(quad.w_plain, ut_q, ut_q, work))
+        if self._ut_norm_sq is not None:
+            self._ut_norm_sq[out] = quad.integral(quad.w_plain, ut_q, ut_q, work)
 
     def result(self) -> EnergyTrace:
-        for piece in self._chunks.flush():
-            self._reduce(*piece)
+        if self._next < self._grid.step_count - 1:
+            raise ValueError(f"interior levels {self._next}.. were never added")
         problem, dt = self._system.problem, self._grid.dt
-        if self._window is not None:
+        if self._ut_norm_sq is not None:
             try:
-                self._lam_max, _ = bounds.lambda_window(problem, self._window)
+                self._lam_max = bounds.damper_window(
+                    problem, self._grid, self._tip_vel, self._tip_ang, self._ut_norm_sq)
             except ValueError as exc:
                 self._window_error = str(exc)
             self._check_lam()
@@ -306,7 +317,7 @@ class EnergyAccumulator:
 
 def energy(trace: SolutionTrace, lam: float | None = None, mode: str = "paper") -> EnergyTrace:
     """Compute E, J, L and the dissipation integrals of a stored trace: its
-    history fed to an ``EnergyAccumulator`` as one block (see there for
+    history fed to an ``EnergyAccumulator`` as one window (see there for
     ``lam``)."""
     acc = EnergyAccumulator(trace.system, trace.grid, lam, mode)
     acc.add(trace.dof_history)

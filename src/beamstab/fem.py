@@ -19,6 +19,12 @@ Assembly produces symmetric banded mass/damping/stiffness matrices
     stiffness = integral r psi_i'' psi_j'' + k_d and k_r on the end DOFs
 
 plus the time-dependent end-load vector.
+
+A run's history is cut into blocks one way only: ``interior_blocks`` groups
+the interior levels 1..N-2 into blocks of CHUNK_LEVELS from level 1, and the
+stepper's windows, the energy diagnostics and the damper-only window all
+follow it.  Per-block matrix products round the same way for the same rows
+only, so this is what keeps streamed and stored results bitwise equal.
 """
 
 from __future__ import annotations
@@ -395,56 +401,25 @@ class Quadrature(FieldKernel):
         return np.multiply(f, g, out=work).reshape(f.shape[0], -1) @ weights
 
 
-class InteriorBlocks:
-    """Regroups a history that arrives as consecutive level blocks of any
-    sizes into the interior levels 1..N-2, in blocks of CHUNK_LEVELS starting
-    at level 1.
+def interior_blocks(rows: np.ndarray, dt: float, first: int = 0):
+    """Cut the levels ``first .. first + len(rows) - 1`` of a history at the
+    block bounds of the interior levels: blocks of CHUNK_LEVELS levels from
+    level 1 (levels 1..64, 65..128, ...), shortened where ``rows`` ends.
 
-    ``push(block)`` takes the next levels and yields every interior block
-    they complete; ``flush()`` yields the last, shorter one once every level
-    is in.  Each yield is ``(out, u, u_t)``: the block's slice of arrays over
-    interior levels, its DOF rows and its centered velocity rows
-    ``(U^{j+1} - U^{j-1}) / (2 dt)``.  The rows pass through one buffer of
-    CHUNK_LEVELS + 2 levels, so ``u`` is valid only until the next yield.
-    The partition does not depend on how the levels arrive, so every
-    per-block reduction is bitwise the same for a stored and a streamed
-    history.
+    Yields ``(out, u, u_t)`` per block of interior levels [lo, hi) that
+    ``rows`` covers with both neighbours: the block's slice ``[lo - 1, hi - 1)``
+    of arrays over interior levels, its DOF rows (a view of ``rows``) and
+    its centered velocity rows ``(U^{j+1} - U^{j-1}) / (2 dt)``.  A stored
+    history and the windows of ``TimeStepper.blocks()`` are cut into the
+    same blocks, so every per-block reduction is bitwise the same for both.
     """
-
-    def __init__(self, n: int, dt: float):
-        self._dt = dt
-        self._rows = np.empty((CHUNK_LEVELS + 2, n))  # levels lo - 1 .. lo + CHUNK_LEVELS
-        self._filled = 0
-        self._lo = 1
-
-    def push(self, block: np.ndarray):
-        while len(block):
-            take = min(CHUNK_LEVELS + 2 - self._filled, len(block))
-            self._rows[self._filled:self._filled + take] = block[:take]
-            self._filled += take
-            block = block[take:]
-            if self._filled == CHUNK_LEVELS + 2:
-                yield self._block()
-                self._rows[:2] = self._rows[-2:]
-                self._filled = 2
-                self._lo += CHUNK_LEVELS
-
-    def flush(self):
-        if self._filled > 2:
-            yield self._block()
-            self._filled = 2
-
-    def _block(self):
-        rows = self._rows[:self._filled]
-        return (slice(self._lo - 1, self._lo + self._filled - 3), rows[1:-1],
-                (rows[2:] - rows[:-2]) / (2.0 * self._dt))
-
-
-def interior_blocks(history: np.ndarray, dt: float):
-    """``InteriorBlocks`` over a stored (N, n) history."""
-    chunks = InteriorBlocks(history.shape[1], dt)
-    yield from chunks.push(history)
-    yield from chunks.flush()
+    last = first + len(rows) - 1
+    lo = first + 1
+    while lo < last:
+        hi = min(lo - (lo - 1) % CHUNK_LEVELS + CHUNK_LEVELS, last)
+        block = rows[lo - 1 - first:hi + 1 - first]
+        yield slice(lo - 1, hi - 1), block[1:-1], (block[2:] - block[:-2]) / (2.0 * dt)
+        lo = hi
 
 
 def evaluate_solution(system: SemiDiscreteSystem, dofs: np.ndarray, x: float):

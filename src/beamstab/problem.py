@@ -454,7 +454,7 @@ def _check_evaluable(coeff, length, name, errors) -> bool:
     except _EVALUATION_ERRORS as exc:
         errors.append(f"{name}: not evaluable on [0, {length}] ({exc})")
         return False
-    if coeff.kind == "table" and isinstance(coeff, CoefficientField):
+    if coeff.kind == "table":
         xs = coeff.data[0]
         if xs[0] > 0.0 or xs[-1] < length:
             errors.append(f"{name}: table [{xs[0]}, {xs[-1]}] does not cover [0, {length}]")
@@ -467,7 +467,9 @@ def validate(problem: BeamProblem) -> ValidationReport:
 
     An empty report means every clause holds:  0 < rho0 <= rho(x) <= rho1,
     0 < r0 <= r(x) <= r1,  0 <= mu0 <= mu(x) <= mu1,  all four boundary
-    constants nonnegative, initial displacement clamped-compatible.  A
+    constants finite and nonnegative, finite forcing parameters, coefficient
+    and initial-profile tables covering [0, L] and forcing tables [0, T],
+    initial displacement clamped-compatible.  A
     failing damping-presence clause ``k_a + k_v + mu0 > 0`` is reported as a
     warning only: the system is then undamped and no decay certificate from
     the damped-case analysis applies.
@@ -502,7 +504,9 @@ def validate(problem: BeamProblem) -> ValidationReport:
 
     b = problem.boundary
     for name, value in (("k_r", b.k_r), ("k_d", b.k_d), ("k_a", b.k_a), ("k_v", b.k_v)):
-        if value < 0.0:
+        if not math.isfinite(value):
+            errs.append(f"{name} must be finite ({name} = {value:g})")
+        elif value < 0.0:
             errs.append(f"{name} >= 0 fails ({name} = {value:g})")
 
     if problem.initial is None:
@@ -523,7 +527,9 @@ def validate(problem: BeamProblem) -> ValidationReport:
             pass  # evaluability failure already recorded
 
     for name, g in (("forcing.g_M", problem.forcing.g_M), ("forcing.g_Q", problem.forcing.g_Q)):
-        if g.kind == "table":
+        if not np.isfinite(np.ravel(g.data)).all():
+            errs.append(f"{name}: parameters must be finite")
+        elif g.kind == "table":
             ts = g.data[0]
             if ts[0] > 0.0 or ts[-1] < problem.final_time:
                 errs.append(f"{name}: table does not cover [0, {problem.final_time}]")

@@ -22,16 +22,19 @@ with ``x1 = (5 U^{j-1} - 4 U^{j-2} + U^{j-3}) / dt^2`` and
 ``x2 = (4 U^{j-1} - U^{j-2}) / (2 dt)``.  The history is therefore bitwise
 identical to startup() followed by repeated step().
 
-``blocks`` yields the history CHUNK_LEVELS levels at a time and keeps only
-the block being computed, the three levels before it and the block before
-that, so a caller that reduces each block as it comes (``diagnostics.EnergyAccumulator``,
-``TraceWriter``) holds O(CHUNK_LEVELS n) of the run, not O(N n).  Each
-block is checked for non-finite values before it is yielded, so a run that
-blows up stops there and reports the first bad time.  ``run`` keeps every
-block in a ``SolutionTrace`` for the callers that need random access to
-the levels (interpolation, error norms against an exact solution).
+``blocks`` cuts the run once, at the block bounds of the interior levels
+(``fem.interior_blocks``): for each block [lo, hi) it yields the window of
+levels lo-1..hi, the block with both neighbours.  All windows live in one
+buffer of CHUNK_LEVELS + 3 levels, so a caller that reduces each window as
+it comes (``diagnostics.EnergyAccumulator``, ``TraceWriter``) holds
+O(CHUNK_LEVELS n) of the run, not O(N n), and the loop touches no fresh
+memory after its first block.  Each window is checked for non-finite
+values before it is yielded, so a run that blows up stops there and
+reports the first bad time.  ``run`` copies every window into a
+``SolutionTrace`` for the callers that need random access to the levels
+(interpolation, error norms against an exact solution).
 
-``TraceWriter`` writes the trace block by block: it takes up to
+``TraceWriter`` writes the trace window by window: it takes up to
 CHUNK_LEVELS written levels at a time, formats them with one ``%``
 template (node labels and the clamped node's zeros baked in, each t
 formatted once) and writes them in one call.  Its output is byte-identical
@@ -95,10 +98,6 @@ class SolutionTrace:
     dof_history: np.ndarray
     system: SemiDiscreteSystem
 
-    @property
-    def problem(self):
-        return self.system.problem
-
 
 class TimeStepper:
     """Carries the factored iteration matrices for one (system, grid) pair."""
@@ -158,15 +157,17 @@ class TimeStepper:
         return self._step_solve.solve(rhs)
 
     def blocks(self):
-        """Integrate over the whole grid, yielding the history as consecutive
-        (levels, n) blocks of CHUNK_LEVELS levels (the last may be shorter).
+        """Integrate over the whole grid, yielding ``(first, window)`` per
+        block of interior levels [lo, hi) of ``fem.interior_blocks``:
+        ``window`` holds the levels ``first = lo - 1 .. hi``, so consecutive
+        windows share two levels and the last one ends at level N-1.
 
-        Each block is computed in a fresh buffer of CHUNK_LEVELS + 3 rows
-        whose first three hold the last three levels of the previous block,
-        so a yielded block is never written again.  It is checked for
-        non-finite values before it is yielded; a run that blows up raises
-        FloatingPointError naming the first bad time and yields nothing
-        past it.
+        Every window is a view of one buffer of CHUNK_LEVELS + 3 rows, whose
+        first three rows carry the last three levels of the previous window,
+        so a window is valid only until the next one is requested.  It is
+        checked for non-finite values before it is yielded; a run that blows
+        up raises FloatingPointError naming the first bad time and yields no
+        window that reaches it.
         """
         sys_, grid = self.system, self.grid
         n_levels, n, dt = grid.step_count, sys_.n, grid.dt
@@ -175,15 +176,14 @@ class TimeStepper:
         mass, damping = sys_.mass, sys_.damping
         solve = self._step_solve.solve_in_place
         load, x1, x2, tmp, y_m, y_c = np.zeros((6, n))
-        buf = np.empty((CHUNK_LEVELS + 3, n))  # level j of block [lo, hi) in row j - lo + 3
-        buf[3:6] = self.startup()
-        for lo in range(0, n_levels, CHUNK_LEVELS):
-            hi = min(lo + CHUNK_LEVELS, n_levels)
-            if lo:
-                buf, previous = np.empty_like(buf), buf
-                buf[:3] = previous[-3:]
-            for j in range(max(lo, 3), hi):
-                row = j - lo + 3
+        buf = np.empty((CHUNK_LEVELS + 3, n))  # level j of block [lo, hi) in row j - lo + 2
+        buf[1:4] = self.startup()
+        for lo in range(1, n_levels - 1, CHUNK_LEVELS):
+            hi = min(lo + CHUNK_LEVELS, n_levels - 1)
+            if lo > 1:
+                buf[:3] = buf[-3:]
+            for j in range(max(lo + 1, 3), hi + 1):
+                row = j - lo + 2
                 u3, u2, u1 = buf[row - 3], buf[row - 2], buf[row - 1]
                 np.multiply(5.0, u1, out=x1)
                 np.multiply(4.0, u2, out=tmp)
@@ -200,22 +200,20 @@ class TimeStepper:
                 np.add(load, y_m, out=new)
                 np.add(new, y_c, out=new)
                 solve(new)
-            block = buf[3:hi - lo + 3]
-            bad = ~np.isfinite(block).all(axis=1)
+            window = buf[1:hi - lo + 3]
+            bad = ~np.isfinite(window).all(axis=1)
             if bad.any():
-                t = grid.times[lo + int(np.argmax(bad))]
+                t = grid.times[lo - 1 + int(np.argmax(bad))]
                 raise FloatingPointError(
                     f"time integration produced non-finite values at t = {t:.12g}")
-            yield block
+            yield lo - 1, window
 
     def run(self) -> SolutionTrace:
-        """Integrate over the whole grid and keep every block of ``blocks()``;
+        """Integrate over the whole grid and keep every window of ``blocks()``;
         bitwise equal to startup() + step()."""
         history = np.empty((self.grid.step_count, self.system.n))
-        lo = 0
-        for block in self.blocks():
-            history[lo:lo + len(block)] = block
-            lo += len(block)
+        for first, window in self.blocks():
+            history[first:first + len(window)] = window
         return SolutionTrace(self.grid, history, self.system)
 
 
@@ -268,7 +266,8 @@ def interpolate(trace: SolutionTrace, x: float, t: float):
 
 class TraceWriter:
     """Writes the nodal trace of one run as CSV rows ``t, node, u, u_x``, fed
-    its history as consecutive blocks of levels of any sizes.
+    its history as windows of levels that may overlap but leave no gap (the
+    windows of ``TimeStepper.blocks()``, or a stored history as one window).
 
     Every ``decimate``-th level is written, and the last level always.  The
     written levels are formatted up to CHUNK_LEVELS at a time with one ``%``
@@ -285,20 +284,23 @@ class TraceWriter:
         # the history columns 2(i-1), 2(i-1)+1
         self._pieces = ["", ", 0, 0, 0\n"] + [f", {node}, %.17g, %.17g\n"
                                              for node in range(1, system.mesh.node_count)]
-        self._next = 0   # the level the next block starts at
+        self._next = 0   # the first level not yet taken
 
-    def write(self, fh, block: np.ndarray) -> None:
-        """Write the levels of ``block`` that belong in the trace; the block
-        starting at level 0 also writes the header."""
+    def write(self, fh, rows: np.ndarray, first: int = 0) -> None:
+        """Write the levels ``first .. first + len(rows) - 1`` that belong in
+        the trace and were not taken before; level 0 also writes the header."""
         lo, step = self._next, self._decimate
+        if first > lo:
+            raise ValueError(f"window starts at level {first}, leaving a gap after level {lo - 1}")
+        block = rows[lo - first:]
         self._next += len(block)
         if lo == 0:
             fh.write("t, node, u, u_x\n")
-        rows = np.arange(-lo % step, len(block), step)
+        chosen = np.arange(-lo % step, len(block), step)
         if lo <= self._last < self._next and self._last % step:
-            rows = np.append(rows, self._last - lo)
-        for k in range(0, len(rows), CHUNK_LEVELS):
-            chunk = rows[k:k + CHUNK_LEVELS]
+            chosen = np.append(chosen, self._last - lo)
+        for k in range(0, len(chosen), CHUNK_LEVELS):
+            chunk = chosen[k:k + CHUNK_LEVELS]
             template = "".join([("%.17g" % t).join(self._pieces)
                                 for t in self._times[lo + chunk].tolist()])
             fh.write(template % tuple(block[chunk].ravel().tolist()))

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.integrate import trapezoid
 
 import beamstab as bs
 from beamstab.problem import (
@@ -124,10 +125,10 @@ def test_theorem2_window_is_reproducible_and_matches_recompute():
     tip_a = np.concatenate([[float(u1.d1(1.0))], vel[:, n - 1]])
     num = np.min(bc.k_a**2 * tip_a**2 + bc.k_v**2 * tip_v**2)
     xs = np.linspace(0.0, 1.0, 4001)
-    norms = [np.trapezoid([evaluate_solution(trace.system, v_row, x)[0] ** 2
-                           for x in xs], xs)
+    norms = [trapezoid([evaluate_solution(trace.system, v_row, x)[0] ** 2
+                        for x in xs], xs)
              for v_row in vel[:: max(1, len(vel) // 60)]]
-    norm0 = np.trapezoid(u1(xs) ** 2, xs)
+    norm0 = trapezoid(u1(xs) ** 2, xs)
     sup = max(max(norms), norm0)
     beta0, _ = bs.beta_constants(prob)
     lam_oracle = min(1.0 / beta0, num / (2.0 * 1.0 * sup))

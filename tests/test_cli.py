@@ -281,6 +281,18 @@ def test_sweep_rejects_negative_values(tmp_path):
                  "--values", "1,-2", "--out", str(tmp_path)]) == 3
 
 
+def test_sweep_member_with_a_non_finite_constant_is_a_usage_error(tmp_path, capsys):
+    # k_v = nan fails validation when the member assembles, not later as a
+    # numerical failure
+    assert main(["sweep", "--preset", "cantilever_dampers", "--param", "k_v",
+                 "--values", "nan", "--nodes", "9", "--ratio", "10",
+                 "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: cannot assemble an invalid problem")
+    assert "k_v must be finite" in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
+
+
 @pytest.mark.parametrize("values", ["1,2,1", "1.0000001,1.0000002"])
 def test_sweep_rejects_values_that_share_a_member_directory(tmp_path, capsys, values):
     assert main(["sweep", "--preset", "cantilever_dampers", "--param", "k_v",
@@ -430,13 +442,13 @@ def test_bounds_command_streams_the_theorem2_window_once(tmp_path, monkeypatch):
     import beamstab.bounds as bounds
 
     calls = []
-    window = bounds.lambda_window
+    window = bounds.damper_window
 
     def counted(*args, **kwargs):
         calls.append(1)
         return window(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "lambda_window", counted)
+    monkeypatch.setattr(bounds, "damper_window", counted)
     assert main(["bounds", "--preset", "mast_constant", "--nodes", "11",
                  "--ratio", "10", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
@@ -509,6 +521,16 @@ def test_numerical_failure_exits_two(tmp_path, monkeypatch, capsys):
     assert main(["simulate", "--preset", "test_NE1", "--nodes", "9",
                  "--ratio", "10", "--out", str(tmp_path / "out")]) == 2
     assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--ratio", "0"), ("--ratio", "-40"), ("--ratio", "inf"),
+    ("--dt", "nan"), ("--dt", "0"), ("--dt", "-0.01")])
+def test_step_rule_must_be_positive_and_finite(tmp_path, capsys, flag, value):
+    assert main(["simulate", "--preset", "test_NE1", "--nodes", "9", flag, value,
+                 "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err.startswith(f"usage error: {flag} must be positive and finite")
+    assert not (tmp_path / "out").exists()
 
 
 def test_usage_errors():

@@ -417,6 +417,31 @@ def test_basis_energy_matches_matrix_forms_across_blocks(offset):
     assert np.all(np.abs(e.J - j_oracle) <= 1e-12 * j_scale)
 
 
+def test_accumulator_takes_overlapping_windows_and_rejects_a_gap():
+    # windows cut at the block bounds (the stepper's two, one inside levels
+    # already reduced, one reaching back) give the stored results bitwise,
+    # the damper-only window included; a window that skips a level needed
+    # by the next interior level is refused, and so is an early result()
+    prob = bs.preset("mast_constant")
+    trace = bs.run(prob, bs.Mesh(1.0, 11), TimeGrid(prob.final_time, 3 * CHUNK_LEVELS + 9))
+    hist = trace.dof_history
+    acc = bs.EnergyAccumulator(trace.system, trace.grid)
+    with pytest.raises(ValueError, match="gap"):
+        acc.add(hist[1:10], 1)
+    acc.add(hist[:66])
+    acc.add(hist[64:130], 64)
+    with pytest.raises(ValueError, match="gap"):
+        acc.add(hist[130:], 130)
+    with pytest.raises(ValueError, match="never added"):
+        acc.result()
+    acc.add(hist[100:110], 100)
+    acc.add(hist[120:], 120)
+    streamed, stored = acc.result(), bs.energy(trace)
+    assert streamed.lambda_max is not None and streamed.lambda_max == stored.lambda_max
+    for name in ("E", "J", "L", "j_mu", "j_a", "j_v", "residual"):
+        assert getattr(streamed, name).tobytes() == getattr(stored, name).tobytes(), name
+
+
 def test_energy_and_window_memory_stays_below_half_the_history():
     # the fields are streamed over blocks of levels, so the extra memory is
     # a few blocks and does not grow with the history (about 8 MB here)

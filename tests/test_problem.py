@@ -99,11 +99,41 @@ def test_negative_spring_is_flagged():
     assert any("k_r >= 0 fails" in e for e in report.errors)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("k_v", float("nan")), ("k_d", float("inf")), ("k_r", -float("inf"))])
+def test_non_finite_boundary_constant_is_flagged(name, value):
+    bad = dataclasses.replace(_ne1(), boundary=pb.BoundaryParams(**{name: value}))
+    report = pb.validate(bad)
+    assert any(e.startswith(f"{name} must be finite") for e in report.errors)
+
+
+@pytest.mark.parametrize("g", [
+    pb.TimeFunction.exponential(float("nan"), 0.0),
+    pb.TimeFunction.exponential(1.0, float("inf")),
+    pb.TimeFunction.table((0.0, 1.5), (0.1, float("nan"))),
+    pb.TimeFunction.table((0.0, float("inf")), (0.1, 0.2)),
+])
+def test_non_finite_forcing_parameters_are_flagged(g):
+    bad = dataclasses.replace(_ne1(), forcing=pb.BoundaryForcing(g_M=g))
+    report = pb.validate(bad)
+    assert "forcing.g_M: parameters must be finite" in report.errors
+
+
 def test_short_table_names_the_field():
     bad = dataclasses.replace(
         _ne1(), mu=pb.CoefficientField.table((0.0, 0.5), (1.0, 1.0)))
     report = pb.validate(bad)
     assert any(e.startswith("mu:") for e in report.errors)
+
+
+def test_short_initial_profile_table_is_flagged():
+    # the spline would extrapolate the data on (0.3, 1] silently
+    prob = _ne1()
+    xs = np.linspace(0.0, 0.3, 5)
+    bad = dataclasses.replace(prob, initial=dataclasses.replace(
+        prob.initial, u0=pb.SpatialProfile.table(xs, xs**2, clamp_left=True)))
+    report = pb.validate(bad)
+    assert "initial.u0: table [0.0, 0.3] does not cover [0, 1.0]" in report.errors
 
 
 def test_unclamped_initial_displacement_is_flagged():

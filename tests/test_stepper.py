@@ -167,18 +167,24 @@ def test_run_is_bitwise_the_one_step_path(name):
     4, CHUNK_LEVELS + 1, CHUNK_LEVELS + 2, CHUNK_LEVELS + 3, CHUNK_LEVELS + 4,
     2 * CHUNK_LEVELS + 3])
 def test_blocks_concatenate_to_the_stored_history(n_levels):
-    # one block; a last block shorter than, as long as and longer than the
-    # three levels carried over a seam; two seams.  Every yielded block
-    # stays valid after the next one is made.
+    # one window of 4, CHUNK_LEVELS + 1 and CHUNK_LEVELS + 2 levels; a last
+    # window of 3 and 4 levels (two of them shared with the window before);
+    # two seams.  Each window is compared as it comes, since the next one
+    # overwrites it: all are views of one buffer.
     prob = _forced_variable_problem()
     stepper = TimeStepper(bs.assemble(prob, bs.Mesh(prob.length, 9)),
                           TimeGrid(prob.final_time, n_levels))
-    blocks = list(stepper.blocks())
-    assert [len(b) for b in blocks[:-1]] == [CHUNK_LEVELS] * (len(blocks) - 1)
-    assert 1 <= len(blocks[-1]) <= CHUNK_LEVELS
-    streamed = np.concatenate(blocks)
     stored = stepper.run().dof_history
-    assert streamed.tobytes() == stored.tobytes()
+    firsts, buffers = [], []
+    for first, window in stepper.blocks():
+        firsts.append(first)
+        buffers.append(window.base)
+        assert 3 <= len(window) <= CHUNK_LEVELS + 2
+        assert window.tobytes() == stored[first:first + len(window)].tobytes()
+        end = first + len(window)
+    assert firsts == list(range(0, n_levels - 2, CHUNK_LEVELS))
+    assert end == n_levels
+    assert all(buf is buffers[0] for buf in buffers)
 
 
 def _blow_up_problem():
@@ -205,14 +211,14 @@ def test_blow_up_stops_at_the_first_non_finite_time():
 def test_blocks_yield_only_finite_levels_before_a_blow_up():
     prob, grid, first_bad = _blow_up_problem()
     stepper = TimeStepper(bs.assemble(prob, bs.Mesh(1.0, 9)), grid)
-    blocks = []
+    ends = []
     with np.errstate(over="ignore"), pytest.raises(
             FloatingPointError, match=f"at t = {grid.times[first_bad]:.12g}$"):
-        for block in stepper.blocks():
-            blocks.append(block)
-    streamed = np.concatenate(blocks)
-    assert len(streamed) == first_bad // CHUNK_LEVELS * CHUNK_LEVELS
-    assert np.isfinite(streamed).all()
+        for first, window in stepper.blocks():
+            assert np.isfinite(window).all()
+            ends.append(first + len(window))
+    # the window that would have reached the first bad level is not yielded
+    assert ends[-1] == (first_bad - 2) // CHUNK_LEVELS * CHUNK_LEVELS + 2
 
 
 # ---------------------------------------------------------------------------
@@ -425,19 +431,32 @@ def test_trace_csv_of_a_forced_run_matches_the_per_row_writer(tmp_path):
 
 @pytest.mark.parametrize("decimate", [1, 5, 7, 64, 200])
 def test_trace_writer_fed_in_blocks_matches_the_per_row_writer(tmp_path, decimate):
-    # blocks of the stepper's size and of odd sizes, so written levels fall
-    # on block seams and in one-level blocks
     trace = _special_trace(3 * CHUNK_LEVELS + 9)
-    sizes = [CHUNK_LEVELS, 1, 7, CHUNK_LEVELS + 5, 2, CHUNK_LEVELS - 6]
-    assert sum(sizes) == trace.grid.step_count
-    writer = bs.TraceWriter(trace.system, trace.grid, decimate)
-    lo = 0
-    with open(tmp_path / "blocks.csv", "w") as fh:
-        for size in sizes:
-            writer.write(fh, trace.dof_history[lo:lo + size])
-            lo += size
     _trace_csv_per_row(trace, tmp_path / "row.csv", decimate=decimate)
-    assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+    for windows in (
+            # consecutive windows of the stepper's block size and of odd
+            # sizes, so written levels fall on seams and in one-level windows
+            [(0, 64), (64, 65), (65, 72), (72, 141), (141, 143), (143, 201)],
+            # overlapping windows: the stepper's two shared levels, a window
+            # inside the levels already written, one that starts at level 0
+            [(0, 66), (64, 130), (100, 110), (0, 131), (129, 201)]):
+        assert windows[-1][1] == trace.grid.step_count
+        writer = bs.TraceWriter(trace.system, trace.grid, decimate)
+        with open(tmp_path / "windows.csv", "w") as fh:
+            for first, stop in windows:
+                writer.write(fh, trace.dof_history[first:stop], first)
+        assert (tmp_path / "windows.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+def test_trace_writer_rejects_a_window_that_leaves_a_gap(tmp_path):
+    trace = _special_trace(3 * CHUNK_LEVELS + 9)
+    writer = bs.TraceWriter(trace.system, trace.grid)
+    with open(tmp_path / "t.csv", "w") as fh:
+        with pytest.raises(ValueError, match="gap"):
+            writer.write(fh, trace.dof_history[1:10], 1)
+        writer.write(fh, trace.dof_history[:66], 0)
+        with pytest.raises(ValueError, match="gap"):
+            writer.write(fh, trace.dof_history[67:], 67)
 
 
 @pytest.mark.parametrize("decimate", [0, -3])
