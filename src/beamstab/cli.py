@@ -441,6 +441,13 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
     if not report.ok:
         print(report, file=sys.stderr)
         return 1
+    # every member is checked before any starts, so an invalid one leaves no
+    # member directory behind
+    for v in values:
+        report = validate(_with_parameter(base, param, v))
+        if not report.ok:
+            print(f"{param} = {v:g}: invalid problem\n{report}", file=sys.stderr)
+            return 1
 
     # Members share nothing, so they run in worker processes.  ``fork`` keeps
     # this process's imports (a ``spawn`` worker would import numpy and scipy

@@ -210,9 +210,12 @@ class EnergyAccumulator:
         self._next = 1   # the first interior level not yet reduced
         quad = system.quadrature
         self._lerp = np.stack([1.0 - quad.xi, quad.xi])  # nodal values -> Gauss points
-        # u, u_t and the curvature at the Gauss points, and a product: reused
+        # u, u_t and the curvature at the Gauss points, and a product; the
+        # velocity rows; the zero-padded rows of ``fem.element_local``: reused
         # by every block, so the reduction allocates no block-sized arrays
         self._fields = np.empty((4, CHUNK_LEVELS, system.mesh.element_count, len(quad.xi)))
+        self._velocity = np.empty((CHUNK_LEVELS, system.n))
+        self._padded = np.zeros((CHUNK_LEVELS, system.n + 2))
         (self._kinetic, self._bending, self._cross, self._mu_disp, self._mu_rate,
          self._end_disp, self._end_rot, self._tip_vel, self._tip_ang) = \
             np.empty((9, grid.step_count - 2))
@@ -234,17 +237,19 @@ class EnergyAccumulator:
         if first > lo - 1:
             raise ValueError(f"window starts at level {first}, leaving a gap: "
                              f"interior level {lo} needs level {lo - 1}")
-        for piece in interior_blocks(rows[lo - 1 - first:], self._grid.dt, lo - 1):
+        for piece in interior_blocks(rows[lo - 1 - first:], self._grid.dt, lo - 1,
+                                     self._velocity):
             self._reduce(*piece)
         self._next = max(lo, first + len(rows) - 1)
 
     def _reduce(self, out: slice, u: np.ndarray, ut: np.ndarray) -> None:
         quad = self._system.quadrature
         u_q, ut_q, curv_q, work = self._fields[:, :len(u)]
-        quad.values(u, out=u_q)
-        quad.values(ut, out=ut_q)
+        padded = self._padded[:len(u)]
+        quad.values(u, out=u_q, padded=padded)
+        quad.values(ut, out=ut_q, padded=padded)
         if self._mode == "basis":
-            quad.curvatures(u, out=curv_q)
+            quad.curvatures(u, out=curv_q, padded=padded)
         else:
             np.matmul(sliding_window_view(_nodal_curvature(u, self._system.mesh.h), 2, axis=1),
                       self._lerp, out=curv_q)

@@ -15,12 +15,15 @@ global order at two.
 the whole-run loop ``TimeStepper.blocks`` is tested against.  The step
 matrix is constant (fixed dt), so the loop factors it once and repeats only
 the two banded triangular solves (LAPACK ``dpbtrs``, in place on the new
-level's row).  It evaluates the end loads once over the whole grid and
-builds each right-hand side in preallocated vectors with the same
-operations in the same order as ``step``: ``load + M x1``, then ``+ C x2``,
-with ``x1 = (5 U^{j-1} - 4 U^{j-2} + U^{j-3}) / dt^2`` and
-``x2 = (4 U^{j-1} - U^{j-2}) / (2 dt)``.  The history is therefore bitwise
-identical to startup() followed by repeated step().
+level's row).  The right-hand side is constant in the same way: it is
+``load + H (U^{j-3}, U^{j-2}, U^{j-1})`` with the n x 3n CSR operator
+``H = [M/dt^2 | -(4M/dt^2 + C/(2dt)) | 5M/dt^2 + 2C/dt]``, which folds the
+mass, the damping and the three-level stencil into one sparse product per
+step.  The loop evaluates the end loads once over the whole grid and
+applies ``H`` to the three previous levels where they already lie
+contiguously in its buffer; ``step`` applies it to the three levels
+concatenated.  Both add the load to the product the same way, so the
+history is bitwise identical to startup() followed by repeated step().
 
 ``blocks`` cuts the run once, at the block bounds of the interior levels
 (``fem.interior_blocks``): for each block [lo, hi) it yields the window of
@@ -52,6 +55,7 @@ from .fem import (
     Mesh,
     SemiDiscreteSystem,
     assemble,
+    block_row_csr,
     combine,
     evaluate_solution,
     interpolate_profile,
@@ -109,6 +113,11 @@ class TimeStepper:
         m, c, k = system.mass, system.damping, system.stiffness
         self._step_solve = combine(
             [(2.0 / dt**2, m), (1.5 / dt, c), (1.0, k)]).factor()
+        # step j's right-hand side is load + H (U^{j-3}, U^{j-2}, U^{j-1})
+        self._history = block_row_csr([
+            combine([(1.0 / dt**2, m)]),
+            combine([(-4.0 / dt**2, m), (-0.5 / dt, c)]),
+            combine([(5.0 / dt**2, m), (2.0 / dt, c)])])
         self._startup_solve = combine(
             [(2.0 / dt, m), (1.0, c), (0.5 * dt, k)]).factor()
         self._mass_solve = m.factor()
@@ -150,10 +159,7 @@ class TimeStepper:
         if j < 3:
             raise ValueError("step needs three history levels (j >= 3)")
         u3, u2, u1 = history
-        dt = self.grid.dt
-        rhs = (self.system.load(self.grid.times[j])
-               + self.system.mass.matvec((5.0 * u1 - 4.0 * u2 + u3) / dt**2)
-               + self.system.damping.matvec((4.0 * u1 - u2) / (2.0 * dt)))
+        rhs = self.system.load(self.grid.times[j]) + self._history @ np.concatenate([u3, u2, u1])
         return self._step_solve.solve(rhs)
 
     def blocks(self):
@@ -170,12 +176,10 @@ class TimeStepper:
         window that reaches it.
         """
         sys_, grid = self.system, self.grid
-        n_levels, n, dt = grid.step_count, sys_.n, grid.dt
+        n_levels, n = grid.step_count, sys_.n
         end_loads = sys_.end_load(grid.times)
-        dt2, two_dt = dt**2, 2.0 * dt
-        mass, damping = sys_.mass, sys_.damping
-        solve = self._step_solve.solve_in_place
-        load, x1, x2, tmp, y_m, y_c = np.zeros((6, n))
+        history, solve = self._history, self._step_solve.solve_in_place
+        load = np.zeros(n)
         buf = np.empty((CHUNK_LEVELS + 3, n))  # level j of block [lo, hi) in row j - lo + 2
         buf[1:4] = self.startup()
         for lo in range(1, n_levels - 1, CHUNK_LEVELS):
@@ -184,21 +188,10 @@ class TimeStepper:
                 buf[:3] = buf[-3:]
             for j in range(max(lo + 1, 3), hi + 1):
                 row = j - lo + 2
-                u3, u2, u1 = buf[row - 3], buf[row - 2], buf[row - 1]
-                np.multiply(5.0, u1, out=x1)
-                np.multiply(4.0, u2, out=tmp)
-                np.subtract(x1, tmp, out=x1)
-                np.add(x1, u3, out=x1)
-                np.divide(x1, dt2, out=x1)
-                np.multiply(4.0, u1, out=x2)
-                np.subtract(x2, u2, out=x2)
-                np.divide(x2, two_dt, out=x2)
                 load[-2:] = end_loads[j]
-                mass.matvec(x1, out=y_m)
-                damping.matvec(x2, out=y_c)
                 new = buf[row]
-                np.add(load, y_m, out=new)
-                np.add(new, y_c, out=new)
+                # rows row-3..row-1 are U^{j-3}, U^{j-2}, U^{j-1}, one contiguous vector
+                np.add(load, history @ buf[row - 3:row].reshape(-1), out=new)
                 solve(new)
             window = buf[1:hi - lo + 3]
             bad = ~np.isfinite(window).all(axis=1)

@@ -281,16 +281,21 @@ def test_sweep_rejects_negative_values(tmp_path):
                  "--values", "1,-2", "--out", str(tmp_path)]) == 3
 
 
-def test_sweep_member_with_a_non_finite_constant_is_a_usage_error(tmp_path, capsys):
-    # k_v = nan fails validation when the member assembles, not later as a
-    # numerical failure
-    assert main(["sweep", "--preset", "cantilever_dampers", "--param", "k_v",
-                 "--values", "nan", "--nodes", "9", "--ratio", "10",
-                 "--out", str(tmp_path / "out")]) == 3
+@pytest.mark.parametrize("param, values", [
+    ("k_v", "nan"), ("k_v", "1,nan"), ("k_v", "1,inf"), ("mu_scale", "1,inf,2")])
+def test_sweep_rejects_an_invalid_member_before_any_member_runs(
+        tmp_path, capsys, param, values):
+    # validated like an invalid base problem, so no member writes anything
+    error = {"k_v": "k_v must be finite", "mu_scale": "mu: not finite"}[param]
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["sweep", "--preset", "cantilever_dampers", "--param", param,
+                 "--values", values, "--nodes", "11", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("usage error: cannot assemble an invalid problem")
-    assert "k_v must be finite" in err
-    assert not (tmp_path / "out" / "sweep.csv").exists()
+    bad = values.split(",")[1 if "," in values else 0]
+    assert err.startswith(f"{param} = {bad}: invalid problem\nERROR: ")
+    assert error in err
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("values", ["1,2,1", "1.0000001,1.0000002"])
@@ -405,15 +410,17 @@ def test_sweep_member_numerical_failure_exits_two_through_the_pool(
     assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
-def test_sweep_member_that_fails_to_assemble_exits_three_through_the_pool(
+def test_sweep_member_usage_error_exits_three_through_the_pool(
         tmp_path, monkeypatch, capsys):
-    # mu scaled by inf is not finite, so that member's assemble() rejects it
+    # every member is a valid problem, but lambda_max = 0.5 mu_scale, so the
+    # explicit penalty weight is outside the window of member 1 only
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    assert _sweep(["--preset", "cantilever_dampers"], "mu_scale", "1,inf,2",
-                  tmp_path / "out", "--ratio", "10") == 3
+    assert _sweep(["--preset", "cantilever_dampers"], "mu_scale", "4,1,2",
+                  tmp_path / "out", "--ratio", "10", "--lam", "1") == 3
     err = capsys.readouterr().err
-    assert err.startswith("usage error: cannot assemble an invalid problem")
-    assert "mu: not finite" in err and "Traceback" not in err
+    assert err.startswith("usage error: lambda must satisfy 0 < lambda < lambda_max = 0.5")
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "sweep.csv").exists()
 
 
 # ---------------------------------------------------------------------------
