@@ -14,9 +14,14 @@ outputs are byte-identical whatever the worker count.
 ``simulate``, ``sweep`` members and ``bounds`` feed each window of
 ``TimeStepper.blocks()`` to the diagnostics and the trace writer, so they
 hold O(N + CHUNK_LEVELS n) of a run of N levels and n DOFs, not the O(N n)
-history, and write their artifacts only when the run succeeds.  ``verify``
-and ``convergence`` compare every level with an exact solution, so they
-keep the stored history.
+history, and write their artifacts only when the run succeeds.  When this
+process may use a second CPU and can fork, ``simulate``, ``bounds`` and
+the members of a sweep that runs in-process step in a forked child
+(``TimeStepper.forked_blocks``) while this process reduces the windows;
+members in the sweep's worker pool, which already fills the CPUs, step
+in-process.  The windows are the same bytes either way, and so are the
+artifacts.  ``verify`` and ``convergence`` compare every level with an
+exact solution, so they keep the stored history.
 """
 
 from __future__ import annotations
@@ -190,20 +195,39 @@ def _bound_payload(prob: BeamProblem, energy_trace, lam) -> dict:
     return bounds_mod.bound_report(bound, envelope=envelope)
 
 
-def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None):
+def _usable_cpus() -> int:
+    """Number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _steps_ahead() -> bool:
+    """Whether a run may step in a forked child: this process can fork, and
+    a second CPU is there for the child while this one reduces."""
+    return hasattr(os, "fork") and _usable_cpus() > 1
+
+
+def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None,
+                     ahead: bool = False):
     """Integrate the configured run once and feed each window of levels to the
     energy diagnostics and, given an open ``trace.csv``, to the trace writer;
-    the DOF history is never stored."""
+    the DOF history is never stored.  With ``ahead`` the windows come from
+    ``TimeStepper.forked_blocks``, which steps in a child process; the
+    results are the same bytes."""
     mesh, grid = config.mesh(prob), config.grid(prob)
     system = assemble(prob, mesh)
     acc = diagnostics.EnergyAccumulator(system, grid, lam=config.lam, mode=config.mode)
     writer = None
     if trace_file is not None:
         writer = stepper.TraceWriter(system, grid, decimate=config.decimate)
-    for first, window in stepper.TimeStepper(system, grid).blocks():
-        if writer is not None:
-            writer.write(trace_file, window, first)
-        acc.add(window, first)
+    steps = stepper.TimeStepper(system, grid)
+    # closed here, not by the collector, if this loop fails: that reaps the child
+    with contextlib.closing(steps.forked_blocks() if ahead else steps.blocks()) as windows:
+        for first, window in windows:
+            if writer is not None:
+                writer.write(trace_file, window, first)
+            acc.add(window, first)
     return acc.result()
 
 
@@ -224,12 +248,13 @@ def _published(out_dir: str, names):
         os.replace(path, os.path.join(out_dir, name))
 
 
-def _simulate_pipeline(prob: BeamProblem, config: RunConfig, out_dir: str) -> dict:
+def _simulate_pipeline(prob: BeamProblem, config: RunConfig, out_dir: str,
+                       ahead: bool) -> dict:
     """Run one simulation and write trace.csv, energy.csv, bounds.json."""
     os.makedirs(out_dir, exist_ok=True)
     with _published(out_dir, ("trace.csv", "energy.csv", "bounds.json")) as paths:
         with open(paths["trace.csv"], "w") as fh:
-            energy_trace = _streamed_energy(prob, config, fh)
+            energy_trace = _streamed_energy(prob, config, fh, ahead)
         diagnostics.export_energy_csv(energy_trace, paths["energy.csv"])
         payload = _bound_payload(prob, energy_trace, config.lam)
         _write_json(payload, paths["bounds.json"])
@@ -268,7 +293,7 @@ def cmd_simulate(config: RunConfig) -> int:
     if not report.ok:
         print(report, file=sys.stderr)
         return 1
-    result = _simulate_pipeline(prob, config, config.out_dir)
+    result = _simulate_pipeline(prob, config, config.out_dir, _steps_ahead())
     e = result["energy"]
     print(f"wrote trace.csv, energy.csv, bounds.json to {config.out_dir}")
     print(f"E(0) = {e.E0:.6g}, E(T-) = {e.E[-1]:.6g}"
@@ -395,22 +420,16 @@ def _with_parameter(prob: BeamProblem, param: str, value: float) -> BeamProblem:
         prob, boundary=dataclasses.replace(prob.boundary, **{param: value}))
 
 
-def _usable_cpus() -> int:
-    """Number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def _member_dir(param: str, value: float) -> str:
     return f"{param}_{value:g}"
 
 
-def _sweep_member(base: BeamProblem, param: str, value: float, config: RunConfig) -> dict:
+def _sweep_member(base: BeamProblem, param: str, value: float, config: RunConfig,
+                  ahead: bool) -> dict:
     """Run one sweep member, write its artifacts and return its sweep.csv row."""
     prob = _with_parameter(base, param, value)
     sub = os.path.join(config.out_dir, _member_dir(param, value))
-    result = _simulate_pipeline(prob, config, sub)
+    result = _simulate_pipeline(prob, config, sub, ahead)
     e, b = result["energy"], result["bounds"]
     return {
         "value": value,
@@ -442,18 +461,28 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
         print(report, file=sys.stderr)
         return 1
     # every member is checked before any starts, so an invalid one leaves no
-    # member directory behind
-    for v in values:
-        report = validate(_with_parameter(base, param, v))
+    # member directory behind; so is --lambda, against each window that needs
+    # no run (a damper-only member's window needs its run, which checks it)
+    members = [_with_parameter(base, param, v) for v in values]
+    for v, member in zip(values, members):
+        report = validate(member)
         if not report.ok:
             print(f"{param} = {v:g}: invalid problem\n{report}", file=sys.stderr)
             return 1
+    if config.lam is not None:
+        for member in members:
+            try:
+                lam_max, _ = bounds_mod.lambda_window(member)
+            except ValueError:
+                continue   # the window needs the member's run, or there is none
+            bounds_mod.check_penalty(config.lam, lam_max)
 
     # Members share nothing, so they run in worker processes.  ``fork`` keeps
     # this process's imports (a ``spawn`` worker would import numpy and scipy
     # again); the only other threads are OpenBLAS's, which it shuts down
     # before a fork.  pool.map re-raises a member's exception with its own
-    # type, and the members not yet started are then cancelled.
+    # type, and the members not yet started are then cancelled.  The pool
+    # fills the CPUs, so its members step in-process.
     import multiprocessing
 
     member = functools.partial(_sweep_member, base, param, config=config)
@@ -463,11 +492,12 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
 
         pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
         try:
-            summaries = list(pool.map(member, values))   # in value order
+            summaries = list(pool.map(functools.partial(member, ahead=False),
+                                      values))   # in value order
         finally:
             pool.shutdown(cancel_futures=True)
     else:
-        summaries = list(map(member, values))
+        summaries = [member(v, ahead=_steps_ahead()) for v in values]
 
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")
@@ -498,7 +528,7 @@ def cmd_bounds(config: RunConfig) -> int:
     energy_trace = None
     if regime == "theorem2":
         # window depends on the solution: run the configured simulation
-        energy_trace = _streamed_energy(prob, config)
+        energy_trace = _streamed_energy(prob, config, ahead=_steps_ahead())
     payload = _bound_payload(prob, energy_trace, config.lam)
     os.makedirs(config.out_dir, exist_ok=True)
     _write_json(payload, os.path.join(config.out_dir, "bounds.json"))

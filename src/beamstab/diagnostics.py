@@ -226,9 +226,7 @@ class EnergyAccumulator:
             return
         if lam_max is None:
             raise ValueError(f"no admissible penalty weight: {self._window_error}")
-        if not 0.0 < lam < lam_max:
-            raise ValueError(
-                f"lambda must satisfy 0 < lambda < lambda_max = {lam_max:.12g}; got {lam:g}")
+        bounds.check_penalty(lam, lam_max)
 
     def add(self, rows: np.ndarray, first: int = 0) -> None:
         """Reduce the interior levels of the levels ``first .. first + len(rows) - 1``

@@ -37,6 +37,19 @@ reports the first bad time.  ``run`` copies every window into a
 ``SolutionTrace`` for the callers that need random access to the levels
 (interpolation, error norms against an exact solution).
 
+``forked_blocks`` yields the same windows, stepped by a forked child
+process while the caller reduces the windows before them, so on a machine
+with a second free CPU the step loop and the reduction overlap.  The child
+runs ``blocks()`` and copies each window into one of a few slots of a
+shared anonymous memory map; two pipes carry the filled slots to the
+caller and the released ones back.  Each window holds the bytes
+``blocks()`` made, so a caller computes bitwise the same results either
+way.  An exception in the child (a blow-up, a failed solve) is pickled
+and raised in the caller with its type and text, after the windows before
+it.  The child is forked, not spawned, because it steps with the factored
+matrices the caller already holds; it leaves through ``os._exit``, so it
+flushes none of the caller's buffers and runs none of its exit hooks.
+
 ``TraceWriter`` writes the trace window by window: it takes up to
 CHUNK_LEVELS written levels at a time, formats them with one ``%``
 template (node labels and the clamped node's zeros baked in, each t
@@ -46,6 +59,11 @@ to a per-row ``%.17g`` writer.
 
 from __future__ import annotations
 
+import mmap
+import os
+import pickle
+import signal
+import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,6 +81,26 @@ from .fem import (
 
 __all__ = ["TimeGrid", "SolutionTrace", "TimeStepper", "TraceWriter", "run",
            "run_system", "interpolate", "export_trace_csv"]
+
+# forked_blocks: slots in the shared ring, so the child runs at most two
+# windows ahead of the one the caller holds; and the child's record of a
+# window (slot, first level, level count), whose slot is _END after the last
+# window, or _FAILED before a pickled exception of ``count`` bytes
+_RING_SLOTS = 3
+_RECORD = struct.Struct("qqq")
+_END, _FAILED = -1, -2
+
+
+def _read_exactly(fd: int, size: int) -> bytes:
+    """``size`` bytes from a pipe; EOFError if the writer closes it first."""
+    data = b""
+    while len(data) < size:
+        chunk = os.read(fd, size - len(data))
+        if not chunk:
+            raise EOFError(f"pipe closed after {len(data)} of {size} bytes: "
+                           "the other process ended")
+        data += chunk
+    return data
 
 
 @dataclass(frozen=True)
@@ -200,6 +238,69 @@ class TimeStepper:
                 raise FloatingPointError(
                     f"time integration produced non-finite values at t = {t:.12g}")
             yield lo - 1, window
+
+    def forked_blocks(self):
+        """Yield exactly what ``blocks()`` yields, under the same contract (a
+        window is valid until the next one is requested), with the stepping
+        done in a forked child process up to two windows ahead of the caller.
+
+        An exception ``blocks()`` raises in the child is raised here, with
+        its type and text, once the windows before it have been taken.
+        Closing the generator early (or an exception in the caller) closes
+        the pipes, so the child stops at its next hand-over, and reaps it.
+        """
+        shape = (_RING_SLOTS, CHUNK_LEVELS + 2, self.system.n)   # slots of the longest window
+        ring = np.frombuffer(mmap.mmap(-1, 8 * np.prod(shape)), dtype=float).reshape(shape)
+        ready_r, ready_w = os.pipe()
+        free_r, free_w = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            # the child: leave without the parent's clean-up, atexit hooks or
+            # buffered output, whatever happens (a write to a parent that is
+            # gone raises BrokenPipeError, which ends up here too)
+            try:
+                os.close(ready_r)
+                os.close(free_w)
+                self._hand_over(ring, ready_w, free_r)
+            finally:
+                os._exit(0)
+        os.close(ready_w)
+        os.close(free_r)
+        try:
+            while True:
+                slot, first, count = _RECORD.unpack(_read_exactly(ready_r, _RECORD.size))
+                if slot == _END:
+                    return
+                if slot == _FAILED:
+                    raise pickle.loads(_read_exactly(ready_r, count))
+                yield first, ring[slot, :count]
+                os.write(free_w, bytes([slot]))
+        finally:
+            os.close(ready_r)
+            os.close(free_w)
+            os.waitpid(pid, 0)
+
+    def _hand_over(self, ring: np.ndarray, ready: int, free: int) -> None:
+        """The child's side of ``forked_blocks``: copy each window of
+        ``blocks()`` into a slot the parent does not hold and send its
+        record; then send the end or the exception, and wait for the parent
+        to close the release pipe, so its last release finds a reader."""
+        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C
+        unused = list(range(len(ring)))
+        try:
+            for first, window in self.blocks():
+                slot = unused.pop() if unused else _read_exactly(free, 1)[0]
+                ring[slot, :len(window)] = window
+                os.write(ready, _RECORD.pack(slot, first, len(window)))
+            last = _RECORD.pack(_END, 0, 0)
+        except (BrokenPipeError, EOFError):
+            return   # the parent is gone
+        except Exception as exc:
+            payload = pickle.dumps(exc)
+            last = _RECORD.pack(_FAILED, 0, len(payload)) + payload
+        os.write(ready, last)
+        while os.read(free, 64):
+            pass
 
     def run(self) -> SolutionTrace:
         """Integrate over the whole grid and keep every window of ``blocks()``;

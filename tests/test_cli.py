@@ -9,6 +9,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -24,6 +25,21 @@ def _write(tmp_path, prob, name="problem.json"):
     path = tmp_path / name
     pb.save_problem(prob, path)
     return str(path)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the children this process forks through ``os.fork``."""
+    pids, real_fork = [], os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
 
 
 def _rest_problem():
@@ -116,9 +132,10 @@ def test_simulate_invalid_problem_exits_one(tmp_path):
                  "--out", str(tmp_path / "out")]) == 1
 
 
-def test_simulate_blow_up_leaves_no_partial_artifacts(tmp_path, capsys):
+def test_simulate_blow_up_leaves_no_partial_artifacts(tmp_path, monkeypatch, capsys, forks):
     # the 1e-300 exp(1000 t) end shear overflows near t = 0.71, so several
-    # blocks of the trace are written before the run fails
+    # blocks of the trace are written before the run fails in the stepping child
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     prob = dataclasses.replace(
         pb.preset("cantilever_dampers"),
         forcing=pb.BoundaryForcing(g_Q=pb.TimeFunction.exponential(1e-300, 1000.0)))
@@ -128,7 +145,7 @@ def test_simulate_blow_up_leaves_no_partial_artifacts(tmp_path, capsys):
         assert main(["simulate", "--problem", problem_file, "--nodes", "9",
                      "--dt", "0.0025", "--out", str(bad)]) == 2
     assert "non-finite values at t = " in capsys.readouterr().err
-    assert os.listdir(bad) == []
+    assert os.listdir(bad) == [] and len(forks) == 1
     assert main(["simulate", "--preset", "test_NE1", "--nodes", "9", "--ratio", "10",
                  "--out", str(good)]) == 0
     assert sorted(os.listdir(good)) == ["bounds.json", "energy.csv", "trace.csv"]
@@ -154,10 +171,11 @@ def test_streamed_pass_is_bitwise_the_stored_energy_and_window(name, mode, expli
     lam_max, _ = bounds.lambda_window(prob, trace)
     if explicit_lam:
         config.lam = 0.5 * lam_max
-    streamed = cli._streamed_energy(prob, config)
-    _assert_same_energy(diagnostics.energy(trace, lam=config.lam, mode=mode), streamed)
-    assert streamed.lambda_max == lam_max
-    assert streamed.window_error is None
+    for ahead in (False, True):   # stepped in-process, then in a forked child
+        streamed = cli._streamed_energy(prob, config, ahead=ahead)
+        _assert_same_energy(diagnostics.energy(trace, lam=config.lam, mode=mode), streamed)
+        assert streamed.lambda_max == lam_max
+        assert streamed.window_error is None
 
 
 @pytest.mark.parametrize("lam", [None, 0.01])
@@ -173,18 +191,19 @@ def test_streamed_pass_fails_the_window_like_the_stored_one(case, lam):
     trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
     with pytest.raises(ValueError) as window:
         bounds.lambda_window(prob, trace)
-    if lam is None:
-        streamed = cli._streamed_energy(prob, config)
-        _assert_same_energy(diagnostics.energy(trace, mode=config.mode), streamed)
-        assert streamed.lambda_max is None
-        assert streamed.window_error == str(window.value)
-    else:
-        with pytest.raises(ValueError) as stored:
-            diagnostics.energy(trace, lam=lam)
-        with pytest.raises(ValueError) as streamed:
-            cli._streamed_energy(prob, config)
-        assert str(streamed.value) == str(stored.value)
-        assert str(window.value) in str(stored.value)
+    for ahead in (False, True):   # stepped in-process, then in a forked child
+        if lam is None:
+            streamed = cli._streamed_energy(prob, config, ahead=ahead)
+            _assert_same_energy(diagnostics.energy(trace, mode=config.mode), streamed)
+            assert streamed.lambda_max is None
+            assert streamed.window_error == str(window.value)
+        else:
+            with pytest.raises(ValueError) as stored:
+                diagnostics.energy(trace, lam=lam)
+            with pytest.raises(ValueError) as streamed:
+                cli._streamed_energy(prob, config, ahead=ahead)
+            assert str(streamed.value) == str(stored.value)
+            assert str(window.value) in str(stored.value)
     if case == "dead_tip":
         assert "fails at t = 0" in str(window.value)
 
@@ -342,10 +361,10 @@ def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     for workers in (1, 2):
         log = tmp_path / f"pids_{workers}.txt"
 
-        def logged(prob, config, out_dir, log=log):
+        def logged(prob, config, out_dir, ahead, log=log):
             with open(log, "a") as fh:  # one short append per member
                 fh.write(f"{os.getpid()}\n")
-            return real_pipeline(prob, config, out_dir)
+            return real_pipeline(prob, config, out_dir, ahead)
 
         monkeypatch.setattr(cli, "_simulate_pipeline", logged)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
@@ -412,15 +431,24 @@ def test_sweep_member_numerical_failure_exits_two_through_the_pool(
 
 def test_sweep_member_usage_error_exits_three_through_the_pool(
         tmp_path, monkeypatch, capsys):
-    # every member is a valid problem, but lambda_max = 0.5 mu_scale, so the
-    # explicit penalty weight is outside the window of member 1 only
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-    assert _sweep(["--preset", "cantilever_dampers"], "mu_scale", "4,1,2",
-                  tmp_path / "out", "--ratio", "10", "--lam", "1") == 3
-    err = capsys.readouterr().err
-    assert err.startswith("usage error: lambda must satisfy 0 < lambda < lambda_max = 0.5")
-    assert "Traceback" not in err
-    assert not (tmp_path / "out" / "sweep.csv").exists()
+    for preset, param, window, members_run in (
+            # every member is a valid problem, but lambda_max = 0.5 mu_scale,
+            # so the explicit penalty weight is outside the window of member
+            # 1 only; that window needs no run, so no member starts
+            ("cantilever_dampers", "mu_scale", "0.5", False),
+            # the damper-only window needs the run: the members reject it
+            # in the pool
+            ("mast_constant", "k_v", "0.0", True)):
+        out = tmp_path / preset
+        assert _sweep(["--preset", preset], param, "4,1,2", out,
+                      "--ratio", "10", "--lam", "1") == 3
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: lambda must satisfy 0 < lambda < lambda_max = "
+                              + window)
+        assert "Traceback" not in err
+        assert not (out / "sweep.csv").exists()
+        assert bool(list(out.glob(f"{param}_*"))) == members_run
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +495,10 @@ def test_bounds_peak_memory_does_not_grow_with_the_history(tmp_path):
     # Peak RSS of whole `bounds` processes (os.wait4) on the damper-only
     # preset, whose window needs a full run.  At M = 641 and dt = h/10 the
     # run has 12801 levels of 1280 DOFs: a stored history would be 125 MiB.
-    # Streamed, M = 641 peaked 9.8 MiB above M = 41 (70.0 against 60.2 MiB
-    # on a 2-core x86-64 Linux box); storing the history put it 135 MiB above.
+    # Streamed, M = 641 peaked 10.4 MiB above M = 41 when stepped in a forked
+    # child (72.7 against 62.3 MiB, the child's peak included, on a 2-core
+    # x86-64 Linux box) and 9.4 MiB above it in-process on one CPU (71.8
+    # against 62.4 MiB); storing the history put it 135 MiB above.
     import beamstab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(beamstab.__file__)))
@@ -516,18 +546,76 @@ def test_bounds_command_undamped_exits_one(tmp_path, capsys):
     assert "k_a + k_v + mu0" in capsys.readouterr().err
 
 
-def test_numerical_failure_exits_two(tmp_path, monkeypatch, capsys):
-    import numpy as np
-
-    import beamstab.cli as cli
-
+def test_numerical_failure_exits_two(tmp_path, monkeypatch, capsys, forks):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("factorization failed")
 
+    # raised in the stepping child, re-raised here with its type and text
     monkeypatch.setattr(cli.stepper.TimeStepper, "blocks", boom)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    out = tmp_path / "out"
     assert main(["simulate", "--preset", "test_NE1", "--nodes", "9",
-                 "--ratio", "10", "--out", str(tmp_path / "out")]) == 2
-    assert "numerical failure" in capsys.readouterr().err
+                 "--ratio", "10", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "numerical failure: factorization failed\n"
+    assert os.listdir(out) == [] and len(forks) == 1
+
+
+def test_a_second_cpu_steps_each_run_in_one_child_with_the_same_bytes(
+        tmp_path, monkeypatch, forks):
+    runs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        forks.clear()
+        out = tmp_path / str(cpus)
+        for command in ("bounds", "simulate"):
+            assert main([command, "--preset", "mast_constant", "--nodes", "11",
+                         "--ratio", "10", "--out", str(out / command)]) == 0
+        assert len(forks) == (0 if cpus == 1 else 2)
+        runs[cpus] = _files(out)
+    assert sorted(runs[1]) == ["bounds/bounds.json", "simulate/bounds.json",
+                               "simulate/energy.csv", "simulate/trace.csv"]
+    assert runs[2] == runs[1]
+
+
+@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
+def test_a_failing_consumer_reaps_the_stepping_child(monkeypatch, forks, failure):
+    real_add = diagnostics.EnergyAccumulator.add
+
+    def add(self, rows, first=0):
+        if first > CHUNK_LEVELS:   # the child is stepping the windows after it
+            raise failure("consumer failed")
+        real_add(self, rows, first)
+
+    monkeypatch.setattr(diagnostics.EnergyAccumulator, "add", add)
+    open_fds = len(os.listdir("/dev/fd"))
+    config = cli.RunConfig("mast_constant", True, nodes=9, ratio=20.0)
+    with _time_limit(60), pytest.raises(failure, match="consumer failed"):
+        cli._streamed_energy(pb.preset("mast_constant"), config, ahead=True)
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):   # no child left, not even a zombie
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/dev/fd")) == open_fds
+
+
+def test_back_to_back_forked_runs_all_succeed(tmp_path, monkeypatch, forks):
+    # The parent releases the last window's slot after reducing it.  The
+    # child waits for that, or the release would meet a closed pipe; the
+    # pause on the last window gives the child time to exit if it did not.
+    args = ["bounds", "--preset", "mast_constant", "--nodes", "21", "--ratio", "10"]
+    levels = cli.RunConfig("mast_constant", True, nodes=21, ratio=10.0).grid(
+        pb.preset("mast_constant")).step_count
+    real_add = diagnostics.EnergyAccumulator.add
+
+    def add(self, rows, first=0):
+        real_add(self, rows, first)
+        if first + len(rows) == levels:
+            time.sleep(0.01)
+
+    monkeypatch.setattr(diagnostics.EnergyAccumulator, "add", add)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    with _time_limit(120):
+        codes = [main(args + ["--out", str(tmp_path)]) for _ in range(30)]
+    assert codes == [0] * 30 and len(forks) == 30
 
 
 @pytest.mark.parametrize("flag, value", [
