@@ -42,18 +42,14 @@ from .stepper import (
     export_trace_csv,
     interpolate,
     run,
-    run_system,
 )
 from .diagnostics import (
     EnergyAccumulator,
     EnergyTrace,
-    curvature_field,
     energy,
     export_energy_csv,
     identity_residual,
     initial_energy,
-    kinetic_integral,
-    time_derivative,
 )
 from .bounds import (
     DecayBound,

@@ -13,20 +13,21 @@ weight ``lam`` in the admissible window gives the envelope constants
     M_d = (1 + beta1 lam) / (1 - beta0 lam),   sigma = 2 lam / (1 + beta1 lam)
 
 with E(t) <= M_d exp(-sigma t) E(0).  The window is
-``min(1/beta0, mu0 / (2 rho1))`` in the viscously damped regime; in the
-damper-only constant-coefficient regime (mu = 0) it is certified post hoc
-from a computed trace:
+``min(1/beta0, mu0 / (2 rho1))`` in the viscously damped regime
+(``lambda_window``); in the damper-only constant-coefficient regime
+(mu = 0) it is certified post hoc from a computed run:
 
     min( 1/beta0,  inf_t [k_a^2 u_xt(L,t)^2 + k_v^2 u_t(L,t)^2]
                    / (2 m sup_t ||u_t||_{L2}^2) )
 
 provided the tip never comes to rest, u_xt(L,t)^2 + u_t(L,t)^2 > 0.  Grid
 infima/suprema stand in for the continuum values, so theorem2 results are
-conditional certificates attached to the trace that produced them.
+conditional certificates attached to the run that produced them.
 ``damper_window`` needs only three per-level arrays over the interior grid
 times: the tip velocities u_t(L), u_xt(L) and ||u_t||^2.  The energy
-diagnostics collect them in the same streamed pass as the energies, so the
-window never needs the stored history.
+diagnostics collect them in the same streamed pass as the energies and
+carry the window as ``EnergyTrace.lambda_max``, which
+``compute_decay_bound`` takes as ``lambda_max``.
 """
 
 from __future__ import annotations
@@ -36,9 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import integrate_data, interior_blocks
+from .fem import integrate_data
 from .problem import BeamProblem
-from .stepper import SolutionTrace
 
 __all__ = [
     "DecayBound",
@@ -97,31 +97,23 @@ def beta_constants(problem: BeamProblem) -> tuple[float, float]:
     return beta0, beta0 * bracket
 
 
-def lambda_window(problem: BeamProblem, trace: SolutionTrace | None = None
-                  ) -> tuple[float, str]:
-    """Admissible penalty window upper bound and the regime that produced it.
+def lambda_window(problem: BeamProblem) -> tuple[float, str]:
+    """Admissible penalty window upper bound and the regime that produced it,
+    for the theorem-1 regimes, whose window follows from the problem alone.
 
-    The damper-only regime needs the run: a stored trace, whose interior
-    levels are reduced block by block to the arrays of ``damper_window``.
+    The damper-only (theorem2) window depends on the run, so it raises
+    ValueError: it is the ``lambda_max`` of the run's energy trace, from
+    ``damper_window``.
     """
     regime = classify_regime(problem)
-    if regime in ("theorem1", "theorem1_special_4_1"):
-        beta0, _ = beta_constants(problem)
-        mu0, _ = problem.mu_bounds
-        _, rho1 = problem.rho_bounds
-        return min(1.0 / beta0, mu0 / (2.0 * rho1)), regime
-
-    if trace is None:
+    if regime == "theorem2":
         raise ValueError(
             "the damper-only (theorem2) window depends on the solution; "
-            "pass a computed trace")
-    quad = trace.system.quadrature
-    tip_vel, tip_ang, ut_norm_sq = np.empty((3, trace.grid.step_count - 2))
-    for out, _, ut in interior_blocks(trace.dof_history, trace.grid.dt):
-        ut_q = quad.values(ut)
-        ut_norm_sq[out] = quad.integral(quad.w_plain, ut_q, ut_q)
-        tip_vel[out], tip_ang[out] = ut[:, -2], ut[:, -1]
-    return damper_window(problem, trace.grid, tip_vel, tip_ang, ut_norm_sq), regime
+            "take it from a computed energy trace (EnergyTrace.lambda_max)")
+    beta0, _ = beta_constants(problem)
+    mu0, _ = problem.mu_bounds
+    _, rho1 = problem.rho_bounds
+    return min(1.0 / beta0, mu0 / (2.0 * rho1)), regime
 
 
 def damper_window(problem: BeamProblem, grid, tip_vel: np.ndarray, tip_ang: np.ndarray,
@@ -206,18 +198,17 @@ class DecayBound:
     regime: str
 
 
-def compute_decay_bound(problem: BeamProblem, trace: SolutionTrace | None = None,
-                        lam: float | None = None,
+def compute_decay_bound(problem: BeamProblem, *, lam: float | None = None,
                         lambda_max: float | None = None) -> DecayBound:
     """Assemble the full certificate; lam defaults to 99% of the window.
 
-    ``lambda_max`` passes in a window already computed for this trace (an
-    ``EnergyTrace.lambda_max``), which saves the damper-only window a second
-    pass over the history; None computes it with ``lambda_window``.
+    ``lambda_max`` passes in the window of a run (its
+    ``EnergyTrace.lambda_max``), which the damper-only regime needs; None
+    computes the theorem-1 window with ``lambda_window``.
     """
     beta0, beta1 = beta_constants(problem)
     if lambda_max is None:
-        lam_max, regime = lambda_window(problem, trace)
+        lam_max, regime = lambda_window(problem)
     else:
         lam_max, regime = lambda_max, classify_regime(problem)
     if lam_max <= 0.0:

@@ -11,17 +11,16 @@ files.  ``sweep`` runs its members in forked worker processes, at most one
 per CPU this process may run on (in-process when only one would run); its
 outputs are byte-identical whatever the worker count.
 
-``simulate``, ``sweep`` members and ``bounds`` feed each window of
-``TimeStepper.blocks()`` to the diagnostics and the trace writer, so they
-hold O(N + CHUNK_LEVELS n) of a run of N levels and n DOFs, not the O(N n)
-history, and write their artifacts only when the run succeeds.  When this
-process may use a second CPU and can fork, ``simulate``, ``bounds`` and
-the members of a sweep that runs in-process step in a forked child
+Every command that runs the beam feeds each window of
+``TimeStepper.blocks()`` to its reducers (the energy diagnostics, the trace
+writer, the error reducer of ``verify`` and ``convergence``), so it holds
+O(N + CHUNK_LEVELS n) of a run of N levels and n DOFs, never the O(N n)
+history, and writes its artifacts only when the run succeeds.  When this
+process may use a second CPU and can fork, a run steps in a forked child
 (``TimeStepper.forked_blocks``) while this process reduces the windows;
 members in the sweep's worker pool, which already fills the CPUs, step
 in-process.  The windows are the same bytes either way, and so are the
-artifacts.  ``verify`` and ``convergence`` compare every level with an
-exact solution, so they keep the stored history.
+artifacts.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import diagnostics, problem as problem_mod, stepper
-from .fem import FieldKernel, Mesh, assemble
+from .fem import FieldKernel, Mesh, assemble, interior_blocks
 from .problem import BeamProblem, CoefficientField, load_problem, preset, validate
 
 __all__ = ["main", "RunConfig"]
@@ -208,27 +207,98 @@ def _steps_ahead() -> bool:
     return hasattr(os, "fork") and _usable_cpus() > 1
 
 
-def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None,
-                     ahead: bool = False):
-    """Integrate the configured run once and feed each window of levels to the
-    energy diagnostics and, given an open ``trace.csv``, to the trace writer;
-    the DOF history is never stored.  With ``ahead`` the windows come from
-    ``TimeStepper.forked_blocks``, which steps in a child process; the
-    results are the same bytes."""
-    mesh, grid = config.mesh(prob), config.grid(prob)
-    system = assemble(prob, mesh)
-    acc = diagnostics.EnergyAccumulator(system, grid, lam=config.lam, mode=config.mode)
-    writer = None
-    if trace_file is not None:
-        writer = stepper.TraceWriter(system, grid, decimate=config.decimate)
+def _feed(system, grid: stepper.TimeGrid, consumers, ahead: bool = False) -> None:
+    """Integrate one run and feed each window of levels to every consumer
+    ``f(window, first)``; the DOF history is never stored.  With ``ahead``
+    the windows come from ``TimeStepper.forked_blocks``, which steps in a
+    child process; the windows are the same bytes."""
     steps = stepper.TimeStepper(system, grid)
     # closed here, not by the collector, if this loop fails: that reaps the child
     with contextlib.closing(steps.forked_blocks() if ahead else steps.blocks()) as windows:
         for first, window in windows:
-            if writer is not None:
-                writer.write(trace_file, window, first)
-            acc.add(window, first)
+            for consume in consumers:
+                consume(window, first)
+
+
+def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None,
+                     ahead: bool = False):
+    """The energy diagnostics of the configured run, whose windows also go
+    to the trace writer given an open ``trace.csv``."""
+    system, grid = assemble(prob, config.mesh(prob)), config.grid(prob)
+    acc = diagnostics.EnergyAccumulator(system, grid, lam=config.lam, mode=config.mode)
+    consumers = [acc.add]
+    if trace_file is not None:
+        writer = stepper.TraceWriter(system, grid, decimate=config.decimate)
+        consumers.insert(0, functools.partial(writer.write, trace_file))
+    _feed(system, grid, consumers, ahead)
     return acc.result()
+
+
+def _nodal(columns: np.ndarray) -> np.ndarray:
+    """(T, M - 1) nodal columns of DOF rows -> (T, M), the clamped node's zeros first."""
+    return np.pad(columns, ((0, 0), (1, 0)))
+
+
+class _ErrorAccumulator:
+    """Max and L2 errors of one run's nodal u, u_x, u_t and u_xx against an
+    exact solution, fed the run's windows of levels as
+    ``diagnostics.EnergyAccumulator`` is.
+
+    u and u_x are compared on every level, each once.  u_t (the centered
+    rows of ``fem.interior_blocks``) and u_xx are compared on the interior
+    levels; u_xx is the paper-mode nodal curvature or, in basis mode, the
+    Hermite curvature at the nodes (left-element limits, the right one at
+    x = 0).  Only running maxima of |error| and sums of squares are kept.
+    """
+
+    QUANTITIES = ("u", "u_x", "u_t", "u_xx")
+
+    def __init__(self, exact, system, grid: stepper.TimeGrid, mode: str):
+        self._exact, self._grid, self._mode = exact, grid, mode
+        self._mesh = system.mesh
+        self._kernel = FieldKernel(self._mesh.h, (0.0, 1.0))
+        self.max = dict.fromkeys(self.QUANTITIES, 0.0)
+        self._squares = dict.fromkeys(self.QUANTITIES, 0.0)
+        self._next = 0            # the first level whose u, u_x are not compared
+        self._next_interior = 1   # the first interior level not compared
+
+    def _take(self, name: str, err: np.ndarray) -> None:
+        self.max[name] = max(self.max[name], float(np.max(np.abs(err))))
+        self._squares[name] += float(np.sum(err**2))
+
+    def _curvature(self, u: np.ndarray) -> np.ndarray:
+        if self._mode == "paper":
+            return diagnostics._nodal_curvature(u, self._mesh.h)
+        curv = self._kernel.curvatures(u)
+        return np.concatenate([curv[:, :1, 0], curv[:, :, 1]], axis=1)
+
+    def add(self, rows: np.ndarray, first: int = 0) -> None:
+        exact, times, x = self._exact, self._grid.times, self._mesh.nodes
+        new = rows[self._next - first:]
+        t = times[self._next:self._next + len(new), None]
+        self._take("u", _nodal(new[:, 0::2]) - exact.u(x, t))
+        self._take("u_x", _nodal(new[:, 1::2]) - exact.u_x(x, t))
+        self._next += len(new)
+        lo = self._next_interior
+        for out, u, ut in interior_blocks(rows[lo - 1 - first:], self._grid.dt, lo - 1):
+            t = times[out.start + 1:out.stop + 1, None]
+            self._take("u_t", _nodal(ut[:, 0::2]) - exact.u_t(x, t))
+            self._take("u_xx", self._curvature(u) - exact.u_xx(x, t))
+        self._next_interior = max(lo, first + len(rows) - 1)
+
+    def rows(self) -> list[tuple[str, float, float]]:
+        """``(quantity, max error, L2 error over the space-time grid)``."""
+        cell = self._mesh.h * self._grid.dt
+        return [(name, self.max[name], math.sqrt(self._squares[name] * cell))
+                for name in self.QUANTITIES]
+
+
+def _streamed_errors(prob: BeamProblem, config: RunConfig, exact) -> _ErrorAccumulator:
+    """The errors of the configured run against ``exact``."""
+    system, grid = assemble(prob, config.mesh(prob)), config.grid(prob)
+    errors = _ErrorAccumulator(exact, system, grid, config.mode)
+    _feed(system, grid, [errors.add], _steps_ahead())
+    return errors
 
 
 @contextlib.contextmanager
@@ -259,21 +329,6 @@ def _simulate_pipeline(prob: BeamProblem, config: RunConfig, out_dir: str,
         payload = _bound_payload(prob, energy_trace, config.lam)
         _write_json(payload, paths["bounds.json"])
     return {"energy": energy_trace, "bounds": payload}
-
-
-def _nodal_history(trace) -> tuple[np.ndarray, np.ndarray]:
-    """(N, M) nodal displacement and slope histories, clamped node included."""
-    hist = trace.dof_history
-    n_levels = hist.shape[0]
-    u = np.concatenate([np.zeros((n_levels, 1)), hist[:, 0::2]], axis=1)
-    ux = np.concatenate([np.zeros((n_levels, 1)), hist[:, 1::2]], axis=1)
-    return u, ux
-
-
-def _nodal_curvature_basis(trace) -> np.ndarray:
-    """Hermite-exact curvature at nodes (left-element limit at x > 0)."""
-    curv = FieldKernel(trace.system.mesh.h, (0.0, 1.0)).curvatures(trace.dof_history)
-    return np.concatenate([curv[:, :1, 0], curv[:, :, 1]], axis=1)  # node 0: right limit
 
 
 # ---------------------------------------------------------------------------
@@ -309,31 +364,7 @@ def cmd_verify(config: RunConfig) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     prob = _load(config)
-    trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
-    grid, mesh = trace.grid, trace.system.mesh
-
-    u_num, ux_num = _nodal_history(trace)
-    xs = mesh.nodes[None, :]
-    ts = grid.times[:, None]
-    err_u = u_num - exact.u(xs, ts)
-    err_ux = ux_num - exact.u_x(xs, ts)
-
-    dt = grid.dt
-    ut_num = (u_num[2:] - u_num[:-2]) / (2.0 * dt)
-    t_int = grid.times[1:-1, None]
-    err_ut = ut_num - exact.u_t(xs, t_int)
-
-    if config.mode == "basis":
-        uxx_num = _nodal_curvature_basis(trace)[1:-1]
-    else:
-        uxx_num = diagnostics._nodal_curvature(trace.dof_history, mesh.h)[1:-1]
-    err_uxx = uxx_num - exact.u_xx(xs, t_int)
-
-    cell = mesh.h * dt
-    rows = []
-    for name, err in (("u", err_u), ("u_x", err_ux), ("u_t", err_ut), ("u_xx", err_uxx)):
-        rows.append((name, float(np.max(np.abs(err))),
-                     float(math.sqrt(np.sum(err**2) * cell))))
+    rows = _streamed_errors(prob, config, exact).rows()
 
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "errors.csv")
@@ -350,6 +381,10 @@ def cmd_convergence(config: RunConfig, levels: int) -> int:
     if levels < 3:
         raise _UsageError("--levels must be >= 3")
     prob = _load(config)
+    report = validate(prob)
+    if not report.ok:
+        print(report, file=sys.stderr)
+        return 1
     exact = None
     if config.is_preset:
         try:
@@ -360,37 +395,31 @@ def cmd_convergence(config: RunConfig, levels: int) -> int:
         raise _UsageError(
             "convergence needs an exact solution (test_NE1) or homogeneous forcing")
 
+    dt0 = config.resolve_dt(prob)
     rows = []
     if exact is not None:
         # temporal error study at fixed mesh
-        mesh = config.mesh(prob)
-        dt0 = config.resolve_dt(prob)
         errors = []
         for k in range(levels):
-            grid = stepper.TimeGrid.from_dt(prob.final_time, dt0 / 2**k)
-            trace = stepper.run(prob, mesh, grid)
-            u_num, _ = _nodal_history(trace)
-            err = float(np.max(np.abs(
-                u_num - exact.u(mesh.nodes[None, :], grid.times[:, None]))))
+            level = dataclasses.replace(config, dt=dt0 / 2**k)
+            err = _streamed_errors(prob, level, exact).max["u"]
             errors.append(err)
             order = math.log2(errors[-2] / err) if k else float("nan")
-            rows.append(("temporal_u_error", k, mesh.h, grid.dt, err, order))
+            rows.append(("temporal_u_error", k, level.mesh(prob).h, level.grid(prob).dt,
+                         err, order))
 
     if not prob.has_forcing:
         # energy-balance residual under simultaneous space-time refinement
-        base_nodes = config.nodes
-        dt0 = config.resolve_dt(prob)
         residuals = []
         for k in range(levels):
-            nodes = (base_nodes - 1) * 2**k + 1
-            mesh = Mesh(prob.length, nodes)
-            grid = stepper.TimeGrid.from_dt(prob.final_time, dt0 / 2**k)
-            trace = stepper.run(prob, mesh, grid)
-            e = diagnostics.energy(trace, lam=config.lam, mode=config.mode)
-            res = diagnostics.identity_residual(e)
+            level = dataclasses.replace(config, nodes=(config.nodes - 1) * 2**k + 1,
+                                        dt=dt0 / 2**k)
+            res = diagnostics.identity_residual(
+                _streamed_energy(prob, level, ahead=_steps_ahead()))
             residuals.append(res)
             order = math.log2(residuals[-2] / res) if k else float("nan")
-            rows.append(("identity_residual", k, mesh.h, grid.dt, res, order))
+            rows.append(("identity_residual", k, level.mesh(prob).h, level.grid(prob).dt,
+                         res, order))
 
     os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "convergence.csv")
@@ -462,7 +491,8 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
         return 1
     # every member is checked before any starts, so an invalid one leaves no
     # member directory behind; so is --lambda, against each window that needs
-    # no run (a damper-only member's window needs its run, which checks it)
+    # no run and against members with no window at all (a damper-only
+    # member's window needs its run, which checks it)
     members = [_with_parameter(base, param, v) for v in values]
     for v, member in zip(values, members):
         report = validate(member)
@@ -472,10 +502,11 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
     if config.lam is not None:
         for member in members:
             try:
-                lam_max, _ = bounds_mod.lambda_window(member)
-            except ValueError:
-                continue   # the window needs the member's run, or there is none
-            bounds_mod.check_penalty(config.lam, lam_max)
+                regime = bounds_mod.classify_regime(member)
+            except ValueError as exc:
+                raise _UsageError(f"no admissible penalty weight: {exc}") from None
+            if regime != "theorem2":   # a damper-only window needs the member's run
+                bounds_mod.check_penalty(config.lam, bounds_mod.lambda_window(member)[0])
 
     # Members share nothing, so they run in worker processes.  ``fork`` keeps
     # this process's imports (a ``spawn`` worker would import numpy and scipy

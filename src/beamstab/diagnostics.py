@@ -25,22 +25,22 @@ post-processing (centered x-differences of the nodal slopes, linearly
 interpolated between nodes).
 
 Fields are never formed for the whole history.  ``EnergyAccumulator`` is
-fed the levels of one run as windows that may overlap but leave no gap:
-the windows of ``TimeStepper.blocks()`` as they are made (the CLI's
-``simulate``, ``sweep`` and ``bounds``, which never store the history) or a
-stored history as one window (``energy``).  ``fem.interior_blocks`` cuts
-each window, without copying, at the block bounds of ``fem.CHUNK_LEVELS``
-interior levels; each block's velocity rows are formed, u, u_t and the
-curvature are evaluated at the element Gauss points (``fem.Quadrature``)
-into reused buffers, and the block is reduced to per-level integrals at
-once.  In the damper-only regime the same velocities also give a
-per-level ``||u_t||^2``, from which ``bounds.damper_window`` computes the
-window, so it costs no second pass.  Memory beyond the levels fed in is a
-few (CHUNK_LEVELS, E, q) blocks plus O(N) per-level arrays, and the blocks
-are the same however the levels arrive, so a streamed and a stored run
-give bitwise the same results.  ``export_energy_csv`` writes its rows in
-blocks of CHUNK_LEVELS too, one ``%`` template and one write per block,
-byte-identical to a per-row ``%.17g`` writer.
+fed the levels of one run as windows that may overlap but leave no gap: the
+windows of ``TimeStepper.blocks()`` as they are made (every CLI command,
+none of which stores the history) or a stored history as one window
+(``energy``).  ``fem.interior_blocks`` cuts each window, without copying,
+at the block bounds of ``fem.CHUNK_LEVELS`` interior levels; each block's
+velocity rows are formed, u, u_t and the curvature are evaluated at the
+element Gauss points (``fem.Quadrature``) into reused buffers, and the
+block is reduced to per-level integrals at once.  In the damper-only regime
+the same velocities also give a per-level ``||u_t||^2``, from which
+``bounds.damper_window`` computes the window, so it costs no second pass.
+Memory beyond the levels fed in is a few (CHUNK_LEVELS, E, q) blocks plus
+O(N) per-level arrays, and the blocks are the same however the levels
+arrive, so a streamed and a stored run give bitwise the same results.
+``export_energy_csv`` writes its rows in blocks of CHUNK_LEVELS too, one
+``%`` template and one write per block, byte-identical to a per-row
+``%.17g`` writer.
 """
 
 from __future__ import annotations
@@ -54,7 +54,6 @@ from . import bounds
 from .fem import (
     CHUNK_LEVELS,
     SemiDiscreteSystem,
-    evaluate_solution,
     integrate_data,
     interior_blocks,
 )
@@ -64,12 +63,9 @@ from .stepper import SolutionTrace, TimeGrid
 __all__ = [
     "EnergyTrace",
     "EnergyAccumulator",
-    "time_derivative",
-    "curvature_field",
     "energy",
     "identity_residual",
     "initial_energy",
-    "kinetic_integral",
     "export_energy_csv",
 ]
 
@@ -99,48 +95,6 @@ def _nodal_curvature(dofs2d: np.ndarray, h: float) -> np.ndarray:
 def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
     """Trapezoidal integrals of y from its first sample to each later one."""
     return np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)
-
-
-# ---------------------------------------------------------------------------
-# per-level operations
-# ---------------------------------------------------------------------------
-
-def time_derivative(trace: SolutionTrace, j: int) -> np.ndarray:
-    """Centered velocity DOF vector at interior grid level j (0-based)."""
-    n_levels = trace.grid.step_count
-    if not 1 <= j <= n_levels - 2:
-        raise ValueError(f"level {j} has no centered quotient (need 1 <= j <= {n_levels - 2})")
-    hist = trace.dof_history
-    return (hist[j + 1] - hist[j - 1]) / (2.0 * trace.grid.dt)
-
-
-def curvature_field(trace: SolutionTrace, j: int, mode: str = "basis"):
-    """Curvature profile ``x -> u_xx(x, t_j)`` in the requested mode."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
-    system = trace.system
-    dofs = trace.dof_history[j]
-    if mode == "basis":
-        def field(x):
-            xs = np.atleast_1d(np.asarray(x, dtype=float))
-            out = np.array([evaluate_solution(system, dofs, xv)[2] for xv in xs])
-            return out if np.ndim(x) else float(out[0])
-
-        return field
-    nodes = _nodal_curvature(dofs[None, :], system.mesh.h)[0]
-    xs_nodes = system.mesh.nodes
-
-    def field(x):
-        return np.interp(x, xs_nodes, nodes)
-
-    return field
-
-
-def kinetic_integral(trace: SolutionTrace, j: int) -> float:
-    """``int rho u_t(x, t_j)^2 dx`` at an interior grid level."""
-    quad = trace.system.quadrature
-    ut = quad.values(time_derivative(trace, j)[None, :])
-    return float(quad.integral(quad.w_rho, ut, ut)[0])
 
 
 # ---------------------------------------------------------------------------

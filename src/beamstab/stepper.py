@@ -34,8 +34,8 @@ O(CHUNK_LEVELS n) of the run, not O(N n), and the loop touches no fresh
 memory after its first block.  Each window is checked for non-finite
 values before it is yielded, so a run that blows up stops there and
 reports the first bad time.  ``run`` copies every window into a
-``SolutionTrace`` for the callers that need random access to the levels
-(interpolation, error norms against an exact solution).
+``SolutionTrace`` for library callers that need random access to the
+levels (``interpolate``, ``export_trace_csv``); no CLI command stores one.
 
 ``forked_blocks`` yields the same windows, stepped by a forked child
 process while the caller reduces the windows before them, so on a machine
@@ -80,7 +80,7 @@ from .fem import (
 )
 
 __all__ = ["TimeGrid", "SolutionTrace", "TimeStepper", "TraceWriter", "run",
-           "run_system", "interpolate", "export_trace_csv"]
+           "interpolate", "export_trace_csv"]
 
 # forked_blocks: slots in the shared ring, so the child runs at most two
 # windows ahead of the one the caller holds; and the child's record of a
@@ -311,14 +311,9 @@ class TimeStepper:
         return SolutionTrace(self.grid, history, self.system)
 
 
-def run_system(system: SemiDiscreteSystem, grid: TimeGrid) -> SolutionTrace:
-    """Integrate an assembled system over a time grid."""
-    return TimeStepper(system, grid).run()
-
-
 def run(problem, mesh: Mesh, grid: TimeGrid) -> SolutionTrace:
     """Assemble and integrate in one call; deterministic for fixed inputs."""
-    return run_system(assemble(problem, mesh), grid)
+    return TimeStepper(assemble(problem, mesh), grid).run()
 
 
 def interpolate(trace: SolutionTrace, x: float, t: float):

@@ -108,8 +108,9 @@ def test_theorem2_needs_a_trace():
 
 def test_theorem2_window_is_reproducible_and_matches_recompute():
     prob, trace = _mast_trace(21, 20)
-    lam1, regime = bs.lambda_window(prob, trace)
-    lam2, _ = bs.lambda_window(prob, trace)
+    lam1 = bs.energy(trace).lambda_max
+    lam2 = bs.energy(trace, mode="basis").lambda_max
+    regime = bs.classify_regime(prob)
     assert regime == "theorem2"
     assert lam1 == lam2  # bit-exact across calls
 
@@ -144,8 +145,10 @@ def test_theorem2_condition_violated_at_rest_start():
             u1=SpatialProfile.polynomial((0.0,))))
     mesh = bs.Mesh(1.0, 11)
     trace = bs.run(prob, mesh, TimeGrid.from_dt(2.0, 1 / 100))
+    e = bs.energy(trace)
+    assert e.lambda_max is None and "fails at t = 0" in e.window_error
     with pytest.raises(ValueError, match="t = 0"):
-        bs.lambda_window(prob, trace)
+        bs.energy(trace, lam=0.01)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +231,12 @@ def _ne1_energy(nodes=21, ratio=20, mode="paper"):
     prob = bs.preset("test_NE1")
     mesh = bs.Mesh(1.0, nodes)
     grid = TimeGrid.from_dt(1.5, mesh.h / ratio)
-    trace = bs.run(prob, mesh, grid)
-    return prob, trace, bs.energy(trace, mode=mode)
+    return prob, bs.energy(bs.run(prob, mesh, grid), mode=mode)
 
 
 def test_ne1_envelopes_hold_with_zero_violations():
-    prob, trace, e = _ne1_energy()
-    bound = bs.compute_decay_bound(prob, trace)
+    prob, e = _ne1_energy()
+    bound = bs.compute_decay_bound(prob, lambda_max=e.lambda_max)
     report = bs.verify_envelopes(e, bound)
     assert report.ok
     assert report.informational  # forced run
@@ -246,14 +248,14 @@ def test_ne1_envelopes_hold_with_zero_violations():
 
 def test_reference_inequality_chain():
     # J = 6.8 e^{-4t} <= beta1 E = 87 e^{-4t}; E <= M_d e^{-sigma t} E(0)
-    _, _, e = _ne1_energy()
+    _, e = _ne1_energy()
     assert np.all(e.J <= 5.0 * e.E)
     assert np.all(e.J >= -0.5 * e.E)
     assert np.all(e.E <= 12.0 * np.exp(-e.times / 3.0) * 17.4)
 
 
 def test_violations_are_report_content_not_errors():
-    _, _, e = _ne1_energy(nodes=9, ratio=10)
+    _, e = _ne1_energy(nodes=9, ratio=10)
     bogus = bs.DecayBound(beta0=0.5, beta1=5.0, lambda_max=1.0, lam=0.99,
                           M_d=1.0, sigma=10.0, regime="theorem1")
     report = bs.verify_envelopes(e, bogus)
@@ -269,14 +271,14 @@ def test_rest_state_envelopes_are_trivial():
                             u1=SpatialProfile.polynomial((0.0,))))
     trace = bs.run(prob, bs.Mesh(1.0, 9), TimeGrid(2.0, 101))
     e = bs.energy(trace, mode="basis")
-    bound = bs.compute_decay_bound(prob, trace)
+    bound = bs.compute_decay_bound(prob, lambda_max=e.lambda_max)
     assert bs.verify_envelopes(e, bound).ok
 
 
 def test_mast_envelope_verifies():
     prob, trace = _mast_trace(21, 20)
     e = bs.energy(trace, mode="basis")
-    bound = bs.compute_decay_bound(prob, trace)
+    bound = bs.compute_decay_bound(prob, lambda_max=e.lambda_max)
     assert bound.regime == "theorem2"
     report = bs.verify_envelopes(e, bound)
     assert report.ok and not report.informational
@@ -290,13 +292,13 @@ def test_every_damped_preset_envelope_verifies_at_acceptance_resolution(name):
     grid = TimeGrid.from_dt(prob.final_time, mesh.h / 40.0)
     trace = bs.run(prob, mesh, grid)
     e = bs.energy(trace, mode="basis")
-    report = bs.verify_envelopes(e, bs.compute_decay_bound(prob, trace))
+    report = bs.verify_envelopes(e, bs.compute_decay_bound(prob, lambda_max=e.lambda_max))
     assert report.ok and not report.informational
 
 
 def test_bound_report_schema():
-    prob, trace, e = _ne1_energy(nodes=9, ratio=10)
-    bound = bs.compute_decay_bound(prob, trace)
+    prob, e = _ne1_energy(nodes=9, ratio=10)
+    bound = bs.compute_decay_bound(prob, lambda_max=e.lambda_max)
     report = bs.bound_report(bound, envelope=bs.verify_envelopes(e, bound))
     assert set(report) == {"beta0", "beta1", "lambda_max", "lambda", "M_d",
                            "sigma", "regime", "scan", "envelope"}

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -18,7 +19,7 @@ import beamstab.cli as cli
 from beamstab import bounds, diagnostics, stepper
 from beamstab import problem as pb
 from beamstab.cli import main
-from beamstab.fem import CHUNK_LEVELS
+from beamstab.fem import CHUNK_LEVELS, FieldKernel, interior_blocks
 
 
 def _write(tmp_path, prob, name="problem.json"):
@@ -151,6 +152,20 @@ def test_simulate_blow_up_leaves_no_partial_artifacts(tmp_path, monkeypatch, cap
     assert sorted(os.listdir(good)) == ["bounds.json", "energy.csv", "trace.csv"]
 
 
+def _stored_window(prob, trace):
+    """The penalty window of a stored trace: the damper-only one from a pass
+    of its own over the history (the oracle of the streamed window)."""
+    if bounds.classify_regime(prob) != "theorem2":
+        return bounds.lambda_window(prob)[0]
+    quad = trace.system.quadrature
+    tip_vel, tip_ang, ut_norm_sq = np.empty((3, trace.grid.step_count - 2))
+    for out, _, ut in interior_blocks(trace.dof_history, trace.grid.dt):
+        ut_q = quad.values(ut)
+        ut_norm_sq[out] = quad.integral(quad.w_plain, ut_q, ut_q)
+        tip_vel[out], tip_ang[out] = ut[:, -2], ut[:, -1]
+    return bounds.damper_window(prob, trace.grid, tip_vel, tip_ang, ut_norm_sq)
+
+
 def _assert_same_energy(stored, streamed):
     for field in dataclasses.fields(stored):
         a, b = getattr(stored, field.name), getattr(streamed, field.name)
@@ -168,7 +183,7 @@ def test_streamed_pass_is_bitwise_the_stored_energy_and_window(name, mode, expli
     config = cli.RunConfig(name, True, nodes=9, ratio=20.0, mode=mode)
     trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
     assert trace.grid.step_count > 2 * CHUNK_LEVELS + 1
-    lam_max, _ = bounds.lambda_window(prob, trace)
+    lam_max = _stored_window(prob, trace)
     if explicit_lam:
         config.lam = 0.5 * lam_max
     for ahead in (False, True):   # stepped in-process, then in a forked child
@@ -190,7 +205,7 @@ def test_streamed_pass_fails_the_window_like_the_stored_one(case, lam):
     config = cli.RunConfig("", False, nodes=9, ratio=20.0, lam=lam)
     trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
     with pytest.raises(ValueError) as window:
-        bounds.lambda_window(prob, trace)
+        _stored_window(prob, trace)
     for ahead in (False, True):   # stepped in-process, then in a forked child
         if lam is None:
             streamed = cli._streamed_energy(prob, config, ahead=ahead)
@@ -224,6 +239,48 @@ def test_verify_ne1(tmp_path):
     assert table["u"] < 1e-3
 
 
+def _stored_errors(prob, config, exact):
+    """The errors of ``verify`` from a stored history, all levels at once:
+    the oracle of the streamed error reducer."""
+    trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
+    grid, mesh, hist = trace.grid, trace.system.mesh, trace.dof_history
+    u_num = np.concatenate([np.zeros((len(hist), 1)), hist[:, 0::2]], axis=1)
+    ux_num = np.concatenate([np.zeros((len(hist), 1)), hist[:, 1::2]], axis=1)
+    xs, ts, t_int = mesh.nodes[None, :], grid.times[:, None], grid.times[1:-1, None]
+    if config.mode == "basis":
+        curv = FieldKernel(mesh.h, (0.0, 1.0)).curvatures(hist)
+        uxx_num = np.concatenate([curv[:, :1, 0], curv[:, :, 1]], axis=1)[1:-1]
+    else:
+        uxx_num = diagnostics._nodal_curvature(hist, mesh.h)[1:-1]
+    return {
+        "u": u_num - exact.u(xs, ts),
+        "u_x": ux_num - exact.u_x(xs, ts),
+        "u_t": (u_num[2:] - u_num[:-2]) / (2.0 * grid.dt) - exact.u_t(xs, t_int),
+        "u_xx": uxx_num - exact.u_xx(xs, t_int),
+    }, mesh.h * grid.dt
+
+
+@pytest.mark.parametrize("mode", ["paper", "basis"])
+@pytest.mark.parametrize("nodes", [11, 41])
+def test_verify_streams_the_stored_errors(tmp_path, nodes, mode):
+    # max columns byte for byte; the L2 sums of squares are summed block by
+    # block rather than at once, which moved them by at most 1.8e-16
+    # relative (test_NE1, M = 11 and 41, both modes)
+    out = tmp_path / "out"
+    assert main(["verify", "--preset", "test_NE1", "--nodes", str(nodes), "--mode", mode,
+                 "--out", str(out)]) == 0
+    config = cli.RunConfig("test_NE1", True, nodes=nodes, ratio=40.0, mode=mode)
+    errors, cell = _stored_errors(pb.preset("test_NE1"), config, pb.exact_solution("test_NE1"))
+    rows = (out / "errors.csv").read_text().splitlines()
+    assert rows[0] == "quantity, max_error, l2_error"
+    assert [r.split(", ")[0] for r in rows[1:]] == list(errors)
+    for row, err in zip(rows[1:], errors.values()):
+        _, mx, l2 = row.split(", ")
+        assert mx == f"{float(np.max(np.abs(err))):.17g}"
+        stored_l2 = float(np.sqrt(np.sum(err**2) * cell))
+        assert abs(float(l2) - stored_l2) <= 1e-15 * stored_l2
+
+
 def test_verify_without_exact_solution_is_usage_error(tmp_path, capsys):
     assert main(["verify", "--preset", "cantilever_free"]) == 3
     assert "exact solution" in capsys.readouterr().err
@@ -249,6 +306,46 @@ def test_convergence_identity_study_on_homogeneous_preset(tmp_path):
     assert len(identity) == 3
     values = [float(r.split(",")[4]) for r in identity]
     assert values[2] < values[0]
+
+
+@pytest.mark.parametrize("args", [
+    ["--preset", "test_NE1", "--nodes", "9", "--dt", "0.01"],
+    ["--preset", "cantilever_spring", "--nodes", "6", "--ratio", "20"]])
+def test_convergence_streams_the_stored_studies(tmp_path, args):
+    # convergence.csv byte for byte as the stored histories give it
+    out = tmp_path / "out"
+    assert main(["convergence", *args, "--levels", "3", "--out", str(out)]) == 0
+    config = cli._config_from_args(cli._build_parser().parse_args(["convergence", *args]))
+    prob = pb.preset(config.source)
+    dt0 = config.resolve_dt(prob)
+    lines = ["study, level, h_x, dt, value, order"]
+
+    def study(name, values, levels):
+        for k, (value, level) in enumerate(zip(values, levels)):
+            order = math.log2(values[k - 1] / value) if k else float("nan")
+            lines.append(f"{name}, {k}, {level.mesh(prob).h:.17g}, "
+                         f"{level.grid(prob).dt:.17g}, {value:.17g}, {order:.17g}")
+
+    if config.source == "test_NE1":
+        levels = [dataclasses.replace(config, dt=dt0 / 2**k) for k in range(3)]
+        exact = pb.exact_solution("test_NE1")
+        study("temporal_u_error", [float(np.max(np.abs(_stored_errors(prob, c, exact)[0]["u"])))
+                                   for c in levels], levels)
+    else:
+        levels = [dataclasses.replace(config, nodes=(config.nodes - 1) * 2**k + 1,
+                                      dt=dt0 / 2**k) for k in range(3)]
+        study("identity_residual", [diagnostics.identity_residual(diagnostics.energy(
+            stepper.run(prob, c.mesh(prob), c.grid(prob)))) for c in levels], levels)
+    assert (out / "convergence.csv").read_text() == "\n".join(lines) + "\n"
+
+
+def test_convergence_invalid_problem_exits_one(tmp_path, capsys):
+    bad = dataclasses.replace(pb.preset("cantilever_spring"),
+                              boundary=pb.BoundaryParams(k_v=-5.0))
+    assert main(["convergence", "--problem", _write(tmp_path, bad),
+                 "--out", str(tmp_path / "out")]) == 1
+    assert "ERROR: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_convergence_needs_levels_three(tmp_path):
@@ -314,6 +411,20 @@ def test_sweep_rejects_an_invalid_member_before_any_member_runs(
     bad = values.split(",")[1 if "," in values else 0]
     assert err.startswith(f"{param} = {bad}: invalid problem\nERROR: ")
     assert error in err
+    assert list(out.iterdir()) == []
+
+
+def test_sweep_rejects_an_undamped_member_before_any_member_runs(tmp_path, capsys):
+    # mu_scale = 0 leaves cantilever_spring undamped: no penalty weight is
+    # admissible, so --lambda is refused before member 1 writes anything
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["sweep", "--preset", "cantilever_spring", "--param", "mu_scale",
+                 "--values", "1,0", "--lambda", "0.01", "--nodes", "11",
+                 "--out", str(out)]) == 3
+    assert capsys.readouterr().err == (
+        "usage error: no admissible penalty weight: "
+        "k_a + k_v + mu0 > 0 fails: the system is undamped\n")
     assert list(out.iterdir()) == []
 
 
@@ -489,6 +600,24 @@ def test_bounds_command_streams_the_theorem2_window_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def _peak_mib(args, out):
+    """Peak RSS of one whole CLI process (os.wait4), its children's included."""
+    import beamstab
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(beamstab.__file__)))
+    proc = subprocess.Popen([sys.executable, "-m", "beamstab.cli", *args, "--out", str(out)],
+                            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL)
+    killer = threading.Timer(120.0, proc.kill)
+    killer.start()
+    try:
+        _, status, usage = os.wait4(proc.pid, 0)
+    finally:
+        killer.cancel()
+    proc.returncode = os.waitstatus_to_exitcode(status)   # reaped by wait4, not by proc
+    assert proc.returncode == 0
+    return usage.ru_maxrss / 1024.0
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB on Linux only")
 def test_bounds_peak_memory_does_not_grow_with_the_history(tmp_path):
@@ -499,30 +628,47 @@ def test_bounds_peak_memory_does_not_grow_with_the_history(tmp_path):
     # child (72.7 against 62.3 MiB, the child's peak included, on a 2-core
     # x86-64 Linux box) and 9.4 MiB above it in-process on one CPU (71.8
     # against 62.4 MiB); storing the history put it 135 MiB above.
-    import beamstab
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(beamstab.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
-
-    def peak_mib(nodes):
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "beamstab.cli", "bounds", "--preset", "mast_constant",
-             "--nodes", str(nodes), "--ratio", "10", "--out", str(tmp_path / str(nodes))],
-            env=env, stdout=subprocess.DEVNULL)
-        killer = threading.Timer(120.0, proc.kill)
-        killer.start()
-        try:
-            _, status, usage = os.wait4(proc.pid, 0)
-        finally:
-            killer.cancel()
-        proc.returncode = os.waitstatus_to_exitcode(status)
-        assert proc.returncode == 0
-        return usage.ru_maxrss / 1024.0
-
     prob = pb.preset("mast_constant")
     levels = cli.RunConfig("mast_constant", True, nodes=641, ratio=10.0).grid(prob).step_count
     assert levels * 2 * 640 * 8 >= 125 * 2**20   # the history a stored run would hold
-    assert peak_mib(641) - peak_mib(41) < 40.0
+    peaks = {nodes: _peak_mib(["bounds", "--preset", "mast_constant", "--nodes", str(nodes),
+                               "--ratio", "10"], tmp_path / str(nodes)) for nodes in (41, 641)}
+    assert peaks[641] - peaks[41] < 40.0
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB on Linux only")
+def test_verify_peak_memory_does_not_grow_with_the_history(tmp_path):
+    # At M = 641 and dt = h/10 test_NE1 has 9601 levels of 1280 DOFs: the
+    # stored history is 94 MiB, and the stored errors put M = 641 515 MiB
+    # above M = 41 (579.0 against 63.6 MiB).  Streamed, M = 641 peaked
+    # 4.1 MiB above M = 41 when stepped in a forked child (65.9 against
+    # 61.8 MiB, the child's peak included, on a 2-core x86-64 Linux box) and
+    # 3.0 MiB above it in-process on one CPU (64.8 against 61.8 MiB).
+    prob = pb.preset("test_NE1")
+    levels = cli.RunConfig("test_NE1", True, nodes=641, ratio=10.0).grid(prob).step_count
+    assert levels * 2 * 640 * 8 >= 90 * 2**20   # the history a stored run would hold
+    peaks = {nodes: _peak_mib(["verify", "--preset", "test_NE1", "--nodes", str(nodes),
+                               "--ratio", "10"], tmp_path / str(nodes)) for nodes in (41, 641)}
+    assert peaks[641] - peaks[41] < 20.0
+
+
+def test_no_command_stores_a_run(tmp_path, monkeypatch):
+    def stored(*args, **kwargs):
+        raise AssertionError("a command stored a run")
+
+    monkeypatch.setattr(stepper, "run", stored)
+    monkeypatch.setattr(stepper.TimeStepper, "run", stored)
+    small = ["--nodes", "9", "--ratio", "10"]
+    for args in (["validate", "--preset", "mast_constant"],
+                 ["simulate", "--preset", "mast_constant", *small],
+                 ["bounds", "--preset", "mast_constant", *small],
+                 ["verify", "--preset", "test_NE1", *small],
+                 ["convergence", "--preset", "test_NE1", *small],
+                 ["convergence", "--preset", "cantilever_spring", *small],
+                 ["sweep", "--preset", "mast_constant", "--param", "k_v", "--values", "1,2",
+                  *small]):
+        assert main([*args, "--out", str(tmp_path / args[0])]) == 0, args
 
 
 def test_cli_import_leaves_interpolate_and_integrate_unloaded():

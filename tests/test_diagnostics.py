@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import beamstab as bs
-from beamstab.fem import CHUNK_LEVELS, interpolate_profile
+from beamstab.diagnostics import _nodal_curvature
+from beamstab.fem import CHUNK_LEVELS, FieldKernel, interior_blocks, interpolate_profile
 from beamstab.problem import (
     BoundaryParams,
     CoefficientField,
@@ -36,6 +37,38 @@ def _synthetic_trace(system, grid, dof_rows):
     return SolutionTrace(grid, np.asarray(dof_rows), system)
 
 
+def _velocities(trace):
+    """Centered velocity rows of the interior levels as ``interior_blocks``
+    cuts them: row j - 1 is level j."""
+    return np.concatenate([ut for _, _, ut in interior_blocks(trace.dof_history,
+                                                              trace.grid.dt)])
+
+
+def _curvature_field(trace, j, mode):
+    """Curvature profile ``x -> u_xx(x, t_j)``: the paper-mode nodal curvature
+    interpolated linearly, or the Hermite curvature, linear in each element
+    between its ``FieldKernel`` end values (left-element limits at nodes)."""
+    mesh = trace.system.mesh
+    dofs = trace.dof_history[j][None, :]
+    if mode == "paper":
+        return lambda x: np.interp(x, mesh.nodes, _nodal_curvature(dofs, mesh.h)[0])
+    ends = FieldKernel(mesh.h, (0.0, 1.0)).curvatures(dofs)[0]
+
+    def field(x):
+        s = np.asarray(x, dtype=float) / mesh.h
+        e = np.clip(np.ceil(s) - 1, 0, mesh.element_count - 1).astype(int)
+        return (1.0 - (s - e)) * ends[e, 0] + (s - e) * ends[e, 1]
+
+    return field
+
+
+def _kinetic_integrals(trace):
+    """``int rho u_t^2 dx`` at the interior levels (entry j - 1 is level j)."""
+    quad = trace.system.quadrature
+    ut = quad.values(_velocities(trace))
+    return quad.integral(quad.w_rho, ut, ut)
+
+
 # ---------------------------------------------------------------------------
 # centered time derivative
 # ---------------------------------------------------------------------------
@@ -45,7 +78,7 @@ def test_constant_trace_has_zero_velocity():
     grid = TimeGrid(1.0, 11)
     dofs = np.ones(system.n)
     trace = _synthetic_trace(system, grid, np.tile(dofs, (11, 1)))
-    assert np.all(bs.time_derivative(trace, 5) == 0.0)
+    assert np.all(_velocities(trace) == 0.0)
 
 
 @pytest.mark.parametrize("dt", [0.01, 0.005])
@@ -58,8 +91,9 @@ def test_exponential_trace_velocity_matches_taylor_oracle(dt):
     v = rng.standard_normal(system.n)
     hist = np.exp(-2.0 * grid.times)[:, None] * v[None, :]
     trace = _synthetic_trace(system, grid, hist)
+    velocities = _velocities(trace)
     for j in (1, 20, 50):
-        got = bs.time_derivative(trace, j)
+        got = velocities[j - 1]
         exact = -2.0 * np.exp(-2.0 * grid.times[j]) * v
         bound = (8.0 / 6.0) * dt**2 * np.exp(-2.0 * grid.times[j]) * np.abs(v)
         err = np.abs(got - exact)
@@ -71,17 +105,24 @@ def test_ne1_tip_velocity():
     trace = _ne1_trace()
     grid = trace.grid
     n = trace.dof_history.shape[1]
+    velocities = _velocities(trace)
     for j in (50, 200, 500):
-        vel = bs.time_derivative(trace, j)
+        vel = velocities[j - 1]
         assert vel[n - 2] == pytest.approx(-2.0 * np.exp(-2.0 * grid.times[j]), rel=1e-3)
 
 
 def test_velocity_needs_both_neighbors():
+    # levels 0 and N-1 get no velocity row: the blocks cover levels 1..N-2,
+    # and the first and last rows are the quotients around levels 1 and N-2
     trace = _ne1_trace(nodes=5, ratio=5)
-    with pytest.raises(ValueError):
-        bs.time_derivative(trace, 0)
-    with pytest.raises(ValueError):
-        bs.time_derivative(trace, trace.grid.step_count - 1)
+    hist, dt = trace.dof_history, trace.grid.dt
+    outs = [out for out, _, _ in interior_blocks(hist, dt)]
+    assert [(o.start, o.stop) for o in outs] == [
+        (lo, min(lo + CHUNK_LEVELS, len(hist) - 2)) for lo in range(0, len(hist) - 2, CHUNK_LEVELS)]
+    velocities = _velocities(trace)
+    assert len(velocities) == len(hist) - 2
+    assert np.array_equal(velocities[0], (hist[2] - hist[0]) / (2.0 * dt))
+    assert np.array_equal(velocities[-1], (hist[-1] - hist[-3]) / (2.0 * dt))
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +135,7 @@ def test_ne1_curvature_in_both_modes():
     expected = 2.0 * np.exp(-2.0 * trace.grid.times[j])
     xs = np.linspace(0.0, 1.0, 17)
     for mode in ("basis", "paper"):
-        field = bs.curvature_field(trace, j, mode)
+        field = _curvature_field(trace, j, mode)
         assert field(xs) == pytest.approx(expected * np.ones_like(xs), rel=1e-4)
 
 
@@ -109,7 +150,7 @@ def test_linear_dof_field_has_zero_basis_curvature():
     dofs[1::2] = 2.0
     grid = TimeGrid(1.0, 4)
     trace = _synthetic_trace(system, grid, np.tile(dofs, (4, 1)))
-    field = bs.curvature_field(trace, 1, "basis")
+    field = _curvature_field(trace, 1, "basis")
     for x in np.linspace(mesh.nodes[1] + 1e-6, 1.0, 13):
         assert abs(field(x)) < 1e-12
 
@@ -124,7 +165,7 @@ def test_cubic_dof_field_is_exact_in_both_modes():
     trace = _synthetic_trace(system, grid, np.tile(dofs, (4, 1)))
     xs = np.linspace(0.0, 1.0, 21)
     for mode in ("basis", "paper"):
-        field = bs.curvature_field(trace, 1, mode)
+        field = _curvature_field(trace, 1, mode)
         assert field(xs) == pytest.approx(6.0 * xs, abs=1e-10)
 
 
@@ -139,8 +180,8 @@ def test_quartic_dof_field_separates_the_modes_at_second_order():
         grid = TimeGrid(1.0, 4)
         trace = _synthetic_trace(system, grid, np.tile(dofs, (4, 1)))
         xs = np.linspace(0.0, 1.0, 101)
-        fb = bs.curvature_field(trace, 1, "basis")
-        fp = bs.curvature_field(trace, 1, "paper")
+        fb = _curvature_field(trace, 1, "basis")
+        fp = _curvature_field(trace, 1, "paper")
         diffs.append(np.max(np.abs(fb(xs) - fp(xs))))
     assert diffs[0] / diffs[1] == pytest.approx(4.0, rel=0.1)
     assert diffs[1] / diffs[2] == pytest.approx(4.0, rel=0.1)
@@ -149,7 +190,7 @@ def test_quartic_dof_field_separates_the_modes_at_second_order():
 def test_unknown_mode_rejected():
     trace = _ne1_trace(nodes=5, ratio=5)
     with pytest.raises(ValueError, match="mode"):
-        bs.curvature_field(trace, 1, "nodal")
+        bs.EnergyAccumulator(trace.system, trace.grid, mode="nodal")
     with pytest.raises(ValueError, match="mode"):
         bs.energy(trace, mode="exact")
 
@@ -271,8 +312,7 @@ def test_auxiliary_rate_identity_constant_coefficients():
         e = bs.energy(trace, mode="basis")
         dt = grid.dt
         d_j = (e.J[2:] - e.J[:-2]) / (2.0 * dt)
-        kin = np.array([bs.kinetic_integral(trace, j)
-                        for j in range(2, grid.step_count - 2)])
+        kin = _kinetic_integrals(trace)[1:-1]   # levels 2..N-3
         defect = np.abs(d_j - (2.0 * kin - 2.0 * e.E[1:-1]))
         sel = e.times[1:-1] >= 0.2
         defects.append(np.max(defect[sel]))
@@ -281,6 +321,8 @@ def test_auxiliary_rate_identity_constant_coefficients():
 
 
 def test_kinetic_integral_reuses_the_system_quadrature(monkeypatch):
+    # the energy pass integrates with the quadrature assemble built, however
+    # often it runs, and gives the same bytes each time
     import beamstab.fem as fem
 
     built = []
@@ -292,9 +334,9 @@ def test_kinetic_integral_reuses_the_system_quadrature(monkeypatch):
 
     monkeypatch.setattr(fem, "Quadrature", Counted)
     trace = _ne1_trace(nodes=5, ratio=5)
-    values = [bs.kinetic_integral(trace, j) for j in range(1, 6)]
+    values = [bs.energy(trace, mode="basis").E for _ in range(5)]
     assert len(built) == 1
-    assert values == [bs.kinetic_integral(trace, j) for j in range(1, 6)]
+    assert all(v.tobytes() == values[0].tobytes() for v in values)
 
 
 def test_kinetic_integral_on_ne1():
@@ -302,7 +344,7 @@ def test_kinetic_integral_on_ne1():
     trace = _ne1_trace()
     j = 400
     t = trace.grid.times[j]
-    assert bs.kinetic_integral(trace, j) == pytest.approx(0.8 * np.exp(-4.0 * t), rel=1e-3)
+    assert _kinetic_integrals(trace)[j - 1] == pytest.approx(0.8 * np.exp(-4.0 * t), rel=1e-3)
 
 
 def test_energy_csv_export(tmp_path):
@@ -451,13 +493,10 @@ def test_energy_and_window_memory_stays_below_half_the_history():
     limit = trace.dof_history.nbytes / 2
     tracemalloc.start()
     try:
-        bs.energy(trace)
+        e = bs.energy(trace)
         energy_peak = tracemalloc.get_traced_memory()[1]
-        tracemalloc.reset_peak()
-        bs.lambda_window(prob, trace)
-        window_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert trace.dof_history.nbytes > 8e6
     assert energy_peak < limit
-    assert window_peak < limit
+    assert e.lambda_max is not None   # the damper-only window came out of the same pass
