@@ -48,6 +48,7 @@ __all__ = [
     "lambda_window",
     "damper_window",
     "check_penalty",
+    "check_explicit_penalty",
     "decay_estimate",
     "scan_lambda",
     "compute_decay_bound",
@@ -150,6 +151,9 @@ def damper_window(problem: BeamProblem, grid, tip_vel: np.ndarray, tip_ang: np.n
 # decay constants
 # ---------------------------------------------------------------------------
 
+# rows of the (lam, M_d, sigma) table in a bound report
+SCAN_POINTS = 9
+
 def check_penalty(lam: float, lambda_max: float) -> None:
     """Reject a penalty weight outside the open window (0, lambda_max)."""
     if not 0.0 < lam < lambda_max:
@@ -200,7 +204,9 @@ class DecayBound:
 
 def compute_decay_bound(problem: BeamProblem, *, lam: float | None = None,
                         lambda_max: float | None = None) -> DecayBound:
-    """Assemble the full certificate; lam defaults to 99% of the window.
+    """Assemble the full certificate.  This is where the penalty weight is
+    decided: ``lam`` defaults to 99% of the window, and an explicit ``lam``
+    outside the open window is rejected.
 
     ``lambda_max`` passes in the window of a run (its
     ``EnergyTrace.lambda_max``), which the damper-only regime needs; None
@@ -219,6 +225,21 @@ def compute_decay_bound(problem: BeamProblem, *, lam: float | None = None,
         check_penalty(lam, lam_max)
     m_d, sigma = decay_estimate(beta0, beta1, lam)
     return DecayBound(beta0, beta1, lam_max, lam, m_d, sigma, regime)
+
+
+def check_explicit_penalty(problem: BeamProblem, lam: float | None) -> None:
+    """Reject an explicit penalty weight that no run can make admissible:
+    any ``lam`` when no certificate applies, or one outside a window that
+    needs no run.  A damper-only window needs the run, so ``lam`` is checked
+    against it by ``compute_decay_bound`` once the run is done."""
+    if lam is None:
+        return
+    try:
+        regime = classify_regime(problem)
+    except ValueError as exc:
+        raise ValueError(f"no admissible penalty weight: {exc}") from None
+    if regime != "theorem2":
+        compute_decay_bound(problem, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -300,13 +321,13 @@ def verify_envelopes(energy_trace, bound: DecayBound) -> EnvelopeReport:
     )
 
 
-def bound_report(bound: DecayBound, scan_points: int = 9,
-                 envelope: EnvelopeReport | None = None) -> dict:
-    """JSON-ready report: constants, window, scan table, envelope check."""
+def bound_report(bound: DecayBound, envelope: EnvelopeReport | None = None) -> dict:
+    """JSON-ready report: constants, window, scan table of SCAN_POINTS rows,
+    envelope check."""
     scan = [
         {"lambda": lam, "M_d": m_d, "sigma": sigma}
         for lam, m_d, sigma in scan_lambda(bound.beta0, bound.beta1,
-                                           bound.lambda_max, scan_points)
+                                           bound.lambda_max, SCAN_POINTS)
     ]
     return {
         "beta0": bound.beta0,

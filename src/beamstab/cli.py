@@ -40,7 +40,7 @@ import numpy as np
 from . import bounds as bounds_mod
 from . import diagnostics, problem as problem_mod, stepper
 from .fem import FieldKernel, Mesh, assemble, interior_blocks
-from .problem import BeamProblem, CoefficientField, load_problem, preset, validate
+from .problem import BeamProblem, load_problem, preset, validate
 
 __all__ = ["main", "RunConfig"]
 
@@ -169,29 +169,22 @@ def _write_json(data: dict, path) -> None:
 
 
 def _bound_payload(prob: BeamProblem, energy_trace, lam) -> dict:
-    """Bound report, or a constants-only stub when no certificate applies.
+    """Bound report, or a constants-only stub for a run whose window failed.
 
     The window is the one ``energy_trace`` carries; without a trace (the
     theorem-1 ``bounds`` command) it needs no run.
     """
-    try:
-        lam_max = None
-        if energy_trace is not None:
-            lam_max = energy_trace.lambda_max
-            if lam_max is None:
-                raise ValueError(energy_trace.window_error)
-        bound = bounds_mod.compute_decay_bound(prob, lam=lam, lambda_max=lam_max)
-    except ValueError as exc:
+    if energy_trace is None:
+        return bounds_mod.bound_report(bounds_mod.compute_decay_bound(prob, lam=lam))
+    if energy_trace.window_error is not None:
         beta0, beta1 = bounds_mod.beta_constants(prob)
         return {
             "beta0": beta0, "beta1": beta1, "lambda_max": None, "lambda": None,
             "M_d": None, "sigma": None, "regime": None, "scan": [],
-            "envelope": None, "note": str(exc),
+            "envelope": None, "note": energy_trace.window_error,
         }
-    envelope = None
-    if energy_trace is not None:
-        envelope = bounds_mod.verify_envelopes(energy_trace, bound)
-    return bounds_mod.bound_report(bound, envelope=envelope)
+    bound = bounds_mod.compute_decay_bound(prob, lam=lam, lambda_max=energy_trace.lambda_max)
+    return bounds_mod.bound_report(bound, bounds_mod.verify_envelopes(energy_trace, bound))
 
 
 def _usable_cpus() -> int:
@@ -433,18 +426,9 @@ def cmd_convergence(config: RunConfig, levels: int) -> int:
     return 0
 
 
-def _scale_coefficient(coeff: CoefficientField, s: float) -> CoefficientField:
-    if coeff.kind == "constant":
-        return CoefficientField.constant(coeff.data[0] * s)
-    if coeff.kind == "polynomial":
-        return CoefficientField.polynomial(tuple(c * s for c in coeff.data))
-    xs, ys = coeff.data
-    return CoefficientField.table(xs, tuple(y * s for y in ys))
-
-
 def _with_parameter(prob: BeamProblem, param: str, value: float) -> BeamProblem:
     if param == "mu_scale":
-        return dataclasses.replace(prob, mu=_scale_coefficient(prob.mu, value))
+        return dataclasses.replace(prob, mu=prob.mu.scaled(value))
     return dataclasses.replace(
         prob, boundary=dataclasses.replace(prob.boundary, **{param: value}))
 
@@ -490,23 +474,16 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
         print(report, file=sys.stderr)
         return 1
     # every member is checked before any starts, so an invalid one leaves no
-    # member directory behind; so is --lambda, against each window that needs
-    # no run and against members with no window at all (a damper-only
-    # member's window needs its run, which checks it)
+    # member directory behind; so is --lambda, wherever no run can make it
+    # admissible (a damper-only member's window needs its run, which checks it)
     members = [_with_parameter(base, param, v) for v in values]
     for v, member in zip(values, members):
         report = validate(member)
         if not report.ok:
             print(f"{param} = {v:g}: invalid problem\n{report}", file=sys.stderr)
             return 1
-    if config.lam is not None:
-        for member in members:
-            try:
-                regime = bounds_mod.classify_regime(member)
-            except ValueError as exc:
-                raise _UsageError(f"no admissible penalty weight: {exc}") from None
-            if regime != "theorem2":   # a damper-only window needs the member's run
-                bounds_mod.check_penalty(config.lam, bounds_mod.lambda_window(member)[0])
+    for member in members:
+        bounds_mod.check_explicit_penalty(member, config.lam)
 
     # Members share nothing, so they run in worker processes.  ``fork`` keeps
     # this process's imports (a ``spawn`` worker would import numpy and scipy

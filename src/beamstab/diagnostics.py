@@ -45,6 +45,7 @@ arrive, so a streamed and a stored run give bitwise the same results.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,28 +140,24 @@ class EnergyAccumulator:
     ``bounds.damper_window`` turns it and the tip velocities into the
     window, so the window costs no second pass.
 
-    ``lam`` is the Lyapunov penalty weight; None picks 99% of the admissible
-    window (and leaves L unset when no window exists, e.g. undamped
-    systems).  An explicit ``lam`` outside the window is rejected: here when
-    the window does not depend on the run, by ``result()`` when it does.
+    ``lam`` is the Lyapunov penalty weight, decided by
+    ``bounds.compute_decay_bound`` on the window in ``result()``: None picks
+    its default, and L is left unset when no window exists (e.g. undamped
+    systems).  An explicit ``lam`` is rejected here when no run can make it
+    admissible (``bounds.check_explicit_penalty``), so a run is not stepped
+    for nothing, and by ``result()`` when the run's own window rejects it.
     """
 
     def __init__(self, system: SemiDiscreteSystem, grid: TimeGrid,
                  lam: float | None = None, mode: str = "paper"):
         if mode not in MODES:
             raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
-        problem = system.problem
+        bounds.check_explicit_penalty(system.problem, lam)
         self._system, self._grid, self._lam, self._mode = system, grid, lam, mode
-        self._ut_norm_sq = self._lam_max = self._window_error = None
-        try:
-            if bounds.classify_regime(problem) == "theorem2":
+        self._ut_norm_sq = None
+        with contextlib.suppress(ValueError):   # no certificate: result() says why
+            if bounds.classify_regime(system.problem) == "theorem2":
                 self._ut_norm_sq = np.empty(grid.step_count - 2)
-            else:
-                self._lam_max, _ = bounds.lambda_window(problem)
-        except ValueError as exc:
-            self._window_error = str(exc)
-        if self._ut_norm_sq is None:
-            self._check_lam()
         self._next = 1   # the first interior level not yet reduced
         quad = system.quadrature
         self._lerp = np.stack([1.0 - quad.xi, quad.xi])  # nodal values -> Gauss points
@@ -173,14 +170,6 @@ class EnergyAccumulator:
         (self._kinetic, self._bending, self._cross, self._mu_disp, self._mu_rate,
          self._end_disp, self._end_rot, self._tip_vel, self._tip_ang) = \
             np.empty((9, grid.step_count - 2))
-
-    def _check_lam(self) -> None:
-        lam, lam_max = self._lam, self._lam_max
-        if lam is None:
-            return
-        if lam_max is None:
-            raise ValueError(f"no admissible penalty weight: {self._window_error}")
-        bounds.check_penalty(lam, lam_max)
 
     def add(self, rows: np.ndarray, first: int = 0) -> None:
         """Reduce the interior levels of the levels ``first .. first + len(rows) - 1``
@@ -219,16 +208,19 @@ class EnergyAccumulator:
         if self._next < self._grid.step_count - 1:
             raise ValueError(f"interior levels {self._next}.. were never added")
         problem, dt = self._system.problem, self._grid.dt
-        if self._ut_norm_sq is not None:
-            try:
-                self._lam_max = bounds.damper_window(
+        lam = lam_max = window_error = None
+        try:
+            if self._ut_norm_sq is None:
+                lam_max, _ = bounds.lambda_window(problem)
+            else:
+                lam_max = bounds.damper_window(
                     problem, self._grid, self._tip_vel, self._tip_ang, self._ut_norm_sq)
-            except ValueError as exc:
-                self._window_error = str(exc)
-            self._check_lam()
-        lam, lam_max = self._lam, self._lam_max
-        if lam is None and lam_max is not None:
-            lam = 0.99 * lam_max
+        except ValueError as exc:
+            if self._lam is not None:
+                raise ValueError(f"no admissible penalty weight: {exc}") from None
+            window_error = str(exc)
+        else:
+            lam = bounds.compute_decay_bound(problem, lam=self._lam, lambda_max=lam_max).lam
 
         bc = problem.boundary
         end_disp, end_rot = self._end_disp, self._end_rot
@@ -268,7 +260,7 @@ class EnergyAccumulator:
             mode=self._mode,
             forced=problem.has_forcing,
             problem=problem,
-            window_error=self._window_error,
+            window_error=window_error,
         )
 
 

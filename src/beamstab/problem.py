@@ -51,13 +51,26 @@ __all__ = [
 # spatially varying coefficients
 # ---------------------------------------------------------------------------
 
+def _table_pairs(nodes, values, what: str = "table", var: str = "x",
+                 least: int = 2) -> tuple[tuple, tuple]:
+    """The (nodes, values) of a table as floats, checked: at least ``least``
+    matching pairs, nodes strictly increasing."""
+    nodes = tuple(float(v) for v in nodes)
+    values = tuple(float(v) for v in values)
+    if len(nodes) != len(values) or len(nodes) < least:
+        raise ValueError(f"{what} needs >= {least} matching ({var}, value) pairs")
+    if any(b <= a for a, b in zip(nodes, nodes[1:])):
+        raise ValueError(f"{what} {var} nodes must be strictly increasing")
+    return nodes, values
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """A spatially varying material coefficient on ``[0, L]``.
 
     kind : 'constant', 'polynomial' or 'table'
     data : kind-specific parameters
-        constant   -> (value,)
+        constant   -> (value,), evaluated as the degree-0 polynomial
         polynomial -> ascending coefficients (c0, c1, ...)
         table      -> ((x nodes...), (values...)), linear interpolation
     """
@@ -79,32 +92,26 @@ class CoefficientField:
 
     @staticmethod
     def table(x, values) -> "CoefficientField":
-        x = tuple(float(v) for v in x)
-        values = tuple(float(v) for v in values)
-        if len(x) != len(values) or len(x) < 2:
-            raise ValueError("table needs >= 2 matching (x, value) pairs")
-        if any(b <= a for a, b in zip(x, x[1:])):
-            raise ValueError("table x nodes must be strictly increasing")
-        return CoefficientField("table", (x, values))
+        return CoefficientField("table", _table_pairs(x, values))
 
     def __call__(self, x):
         """Evaluate the coefficient at ``x`` (scalar or array)."""
         x = np.asarray(x, dtype=float)
-        if self.kind == "constant":
-            return np.full_like(x, self.data[0], dtype=float)
-        if self.kind == "polynomial":
-            return npoly.polyval(x, self.data)
-        xs, ys = self.data
-        return np.interp(x, xs, ys)
+        if self.kind == "table":
+            return np.interp(x, *self.data)
+        return npoly.polyval(x, self.data)
 
     @property
     def degree(self) -> int:
         """Polynomial degree used to size quadrature rules (tables count as 1)."""
-        if self.kind == "constant":
-            return 0
-        if self.kind == "polynomial":
-            return max(len(self.data) - 1, 0)
-        return 1
+        return 1 if self.kind == "table" else max(len(self.data) - 1, 0)
+
+    def scaled(self, s: float) -> "CoefficientField":
+        """The coefficient times ``s``, of the same kind."""
+        if self.kind == "table":
+            xs, ys = self.data
+            return CoefficientField("table", (xs, tuple(float(y * s) for y in ys)))
+        return CoefficientField(self.kind, tuple(float(c * s) for c in self.data))
 
     def to_dict(self) -> dict:
         if self.kind == "constant":
@@ -134,22 +141,19 @@ def coefficient_bounds(coeff: CoefficientField, length: float) -> tuple[float, f
     """
     if length <= 0:
         raise ValueError("length must be positive")
-    if coeff.kind == "constant":
-        v = coeff.data[0]
-        return v, v
-    if coeff.kind == "polynomial":
-        candidates = [0.0, length]
-        deriv = npoly.polyder(coeff.data)
-        if len(deriv) > 1 or (len(deriv) == 1 and deriv[0] != 0.0):
-            for root in npoly.polyroots(deriv):
-                if abs(root.imag) < 1e-12 and 0.0 <= root.real <= length:
-                    candidates.append(float(root.real))
-        values = npoly.polyval(np.asarray(candidates), coeff.data)
-        return float(np.min(values)), float(np.max(values))
-    xs, ys = (np.asarray(a) for a in coeff.data)
-    inside = (xs >= 0.0) & (xs <= length)
-    candidates = list(ys[inside]) + [np.interp(0.0, xs, ys), np.interp(length, xs, ys)]
-    return float(np.min(candidates)), float(np.max(candidates))
+    if coeff.kind == "table":
+        xs, ys = (np.asarray(a) for a in coeff.data)
+        inside = (xs >= 0.0) & (xs <= length)
+        candidates = list(ys[inside]) + [np.interp(0.0, xs, ys), np.interp(length, xs, ys)]
+        return float(np.min(candidates)), float(np.max(candidates))
+    candidates = [0.0, length]
+    deriv = npoly.polyder(coeff.data)
+    if len(deriv) > 1 or (len(deriv) == 1 and deriv[0] != 0.0):
+        for root in npoly.polyroots(deriv):
+            if abs(root.imag) < 1e-12 and 0.0 <= root.real <= length:
+                candidates.append(float(root.real))
+    values = npoly.polyval(np.asarray(candidates), coeff.data)
+    return float(np.min(values)), float(np.max(values))
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +181,7 @@ class TimeFunction:
 
     @staticmethod
     def table(t, values) -> "TimeFunction":
-        t = tuple(float(v) for v in t)
-        values = tuple(float(v) for v in values)
-        if len(t) != len(values) or len(t) < 2:
-            raise ValueError("table needs >= 2 matching (t, value) pairs")
-        if any(b <= a for a, b in zip(t, t[1:])):
-            raise ValueError("table t nodes must be strictly increasing")
-        return TimeFunction("table", (t, values))
+        return TimeFunction("table", _table_pairs(t, values, var="t"))
 
     def __call__(self, t):
         t = np.asarray(t, dtype=float)
@@ -258,37 +256,24 @@ class SpatialProfile:
 
     @staticmethod
     def table(x, values, clamp_left: bool = False) -> "SpatialProfile":
-        x = tuple(float(v) for v in x)
-        values = tuple(float(v) for v in values)
-        if len(x) != len(values) or len(x) < 4:
-            raise ValueError("profile table needs >= 4 matching (x, value) pairs")
-        if any(b <= a for a, b in zip(x, x[1:])):
-            raise ValueError("profile table x nodes must be strictly increasing")
-        return SpatialProfile("table", (x, values), clamp_left)
+        return SpatialProfile("table", _table_pairs(x, values, "profile table", least=4),
+                              clamp_left)
 
-    def _poly(self, order: int):
-        c = self.data
-        for _ in range(order):
-            c = npoly.polyder(c)
-        return c
+    def _derivative(self, x, nu: int):
+        """The nu-th derivative of the profile at ``x``."""
+        x = np.asarray(x, dtype=float)
+        if self.kind == "table":
+            return self._spline(x, nu)
+        return npoly.polyval(x, npoly.polyder(self.data, nu))
 
     def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "polynomial":
-            return npoly.polyval(x, self.data)
-        return self._spline(x)
+        return self._derivative(x, 0)
 
     def d1(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "polynomial":
-            return npoly.polyval(x, self._poly(1))
-        return self._spline(x, 1)
+        return self._derivative(x, 1)
 
     def d2(self, x):
-        x = np.asarray(x, dtype=float)
-        if self.kind == "polynomial":
-            return npoly.polyval(x, self._poly(2))
-        return self._spline(x, 2)
+        return self._derivative(x, 2)
 
     def to_dict(self) -> dict:
         if self.kind == "polynomial":

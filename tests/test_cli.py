@@ -575,6 +575,22 @@ def test_bounds_command_theorem1(tmp_path, capsys):
     assert data["envelope"] is None  # no trace needed in this regime
 
 
+def test_bounds_rejects_a_penalty_weight_outside_the_window_like_simulate(tmp_path, capsys):
+    # the theorem-1 window needs no run: both commands refuse --lambda 5
+    # with the same text, and bounds writes no bounds.json
+    args = ["--preset", "cantilever_dampers", "--nodes", "11", "--lambda", "5"]
+    errors = []
+    for command in ("simulate", "bounds"):
+        out = tmp_path / command
+        assert main([command, *args, "--out", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+        assert not (out / "bounds.json").exists()
+    assert errors[0] == errors[1] == (
+        "usage error: lambda must satisfy 0 < lambda < lambda_max = 0.5; got 5\n")
+
+
 def test_bounds_command_theorem2_runs_a_simulation(tmp_path):
     out = tmp_path / "out"
     assert main(["bounds", "--preset", "mast_constant", "--nodes", "11",
