@@ -15,15 +15,22 @@ global order at two.
 the whole-run loop ``TimeStepper.blocks`` is tested against.  The step
 matrix is constant (fixed dt), so the loop factors it once and repeats only
 the two banded triangular solves (LAPACK ``dpbtrs``, in place on the new
-level's row).  The right-hand side is constant in the same way: it is
-``load + H (U^{j-3}, U^{j-2}, U^{j-1})`` with the n x 3n CSR operator
-``H = [M/dt^2 | -(4M/dt^2 + C/(2dt)) | 5M/dt^2 + 2C/dt]``, which folds the
-mass, the damping and the three-level stencil into one sparse product per
-step.  The loop evaluates the end loads once over the whole grid and
-applies ``H`` to the three previous levels where they already lie
+level's row).  Each step solves for the increment: with the step matrix
+``S = 2M/dt^2 + 3C/(2dt) + K`` it solves
+``S (U^j - U^{j-1}) = load + H (U^{j-3}, U^{j-2}, U^{j-1})`` and adds
+``U^{j-1}``.  ``H = [A3 | A2 | A1 - S]`` is one n x 3n CSR operator with
+``A3 = M/dt^2``, ``A2 = -(4M/dt^2 + C/(2dt))`` and
+``A1 - S = 3M/dt^2 + C/(2dt) - K``, which folds the mass, the damping, the
+stiffness and the three-level stencil into one sparse product per step.
+Solving for U^j itself would be the same scheme in exact arithmetic, but
+the rounding error of the one Cholesky factor would then scale with |U^j|
+and, repeated every step, bias the run: the energy-balance residual stalled
+and grew with M.  The loop evaluates the end loads once over the whole
+grid and applies ``H`` to the three previous levels where they already lie
 contiguously in its buffer; ``step`` applies it to the three levels
-concatenated.  Both add the load to the product the same way, so the
-history is bitwise identical to startup() followed by repeated step().
+concatenated.  Both add the load, solve and add ``U^{j-1}`` the same way,
+so the history is bitwise identical to startup() followed by repeated
+step().
 
 ``blocks`` cuts the run once, at the block bounds of the interior levels
 (``fem.interior_blocks``): for each block [lo, hi) it yields the window of
@@ -151,11 +158,12 @@ class TimeStepper:
         m, c, k = system.mass, system.damping, system.stiffness
         self._step_solve = combine(
             [(2.0 / dt**2, m), (1.5 / dt, c), (1.0, k)]).factor()
-        # step j's right-hand side is load + H (U^{j-3}, U^{j-2}, U^{j-1})
+        # step j solves for U^j - U^{j-1}, whose right-hand side is
+        # load + H (U^{j-3}, U^{j-2}, U^{j-1}) with H = [A3 | A2 | A1 - S]
         self._history = block_row_csr([
             combine([(1.0 / dt**2, m)]),
             combine([(-4.0 / dt**2, m), (-0.5 / dt, c)]),
-            combine([(5.0 / dt**2, m), (2.0 / dt, c)])])
+            combine([(3.0 / dt**2, m), (0.5 / dt, c), (-1.0, k)])])
         self._startup_solve = combine(
             [(2.0 / dt, m), (1.0, c), (0.5 * dt, k)]).factor()
         self._mass_solve = m.factor()
@@ -198,7 +206,7 @@ class TimeStepper:
             raise ValueError("step needs three history levels (j >= 3)")
         u3, u2, u1 = history
         rhs = self.system.load(self.grid.times[j]) + self._history @ np.concatenate([u3, u2, u1])
-        return self._step_solve.solve(rhs)
+        return u1 + self._step_solve.solve(rhs)
 
     def blocks(self):
         """Integrate over the whole grid, yielding ``(first, window)`` per
@@ -231,6 +239,7 @@ class TimeStepper:
                 # rows row-3..row-1 are U^{j-3}, U^{j-2}, U^{j-1}, one contiguous vector
                 np.add(load, history @ buf[row - 3:row].reshape(-1), out=new)
                 solve(new)
+                new += buf[row - 1]
             window = buf[1:hi - lo + 3]
             bad = ~np.isfinite(window).all(axis=1)
             if bad.any():

@@ -259,6 +259,26 @@ def test_identity_residual_refines_on_spring_preset():
     assert residuals[0] / residuals[1] >= 3.5
 
 
+def test_identity_residual_keeps_falling_past_m_241():
+    # The step solves for the increment U^j - U^{j-1}, so the rounding error
+    # of the one Cholesky factor scales with the increment, not with U^j.
+    # Solving for U^j itself left a floor that grew with M: max |residual| /
+    # E(0) was 3.6e-7, 1.1e-6 and 7.6e-6 at M = 161, 321 and 481.  The
+    # increment form measures 3.7e-7, 9.8e-8 and 4.5e-8, i.e. 95% and 97% of
+    # the second-order ratios (320/160)^2 = 4 and (480/320)^2 = 2.25 at
+    # dt = h/40; the bounds ask for 80% of them.
+    from beamstab import cli
+
+    prob = bs.preset("cantilever_dampers")
+    residuals = []
+    for nodes in (161, 321, 481):
+        config = cli.RunConfig("", False, nodes=nodes, ratio=40.0, mode="basis")
+        energy = cli._streamed_energy(prob, config, ahead=cli._steps_ahead())
+        residuals.append(bs.identity_residual(energy) / energy.E0)
+    assert residuals[0] / residuals[1] >= 0.8 * 4.0, residuals
+    assert residuals[1] / residuals[2] >= 0.8 * 2.25, residuals
+
+
 def test_undamped_identity_reduces_to_energy_conservation():
     base = bs.preset("cantilever_free")
     prob = dataclasses.replace(base, mu=CoefficientField.constant(0.0),

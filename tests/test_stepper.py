@@ -236,10 +236,13 @@ def test_history_operator_is_the_dense_three_level_stencil(name, nodes):
         system = bs.assemble(prob, bs.Mesh(prob.length, nodes))
     stepper = TimeStepper(system, TimeGrid(1.0, 11))
     dt = stepper.grid.dt
-    m, c = system.mass.to_dense(), system.damping.to_dense()
+    m, c, k = system.mass.to_dense(), system.damping.to_dense(), system.stiffness.to_dense()
+    # [A3 | A2 | A1 - S]: the step solves S (U^j - U^{j-1}) = load + A3 U^{j-3}
+    # + A2 U^{j-2} + (A1 - S) U^{j-1}, with A1 = 5M/dt^2 + 2C/dt and
+    # S = 2M/dt^2 + 3C/(2dt) + K
     dense = np.hstack([(1.0 / dt**2) * m,
                        (-4.0 / dt**2) * m + (-0.5 / dt) * c,
-                       (5.0 / dt**2) * m + (2.0 / dt) * c])
+                       (3.0 / dt**2) * m + (0.5 / dt) * c - k])
     assert stepper._history.shape == (system.n, 3 * system.n)
     assert np.array_equal(stepper._history.toarray(), dense)
 
