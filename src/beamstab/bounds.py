@@ -47,7 +47,6 @@ __all__ = [
     "classify_regime",
     "lambda_window",
     "damper_window",
-    "check_penalty",
     "check_explicit_penalty",
     "decay_estimate",
     "scan_lambda",
@@ -55,6 +54,9 @@ __all__ = [
     "verify_envelopes",
     "bound_report",
 ]
+
+# rows of the (lam, M_d, sigma) table in a bound report
+SCAN_POINTS = 9
 
 # ---------------------------------------------------------------------------
 # comparison constants
@@ -151,16 +153,6 @@ def damper_window(problem: BeamProblem, grid, tip_vel: np.ndarray, tip_ang: np.n
 # decay constants
 # ---------------------------------------------------------------------------
 
-# rows of the (lam, M_d, sigma) table in a bound report
-SCAN_POINTS = 9
-
-def check_penalty(lam: float, lambda_max: float) -> None:
-    """Reject a penalty weight outside the open window (0, lambda_max)."""
-    if not 0.0 < lam < lambda_max:
-        raise ValueError(
-            f"lambda must satisfy 0 < lambda < lambda_max = {lambda_max:.12g}; got {lam:g}")
-
-
 def decay_estimate(beta0: float, beta1: float, lam: float) -> tuple[float, float]:
     """Envelope constants (M_d, sigma) for a penalty weight lam in (0, 1/beta0)."""
     if lam <= 0.0:
@@ -221,8 +213,9 @@ def compute_decay_bound(problem: BeamProblem, *, lam: float | None = None,
         raise ValueError("admissible window is empty")
     if lam is None:
         lam = 0.99 * lam_max
-    else:
-        check_penalty(lam, lam_max)
+    elif not 0.0 < lam < lam_max:
+        raise ValueError(
+            f"lambda must satisfy 0 < lambda < lambda_max = {lam_max:.12g}; got {lam:g}")
     m_d, sigma = decay_estimate(beta0, beta1, lam)
     return DecayBound(beta0, beta1, lam_max, lam, m_d, sigma, regime)
 

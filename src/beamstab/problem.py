@@ -141,19 +141,19 @@ def coefficient_bounds(coeff: CoefficientField, length: float) -> tuple[float, f
     """
     if length <= 0:
         raise ValueError("length must be positive")
-    if coeff.kind == "table":
-        xs, ys = (np.asarray(a) for a in coeff.data)
-        inside = (xs >= 0.0) & (xs <= length)
-        candidates = list(ys[inside]) + [np.interp(0.0, xs, ys), np.interp(length, xs, ys)]
-        return float(np.min(candidates)), float(np.max(candidates))
-    candidates = [0.0, length]
-    deriv = npoly.polyder(coeff.data)
-    if len(deriv) > 1 or (len(deriv) == 1 and deriv[0] != 0.0):
-        for root in npoly.polyroots(deriv):
-            if abs(root.imag) < 1e-12 and 0.0 <= root.real <= length:
-                candidates.append(float(root.real))
-    values = npoly.polyval(np.asarray(candidates), coeff.data)
-    return float(np.min(values)), float(np.max(values))
+    if coeff.kind != "table":
+        candidates = [0.0, length]
+        deriv = npoly.polyder(coeff.data)
+        if len(deriv) > 1 or (len(deriv) == 1 and deriv[0] != 0.0):
+            for root in npoly.polyroots(deriv):
+                if abs(root.imag) < 1e-12 and 0.0 <= root.real <= length:
+                    candidates.append(float(root.real))
+        values = npoly.polyval(np.asarray(candidates), coeff.data)
+        return float(np.min(values)), float(np.max(values))
+    xs, ys = (np.asarray(a) for a in coeff.data)
+    inside = (xs >= 0.0) & (xs <= length)
+    candidates = list(ys[inside]) + [np.interp(0.0, xs, ys), np.interp(length, xs, ys)]
+    return float(np.min(candidates)), float(np.max(candidates))
 
 
 # ---------------------------------------------------------------------------

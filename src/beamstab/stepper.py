@@ -22,10 +22,11 @@ level's row).  Each step solves for the increment: with the step matrix
 ``A3 = M/dt^2``, ``A2 = -(4M/dt^2 + C/(2dt))`` and
 ``A1 - S = 3M/dt^2 + C/(2dt) - K``, which folds the mass, the damping, the
 stiffness and the three-level stencil into one sparse product per step.
-Solving for U^j itself would be the same scheme in exact arithmetic, but
-the rounding error of the one Cholesky factor would then scale with |U^j|
-and, repeated every step, bias the run: the energy-balance residual stalled
-and grew with M.  The loop evaluates the end loads once over the whole
+The increment form is the same scheme in exact arithmetic; it makes the
+rounding error of the one Cholesky factor scale with the increment rather
+than with |U^j|.  An error proportional to |U^j|, made again every step,
+biases the run, and the energy-balance residual then stops falling and
+grows with M.  The loop evaluates the end loads once over the whole
 grid and applies ``H`` to the three previous levels where they already lie
 contiguously in its buffer; ``step`` applies it to the three levels
 concatenated.  Both add the load, solve and add ``U^{j-1}`` the same way,
