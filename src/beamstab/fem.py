@@ -265,8 +265,7 @@ def integrate_data(problem: BeamProblem, f) -> float:
     pts = set(np.linspace(0.0, problem.length, 9))
     for prof in (problem.rho, problem.mu, problem.rigidity,
                  problem.initial.u0, problem.initial.u1):
-        if prof.kind == "table":
-            pts.update(x for x in prof.data[0] if 0.0 < x < problem.length)
+        pts.update(x for x in prof.knots if 0.0 < x < problem.length)
     panels = np.array(sorted(pts))
     xi, w = gauss_rule(20)
     total = 0.0

@@ -102,6 +102,11 @@ class CoefficientField:
         return npoly.polyval(x, self.data)
 
     @property
+    def knots(self) -> tuple:
+        """A table's x nodes, where the coefficient may have a kink; () otherwise."""
+        return self.data[0] if self.kind == "table" else ()
+
+    @property
     def degree(self) -> int:
         """Polynomial degree used to size quadrature rules (tables count as 1)."""
         return 1 if self.kind == "table" else max(len(self.data) - 1, 0)
@@ -265,6 +270,11 @@ class SpatialProfile:
         if self.kind == "table":
             return self._spline(x, nu)
         return npoly.polyval(x, npoly.polyder(self.data, nu))
+
+    @property
+    def knots(self) -> tuple:
+        """A table's x nodes, where the spline's third derivative jumps; () otherwise."""
+        return self.data[0] if self.kind == "table" else ()
 
     def __call__(self, x):
         return self._derivative(x, 0)

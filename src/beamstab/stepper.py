@@ -48,15 +48,16 @@ levels (``interpolate``, ``export_trace_csv``); no CLI command stores one.
 ``forked_blocks`` yields the same windows, stepped by a forked child
 process while the caller reduces the windows before them, so on a machine
 with a second free CPU the step loop and the reduction overlap.  The child
-runs ``blocks()`` and copies each window into one of a few slots of a
-shared anonymous memory map; two pipes carry the filled slots to the
-caller and the released ones back.  Each window holds the bytes
-``blocks()`` made, so a caller computes bitwise the same results either
-way.  An exception in the child (a blow-up, a failed solve) is pickled
-and raised in the caller with its type and text, after the windows before
-it.  The child is forked, not spawned, because it steps with the factored
-matrices the caller already holds; it leaves through ``os._exit``, so it
-flushes none of the caller's buffers and runs none of its exit hooks.
+runs ``blocks()`` and sends each window's first level and bytes through one
+``multiprocessing.connection`` pipe, sized 1 MiB where the platform allows
+(a few windows at M = 321); the caller reads each window into one reused
+buffer.  Each window holds the bytes ``blocks()`` made, so a caller
+computes bitwise the same results either way.  An exception in the child
+(a blow-up, a failed solve) is sent through the pipe and raised in the
+caller with its type and text, after the windows before it.  The child is
+forked, not spawned, because it steps with the factored matrices the
+caller already holds; it leaves through ``os._exit``, so it flushes none
+of the caller's buffers and runs none of its exit hooks.
 
 ``TraceWriter`` writes the trace window by window: it takes up to
 CHUNK_LEVELS written levels at a time, formats them with one ``%``
@@ -67,11 +68,8 @@ to a per-row ``%.17g`` writer.
 
 from __future__ import annotations
 
-import mmap
 import os
-import pickle
 import signal
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,25 +88,10 @@ from .fem import (
 __all__ = ["TimeGrid", "SolutionTrace", "TimeStepper", "TraceWriter", "run",
            "interpolate", "export_trace_csv"]
 
-# forked_blocks: slots in the shared ring, so the child runs at most two
-# windows ahead of the one the caller holds; and the child's record of a
-# window (slot, first level, level count), whose slot is _END after the last
-# window, or _FAILED before a pickled exception of ``count`` bytes
-_RING_SLOTS = 3
-_RECORD = struct.Struct("qqq")
-_END, _FAILED = -1, -2
-
-
-def _read_exactly(fd: int, size: int) -> bytes:
-    """``size`` bytes from a pipe; EOFError if the writer closes it first."""
-    data = b""
-    while len(data) < size:
-        chunk = os.read(fd, size - len(data))
-        if not chunk:
-            raise EOFError(f"pipe closed after {len(data)} of {size} bytes: "
-                           "the other process ended")
-        data += chunk
-    return data
+# forked_blocks asks for pipes of this size, so the child can run a few
+# windows ahead of the caller (one window is 338 KB at M = 321, and Linux's
+# default pipe holds 64 KiB); 1 MiB is Linux's default pipe-max-size
+_PIPE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -252,65 +235,53 @@ class TimeStepper:
     def forked_blocks(self):
         """Yield exactly what ``blocks()`` yields, under the same contract (a
         window is valid until the next one is requested), with the stepping
-        done in a forked child process up to two windows ahead of the caller.
+        done in a forked child process that runs ahead of the caller by as
+        many windows as the pipe between them holds.
 
         An exception ``blocks()`` raises in the child is raised here, with
         its type and text, once the windows before it have been taken.
         Closing the generator early (or an exception in the caller) closes
-        the pipes, so the child stops at its next hand-over, and reaps it.
+        the pipe, so the child stops at its next send, and reaps it.
         """
-        shape = (_RING_SLOTS, CHUNK_LEVELS + 2, self.system.n)   # slots of the longest window
-        ring = np.frombuffer(mmap.mmap(-1, 8 * np.prod(shape)), dtype=float).reshape(shape)
-        ready_r, ready_w = os.pipe()
-        free_r, free_w = os.pipe()
+        import fcntl
+        from multiprocessing.connection import Pipe   # off the import of a one-CPU run
+
+        receiver, sender = Pipe(duplex=False)
+        if hasattr(fcntl, "F_SETPIPE_SZ"):
+            try:
+                fcntl.fcntl(sender.fileno(), fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            except OSError:
+                pass   # above the limit of this process: the pipe keeps its size
         pid = os.fork()
         if pid == 0:
             # the child: leave without the parent's clean-up, atexit hooks or
-            # buffered output, whatever happens (a write to a parent that is
+            # buffered output, whatever happens (a send to a parent that is
             # gone raises BrokenPipeError, which ends up here too)
             try:
-                os.close(ready_r)
-                os.close(free_w)
-                self._hand_over(ring, ready_w, free_r)
+                signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C
+                receiver.close()
+                try:
+                    for first, window in self.blocks():
+                        sender.send(first)
+                        sender.send_bytes(window)
+                except Exception as exc:
+                    sender.send(exc)
+                else:
+                    sender.send(None)
             finally:
                 os._exit(0)
-        os.close(ready_w)
-        os.close(free_r)
+        sender.close()
+        buf = np.empty((CHUNK_LEVELS + 2, self.system.n))   # the longest window
         try:
-            while True:
-                slot, first, count = _RECORD.unpack(_read_exactly(ready_r, _RECORD.size))
-                if slot == _END:
-                    return
-                if slot == _FAILED:
-                    raise pickle.loads(_read_exactly(ready_r, count))
-                yield first, ring[slot, :count]
-                os.write(free_w, bytes([slot]))
+            while (first := receiver.recv()) is not None:
+                if isinstance(first, Exception):
+                    raise first
+                # recv_bytes_into sizes a buffer by its first dimension
+                count = receiver.recv_bytes_into(buf.reshape(-1)) // buf[0].nbytes
+                yield first, buf[:count]
         finally:
-            os.close(ready_r)
-            os.close(free_w)
+            receiver.close()
             os.waitpid(pid, 0)
-
-    def _hand_over(self, ring: np.ndarray, ready: int, free: int) -> None:
-        """The child's side of ``forked_blocks``: copy each window of
-        ``blocks()`` into a slot the parent does not hold and send its
-        record; then send the end or the exception, and wait for the parent
-        to close the release pipe, so its last release finds a reader."""
-        signal.signal(signal.SIGINT, signal.SIG_IGN)   # the parent handles ^C
-        unused = list(range(len(ring)))
-        try:
-            for first, window in self.blocks():
-                slot = unused.pop() if unused else _read_exactly(free, 1)[0]
-                ring[slot, :len(window)] = window
-                os.write(ready, _RECORD.pack(slot, first, len(window)))
-            last = _RECORD.pack(_END, 0, 0)
-        except (BrokenPipeError, EOFError):
-            return   # the parent is gone
-        except Exception as exc:
-            payload = pickle.dumps(exc)
-            last = _RECORD.pack(_FAILED, 0, len(payload)) + payload
-        os.write(ready, last)
-        while os.read(free, 64):
-            pass
 
     def run(self) -> SolutionTrace:
         """Integrate over the whole grid and keep every window of ``blocks()``;

@@ -739,8 +739,14 @@ def test_a_second_cpu_steps_each_run_in_one_child_with_the_same_bytes(
     assert runs[2] == runs[1]
 
 
-@pytest.mark.parametrize("failure", [RuntimeError, KeyboardInterrupt])
-def test_a_failing_consumer_reaps_the_stepping_child(monkeypatch, forks, failure):
+@pytest.mark.parametrize("failure, nodes", [
+    # at M = 9 the whole run fits in the pipe; at M = 161 (17 MB) the child
+    # is blocked on a full pipe when the consumer fails
+    pytest.param(RuntimeError, 9, id="RuntimeError"),
+    pytest.param(KeyboardInterrupt, 9, id="KeyboardInterrupt"),
+    pytest.param(RuntimeError, 161, id="RuntimeError-161"),
+    pytest.param(KeyboardInterrupt, 161, id="KeyboardInterrupt-161")])
+def test_a_failing_consumer_reaps_the_stepping_child(monkeypatch, forks, failure, nodes):
     real_add = diagnostics.EnergyAccumulator.add
 
     def add(self, rows, first=0):
@@ -750,7 +756,7 @@ def test_a_failing_consumer_reaps_the_stepping_child(monkeypatch, forks, failure
 
     monkeypatch.setattr(diagnostics.EnergyAccumulator, "add", add)
     open_fds = len(os.listdir("/dev/fd"))
-    config = cli.RunConfig("mast_constant", True, nodes=9, ratio=20.0)
+    config = cli.RunConfig("mast_constant", True, nodes=nodes, ratio=20.0)
     with _time_limit(60), pytest.raises(failure, match="consumer failed"):
         cli._streamed_energy(pb.preset("mast_constant"), config, ahead=True)
     assert len(forks) == 1
@@ -760,9 +766,9 @@ def test_a_failing_consumer_reaps_the_stepping_child(monkeypatch, forks, failure
 
 
 def test_back_to_back_forked_runs_all_succeed(tmp_path, monkeypatch, forks):
-    # The parent releases the last window's slot after reducing it.  The
-    # child waits for that, or the release would meet a closed pipe; the
-    # pause on the last window gives the child time to exit if it did not.
+    # The child sends its end marker and exits while the parent still
+    # reduces the last window; the pause there makes sure it has exited, so
+    # the parent reads the marker from a pipe whose writer is gone.
     args = ["bounds", "--preset", "mast_constant", "--nodes", "21", "--ratio", "10"]
     levels = cli.RunConfig("mast_constant", True, nodes=21, ratio=10.0).grid(
         pb.preset("mast_constant")).step_count

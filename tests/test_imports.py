@@ -1,6 +1,10 @@
-"""Package structure: the modules of beamstab import each other without a cycle."""
+"""Package structure: the modules of beamstab import each other without a
+cycle, and importing the CLI loads no module only some runs use."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "beamstab"
@@ -70,3 +74,15 @@ def test_package_import_graph_is_acyclic():
     local = "def f():\n    from .cli import main\n\nimport beamstab.stepper\n"
     assert _imported_modules(local, set(graph)) == {"cli", "stepper"}
     assert _cycle({**graph, "fem": graph["fem"] | {"cli"}}) is not None
+
+
+def test_importing_the_cli_loads_no_multiprocessing_module():
+    # a run on one CPU never forks, so the pipe of the forked step loop (and
+    # the sweep's worker pool) are imported where they are used, off setup_s
+    code = ("import sys, beamstab.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"

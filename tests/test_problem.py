@@ -60,6 +60,15 @@ def test_table_evaluation_is_linear_interpolation():
     assert c(0.25) == pytest.approx(1.5)
 
 
+def test_knots_are_a_tables_nodes_and_empty_otherwise():
+    xs = (0.0, 0.25, 0.5, 1.0)
+    assert pb.CoefficientField.table(xs, (1.0, 2.0, 2.0, 1.0)).knots == xs
+    assert pb.SpatialProfile.table(xs, (0.0, 1.0, 0.0, 1.0)).knots == xs
+    assert pb.CoefficientField.constant(2.0).knots == ()
+    assert pb.CoefficientField.polynomial((1.0, 2.0)).knots == ()
+    assert pb.SpatialProfile.polynomial((0.0, 0.0, 1.0)).knots == ()
+
+
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------

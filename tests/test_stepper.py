@@ -187,6 +187,24 @@ def test_blocks_concatenate_to_the_stored_history(n_levels):
     assert all(buf is buffers[0] for buf in buffers)
 
 
+def test_forked_windows_larger_than_the_pipe_are_the_in_process_bytes(monkeypatch):
+    # without F_SETPIPE_SZ the pipe keeps its default size (64 KiB on Linux),
+    # far below one window of 66 levels at M = 161 (169 KB), so each full
+    # window crosses it in several reads while the child waits on a full pipe
+    import fcntl
+
+    monkeypatch.delattr(fcntl, "F_SETPIPE_SZ", raising=False)
+    prob = bs.preset("mast_constant")
+    mesh = bs.Mesh(prob.length, 161)
+    stepper = TimeStepper(bs.assemble(prob, mesh), TimeGrid.from_dt(prob.final_time, mesh.h / 20))
+    sizes = []
+    for (first, window), (in_first, in_window) in zip(
+            stepper.forked_blocks(), stepper.blocks(), strict=True):
+        assert (first, window.tobytes()) == (in_first, in_window.tobytes())
+        sizes.append(window.nbytes)
+    assert max(sizes) > 1 << 16 and sum(sizes) > 1 << 20
+
+
 def _blow_up_problem():
     # a*exp(b t) overflows to inf once b t > log(max double); the load, and
     # with it the solution, is finite before that level and infinite at it
