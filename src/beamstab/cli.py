@@ -486,11 +486,12 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
         bounds_mod.check_explicit_penalty(member, config.lam)
 
     # Members share nothing, so they run in worker processes.  ``fork`` keeps
-    # this process's imports (a ``spawn`` worker would import numpy and scipy
-    # again); the only other threads are OpenBLAS's, which it shuts down
-    # before a fork.  pool.map re-raises a member's exception with its own
-    # type, and the members not yet started are then cancelled.  The pool
-    # fills the CPUs, so its members step in-process.
+    # this process's imports (a ``spawn`` worker would import numpy and the
+    # package again; each worker imports scipy at its first member); the
+    # only other threads are OpenBLAS's, which it shuts down before a fork.
+    # pool.map re-raises a member's exception with its own type, and the
+    # members not yet started are then cancelled.  The pool fills the CPUs,
+    # so its members step in-process.
     import multiprocessing
 
     member = functools.partial(_sweep_member, base, param, config=config)

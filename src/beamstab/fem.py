@@ -25,6 +25,11 @@ the interior levels 1..N-2 into blocks of CHUNK_LEVELS from level 1, and the
 stepper's windows, the energy diagnostics and the damper-only window all
 follow it.  Per-block matrix products round the same way for the same rows
 only, so this is what keeps streamed and stored results bitwise equal.
+
+scipy (BLAS, LAPACK and the sparse product) is imported where it is first
+used, so importing this module loads numpy only, and a process that never
+factors or steps, such as the reducing parent of a forked run, never loads
+scipy.
 """
 
 from __future__ import annotations
@@ -35,9 +40,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import sparse
-from scipy.linalg import blas as _blas
-from scipy.linalg import lapack as _lapack
 
 from .problem import BeamProblem, validate
 
@@ -130,7 +132,9 @@ class BandedSymmetricMatrix:
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         """``A x``."""
-        return _blas.dsbmv(self.halfband, 1.0, self.bands, x, lower=0)
+        from scipy.linalg.blas import dsbmv
+
+        return dsbmv(self.halfband, 1.0, self.bands, x, lower=0)
 
     def factor(self) -> "BandedCholesky":
         return BandedCholesky(self)
@@ -140,12 +144,15 @@ class BandedCholesky:
     """Cholesky factorization of a banded SPD matrix, reusable across solves.
 
     The factor is checked once, here: positive definite and finite.  Solves
-    call LAPACK ``dpbtrs`` directly and check nothing, so a non-finite
-    right-hand side gives a non-finite solution, not an error.
+    call LAPACK ``dpbtrs``, bound here, directly and check nothing, so a
+    non-finite right-hand side gives a non-finite solution, not an error.
     """
 
     def __init__(self, matrix: BandedSymmetricMatrix):
-        self._factor, info = _lapack.dpbtrf(matrix.bands, lower=0)
+        from scipy.linalg import lapack
+
+        self._dpbtrs = lapack.dpbtrs
+        self._factor, info = lapack.dpbtrf(matrix.bands, lower=0)
         if info > 0:
             raise np.linalg.LinAlgError(
                 "banded Cholesky failed (matrix not positive definite): "
@@ -154,11 +161,11 @@ class BandedCholesky:
             raise np.linalg.LinAlgError("banded Cholesky failed (matrix not finite)")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return _lapack.dpbtrs(self._factor, rhs, lower=0)[0]
+        return self._dpbtrs(self._factor, rhs, lower=0)[0]
 
     def solve_in_place(self, rhs: np.ndarray) -> None:
         """Overwrite ``rhs``, a contiguous float64 vector, with the solution."""
-        if _lapack.dpbtrs(self._factor, rhs, lower=0, overwrite_b=1)[0] is not rhs:
+        if self._dpbtrs(self._factor, rhs, lower=0, overwrite_b=1)[0] is not rhs:
             raise ValueError("rhs must be a contiguous float64 vector")
 
 
@@ -173,7 +180,7 @@ def combine(terms) -> BandedSymmetricMatrix:
     return out
 
 
-def block_row_csr(matrices) -> sparse.csr_array:
+def block_row_csr(matrices) -> scipy.sparse.csr_array:
     """The n x (k n) CSR array ``[A_1 | ... | A_k]`` of k banded symmetric
     n x n matrices, read straight from their upper bands.
 
@@ -181,6 +188,8 @@ def block_row_csr(matrices) -> sparse.csr_array:
     turn, in ascending column order.  Band entries that are zero are stored
     too, so the pattern depends only on n and the half-bandwidths.
     """
+    from scipy import sparse
+
     n = matrices[0].n
     # 32-bit indices: a product reads a third fewer bytes than with 64-bit ones
     i = np.arange(n, dtype=np.int32)[:, None]

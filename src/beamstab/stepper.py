@@ -7,9 +7,9 @@ three-level backward difference quotients
     u''(t_j) ~ (2 U^j - 5 U^{j-1} + 4 U^{j-2} - U^{j-3}) / dt^2
 
 so each step solves one SPD banded system whose matrix is factored once per
-run.  The scheme needs three history levels; the first two steps come from
-the trapezoidal rule on the first-order reformulation, which keeps the
-global order at two.
+run, by the process that steps it.  The scheme needs three history levels;
+the first two steps come from the trapezoidal rule on the first-order
+reformulation, which keeps the global order at two.
 
 ``TimeStepper.step`` advances one level on its own and is the reference
 the whole-run loop ``TimeStepper.blocks`` is tested against.  The step
@@ -53,11 +53,13 @@ runs ``blocks()`` and sends each window's first level and bytes through one
 (a few windows at M = 321); the caller reads each window into one reused
 buffer.  Each window holds the bytes ``blocks()`` made, so a caller
 computes bitwise the same results either way.  An exception in the child
-(a blow-up, a failed solve) is sent through the pipe and raised in the
-caller with its type and text, after the windows before it.  The child is
-forked, not spawned, because it steps with the factored matrices the
-caller already holds; it leaves through ``os._exit``, so it flushes none
-of the caller's buffers and runs none of its exit hooks.
+(a blow-up, a failed factorization) is sent through the pipe and raised
+in the caller with its type and text, after the windows before it.  The
+child is forked, not spawned, because it steps the system the caller
+already assembled, with the caller's imports.  It factors the step
+matrices itself, so the caller, which only reduces, never loads scipy.  It
+leaves through ``os._exit``, so it flushes none of the caller's buffers
+and runs none of its exit hooks.
 
 ``TraceWriter`` writes the trace window by window: it takes up to
 CHUNK_LEVELS written levels at a time, formats them with one ``%``
@@ -68,9 +70,11 @@ to a per-row ``%.17g`` writer.
 
 from __future__ import annotations
 
+import functools
 import os
 import signal
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -133,24 +137,35 @@ class SolutionTrace:
 
 
 class TimeStepper:
-    """Carries the factored iteration matrices for one (system, grid) pair."""
+    """Steps one (system, grid) pair.
+
+    The iteration matrices are built on first use, by the first
+    ``startup``, ``step`` or ``blocks`` call, not by the constructor: a run
+    stepped by ``forked_blocks`` builds them in its child, so the caller
+    never loads scipy.  That first call raises LinAlgError if a matrix to
+    factor is not positive definite or not finite.
+    """
 
     def __init__(self, system: SemiDiscreteSystem, grid: TimeGrid):
         self.system = system
         self.grid = grid
-        dt = grid.dt
-        m, c, k = system.mass, system.damping, system.stiffness
-        self._step_solve = combine(
-            [(2.0 / dt**2, m), (1.5 / dt, c), (1.0, k)]).factor()
-        # step j solves for U^j - U^{j-1}, whose right-hand side is
-        # load + H (U^{j-3}, U^{j-2}, U^{j-1}) with H = [A3 | A2 | A1 - S]
-        self._history = block_row_csr([
-            combine([(1.0 / dt**2, m)]),
-            combine([(-4.0 / dt**2, m), (-0.5 / dt, c)]),
-            combine([(3.0 / dt**2, m), (0.5 / dt, c), (-1.0, k)])])
-        self._startup_solve = combine(
-            [(2.0 / dt, m), (1.0, c), (0.5 * dt, k)]).factor()
-        self._mass_solve = m.factor()
+
+    @functools.cached_property
+    def _operators(self) -> SimpleNamespace:
+        """The Cholesky factors of the step, startup and mass matrices, and
+        the history operator H."""
+        dt = self.grid.dt
+        m, c, k = self.system.mass, self.system.damping, self.system.stiffness
+        return SimpleNamespace(
+            step=combine([(2.0 / dt**2, m), (1.5 / dt, c), (1.0, k)]).factor(),
+            # step j solves for U^j - U^{j-1}, whose right-hand side is
+            # load + H (U^{j-3}, U^{j-2}, U^{j-1}) with H = [A3 | A2 | A1 - S]
+            history=block_row_csr([
+                combine([(1.0 / dt**2, m)]),
+                combine([(-4.0 / dt**2, m), (-0.5 / dt, c)]),
+                combine([(3.0 / dt**2, m), (0.5 / dt, c), (-1.0, k)])]),
+            startup=combine([(2.0 / dt, m), (1.0, c), (0.5 * dt, k)]).factor(),
+            mass=m.factor())
 
     def initial_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Interpolated initial displacement/velocity and consistent acceleration.
@@ -161,7 +176,7 @@ class TimeStepper:
         initial = sys_.problem.initial
         u = interpolate_profile(initial.u0, sys_.mesh)
         v = interpolate_profile(initial.u1, sys_.mesh)
-        a = self._mass_solve.solve(
+        a = self._operators.mass.solve(
             sys_.load(0.0) - sys_.damping.matvec(v) - sys_.stiffness.matvec(u))
         return u, v, a
 
@@ -177,7 +192,7 @@ class TimeStepper:
                    + sys_.mass.matvec(a)
                    - sys_.stiffness.matvec(u)
                    - (0.5 * dt) * sys_.stiffness.matvec(v))
-            v_new = self._startup_solve.solve(rhs)
+            v_new = self._operators.startup.solve(rhs)
             u = u + 0.5 * dt * (v + v_new)
             a = (2.0 / dt) * (v_new - v) - a
             v = v_new
@@ -189,8 +204,9 @@ class TimeStepper:
         if j < 3:
             raise ValueError("step needs three history levels (j >= 3)")
         u3, u2, u1 = history
-        rhs = self.system.load(self.grid.times[j]) + self._history @ np.concatenate([u3, u2, u1])
-        return u1 + self._step_solve.solve(rhs)
+        ops = self._operators
+        rhs = self.system.load(self.grid.times[j]) + ops.history @ np.concatenate([u3, u2, u1])
+        return u1 + ops.step.solve(rhs)
 
     def blocks(self):
         """Integrate over the whole grid, yielding ``(first, window)`` per
@@ -208,7 +224,8 @@ class TimeStepper:
         sys_, grid = self.system, self.grid
         n_levels, n = grid.step_count, sys_.n
         end_loads = sys_.end_load(grid.times)
-        history, solve = self._history, self._step_solve.solve_in_place
+        ops = self._operators
+        history, solve = ops.history, ops.step.solve_in_place
         load = np.zeros(n)
         buf = np.empty((CHUNK_LEVELS + 3, n))  # level j of block [lo, hi) in row j - lo + 2
         buf[1:4] = self.startup()

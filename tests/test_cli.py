@@ -9,14 +9,13 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import numpy as np
 import pytest
 
 import beamstab.cli as cli
-from beamstab import bounds, diagnostics, stepper
+from beamstab import bounds, diagnostics, fem, stepper
 from beamstab import problem as pb
 from beamstab.cli import main
 from beamstab.fem import CHUNK_LEVELS, FieldKernel, interior_blocks
@@ -616,34 +615,52 @@ def test_bounds_command_streams_the_theorem2_window_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-def _peak_mib(args, out):
-    """Peak RSS of one whole CLI process (os.wait4), its children's included."""
+def _python(code: str, *args) -> str:
+    """The standard output of ``python -c code args`` in a fresh interpreter
+    that imports this package, which must exit 0."""
     import beamstab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(beamstab.__file__)))
-    proc = subprocess.Popen([sys.executable, "-m", "beamstab.cli", *args, "--out", str(out)],
-                            env=dict(os.environ, PYTHONPATH=src), stdout=subprocess.DEVNULL)
-    killer = threading.Timer(120.0, proc.kill)
-    killer.start()
-    try:
-        _, status, usage = os.wait4(proc.pid, 0)
-    finally:
-        killer.cancel()
-    proc.returncode = os.waitstatus_to_exitcode(status)   # reaped by wait4, not by proc
-    assert proc.returncode == 0
-    return usage.ru_maxrss / 1024.0
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+# Runs the CLI, then prints the peak RSS in KiB of its own process (VmHWM)
+# or of a child it reaped, whichever is higher.  The ru_maxrss that os.wait4
+# reads for a spawned process is no use here: it starts at the spawning
+# process's peak, which exec records, so under a test runner that peaked
+# high every run reads the same.  The forked stepping child is not exec'd,
+# so its figure is its own.
+_PEAK_LAUNCHER = """\
+import resource, sys
+from beamstab.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    own = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(max(own, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss))
+sys.exit(code)
+"""
+
+
+def _peak_mib(args, out):
+    """Peak RSS of one whole CLI run, its children's included."""
+    return int(_python(_PEAK_LAUNCHER, *args, "--out", out).split()[-1]) / 1024.0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB on Linux only")
+                    reason="VmHWM and ru_maxrss in KiB are Linux's")
 def test_bounds_peak_memory_does_not_grow_with_the_history(tmp_path):
-    # Peak RSS of whole `bounds` processes (os.wait4) on the damper-only
-    # preset, whose window needs a full run.  At M = 641 and dt = h/10 the
-    # run has 12801 levels of 1280 DOFs: a stored history would be 125 MiB.
-    # Streamed, M = 641 peaked 10.4 MiB above M = 41 when stepped in a forked
-    # child (72.7 against 62.3 MiB, the child's peak included, on a 2-core
-    # x86-64 Linux box) and 9.4 MiB above it in-process on one CPU (71.8
-    # against 62.4 MiB); storing the history put it 135 MiB above.
+    # Peak RSS of whole `bounds` runs on the damper-only preset, whose window
+    # needs a full run.  At M = 641 and dt = h/10 the run has 12801 levels of
+    # 1280 DOFs: a stored history would be 125 MiB.
+    # Streamed, on a 2-core x86-64 Linux box: stepped in a forked child,
+    # M = 641 peaked 1.7 MiB above M = 41 (58.0 against 56.3 MiB, both the
+    # child's, which loads scipy; this process peaked at 42.4 against
+    # 33.5 MiB), and in-process on one CPU 9.4 MiB above it (70.7 against
+    # 61.3 MiB).  Storing the history put it 135 MiB above.
     prob = pb.preset("mast_constant")
     levels = cli.RunConfig("mast_constant", True, nodes=641, ratio=10.0).grid(prob).step_count
     assert levels * 2 * 640 * 8 >= 125 * 2**20   # the history a stored run would hold
@@ -653,14 +670,15 @@ def test_bounds_peak_memory_does_not_grow_with_the_history(tmp_path):
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                    reason="ru_maxrss is in KiB on Linux only")
+                    reason="VmHWM and ru_maxrss in KiB are Linux's")
 def test_verify_peak_memory_does_not_grow_with_the_history(tmp_path):
     # At M = 641 and dt = h/10 test_NE1 has 9601 levels of 1280 DOFs: the
     # stored history is 94 MiB, and the stored errors put M = 641 515 MiB
-    # above M = 41 (579.0 against 63.6 MiB).  Streamed, M = 641 peaked
-    # 4.1 MiB above M = 41 when stepped in a forked child (65.9 against
-    # 61.8 MiB, the child's peak included, on a 2-core x86-64 Linux box) and
-    # 3.0 MiB above it in-process on one CPU (64.8 against 61.8 MiB).
+    # above M = 41 (579.0 against 63.6 MiB).
+    # Streamed, on a 2-core x86-64 Linux box: stepped in a forked child,
+    # M = 641 peaked 1.9 MiB above M = 41 (57.8 against 55.9 MiB, both the
+    # child's; this process peaked at 35.1 against 32.8 MiB), and in-process
+    # on one CPU 3.6 MiB above it (63.9 against 60.3 MiB).
     prob = pb.preset("test_NE1")
     levels = cli.RunConfig("test_NE1", True, nodes=641, ratio=10.0).grid(prob).step_count
     assert levels * 2 * 640 * 8 >= 90 * 2**20   # the history a stored run would hold
@@ -687,17 +705,24 @@ def test_no_command_stores_a_run(tmp_path, monkeypatch):
         assert main([*args, "--out", str(tmp_path / args[0])]) == 0, args
 
 
-def test_cli_import_leaves_interpolate_and_integrate_unloaded():
-    import beamstab
-
-    src = os.path.dirname(os.path.dirname(os.path.abspath(beamstab.__file__)))
+def test_cli_import_loads_no_scipy_module():
+    # fem imports LAPACK, BLAS and the sparse product where they are first used
     code = ("import sys, beamstab.cli; "
-            "print(sorted(m for m in ('scipy.interpolate', 'scipy.integrate') "
-            "if m in sys.modules))")
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True, timeout=120).stdout
-    assert out.strip() == "[]"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _python(code).strip() == "[]"
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a run steps in a child only by fork")
+def test_the_reducing_parent_of_a_forked_run_loads_no_scipy_module(tmp_path):
+    # the child factors the step matrices and steps; this process reduces
+    # the windows with numpy alone
+    code = ("import sys, beamstab.cli as cli\n"
+            "cli._usable_cpus = lambda: 2\n"
+            "print([cli.main([command, '--preset', 'mast_constant', '--nodes', '11',\n"
+            "                 '--ratio', '10', '--out', sys.argv[1] + '/' + command])\n"
+            "       for command in ('bounds', 'simulate')],\n"
+            "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    assert _python(code, tmp_path).splitlines()[-1] == "[0, 0] []"
 
 
 def test_bounds_command_undamped_exits_one(tmp_path, capsys):
@@ -708,12 +733,16 @@ def test_bounds_command_undamped_exits_one(tmp_path, capsys):
     assert "k_a + k_v + mu0" in capsys.readouterr().err
 
 
-def test_numerical_failure_exits_two(tmp_path, monkeypatch, capsys, forks):
+@pytest.mark.parametrize("owner, name", [
+    pytest.param(stepper.TimeStepper, "blocks", id="blocks"),
+    pytest.param(fem.BandedCholesky, "__init__", id="factor")])
+def test_numerical_failure_exits_two(tmp_path, monkeypatch, capsys, forks, owner, name):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("factorization failed")
 
-    # raised in the stepping child, re-raised here with its type and text
-    monkeypatch.setattr(cli.stepper.TimeStepper, "blocks", boom)
+    # raised in the stepping child, which also factors the step matrices,
+    # and re-raised here with its type and text
+    monkeypatch.setattr(owner, name, boom)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     out = tmp_path / "out"
     assert main(["simulate", "--preset", "test_NE1", "--nodes", "9",

@@ -126,6 +126,19 @@ def test_step_requires_three_history_levels():
         stepper.step((z, z, z), 2)
 
 
+def test_a_failed_factorization_raises_on_first_use_not_in_the_constructor():
+    # the constructor factors nothing, so a forked run factors in its child
+    prob = bs.preset("cantilever_dampers")
+    system = bs.assemble(prob, bs.Mesh(prob.length, 9))
+    broken = dataclasses.replace(system, stiffness=combine([(-1e12, system.stiffness)]))
+    stepper = TimeStepper(broken, TimeGrid(1.0, 11))
+    zeros = (np.zeros(broken.n),) * 3
+    for first_use in (stepper.startup, lambda: stepper.step(zeros, 3),
+                      lambda: next(stepper.blocks())):
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            first_use()
+
+
 # ---------------------------------------------------------------------------
 # the whole-run loop against the one-step reference
 # ---------------------------------------------------------------------------
@@ -261,8 +274,8 @@ def test_history_operator_is_the_dense_three_level_stencil(name, nodes):
     dense = np.hstack([(1.0 / dt**2) * m,
                        (-4.0 / dt**2) * m + (-0.5 / dt) * c,
                        (3.0 / dt**2) * m + (0.5 / dt) * c - k])
-    assert stepper._history.shape == (system.n, 3 * system.n)
-    assert np.array_equal(stepper._history.toarray(), dense)
+    assert stepper._operators.history.shape == (system.n, 3 * system.n)
+    assert np.array_equal(stepper._operators.history.toarray(), dense)
 
 
 def _two_product_history(stepper):
