@@ -12,6 +12,7 @@ import os
 import numpy as np
 
 import beamstab as bs
+from beamstab.fem import FieldKernel, nodal
 
 prob = bs.preset("test_NE1")
 exact = bs.exact_solution("test_NE1")
@@ -25,15 +26,24 @@ trace = bs.run(prob, mesh, grid)
 
 # nodal error against the exact solution over the whole space-time grid
 hist = trace.dof_history
-u_num = np.concatenate([np.zeros((grid.step_count, 1)), hist[:, 0::2]], axis=1)
+u_num = nodal(hist, 0)
 u_ref = exact.u(mesh.nodes[None, :], grid.times[:, None])
 print(f"max nodal |u - exact| = {np.max(np.abs(u_num - u_ref)):.3e}")
 
-# pointwise probes anywhere in the space-time box
-for (x, t) in ((0.5, 0.75), (1.0, 1.5), (0.25, 0.1)):
-    u, u_x, u_xx, u_t = bs.interpolate(trace, x, t)
-    print(f"u({x}, {t}) = {u:+.6f}   exact {float(exact.u(x, t)):+.6f}   "
-          f"u_x = {u_x:+.6f}   u_t = {u_t:+.6f}")
+# probes at fixed points, at the interior grid time nearest t: u and u_xx of
+# the Hermite interpolant on the point's element, and u_t from the centered
+# velocity rows
+for (x, t) in ((0.5, 0.75), (1.0, 1.25), (0.25, 0.1)):
+    e = min(int(x / mesh.h), mesh.element_count - 1)
+    kernel = FieldKernel(mesh.h, [min(x / mesh.h - e, 1.0)])
+    j = round(t / grid.dt)
+    t = grid.times[j]
+    u = kernel.values(hist[j:j + 1])[0, e, 0]
+    u_xx = kernel.curvatures(hist[j:j + 1])[0, e, 0]
+    u_t = kernel.values((hist[j + 1:j + 2] - hist[j - 1:j]) / (2.0 * grid.dt))[0, e, 0]
+    print(f"x = {x}, t = {t:g}:  u = {u:+.6f} (exact {float(exact.u(x, t)):+.6f})   "
+          f"u_xx = {u_xx:+.6f} (exact {float(exact.u_xx(x, t)):+.6f})   "
+          f"u_t = {u_t:+.6f} (exact {float(exact.u_t(x, t)):+.6f})")
 
 # exports: one CSV row per node per (decimated) time level
 out = os.path.join(os.path.dirname(__file__), "output")

@@ -14,6 +14,7 @@ Two studies:
 import numpy as np
 
 import beamstab as bs
+from beamstab.fem import nodal
 
 # ---- temporal order on the exact-solution problem ---------------------------
 
@@ -26,8 +27,7 @@ errors = []
 for dt in (1 / 100, 1 / 200, 1 / 400, 1 / 800):
     grid = bs.TimeGrid.from_dt(prob.final_time, dt)
     trace = bs.run(prob, mesh, grid)
-    hist = trace.dof_history
-    u = np.concatenate([np.zeros((grid.step_count, 1)), hist[:, 0::2]], axis=1)
+    u = nodal(trace.dof_history, 0)
     err = np.max(np.abs(u - exact.u(mesh.nodes[None, :], grid.times[:, None])))
     errors.append(err)
     order = "" if len(errors) == 1 else f"   order {np.log2(errors[-2] / err):.3f}"
@@ -39,8 +39,7 @@ grid = bs.TimeGrid.from_dt(prob.final_time, 1 / 2000)
 for nodes in (6, 11, 21, 41):
     m = bs.Mesh(prob.length, nodes)
     trace = bs.run(prob, m, grid)
-    hist = trace.dof_history
-    u = np.concatenate([np.zeros((grid.step_count, 1)), hist[:, 0::2]], axis=1)
+    u = nodal(trace.dof_history, 0)
     err = np.max(np.abs(u - exact.u(m.nodes[None, :], grid.times[:, None])))
     print(f"  {nodes:3d} nodes   max error {err:.3e}")
 

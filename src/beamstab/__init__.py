@@ -31,7 +31,6 @@ from .fem import (
     Mesh,
     SemiDiscreteSystem,
     assemble,
-    evaluate_solution,
     hermite_shapes,
 )
 from .stepper import (
@@ -40,7 +39,6 @@ from .stepper import (
     TimeStepper,
     TraceWriter,
     export_trace_csv,
-    interpolate,
     run,
 )
 from .diagnostics import (

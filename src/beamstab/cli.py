@@ -39,7 +39,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import diagnostics, problem as problem_mod, stepper
-from .fem import FieldKernel, Mesh, assemble, interior_blocks
+from .fem import FieldKernel, Mesh, assemble, interior_blocks, nodal
 from .problem import BeamProblem, load_problem, preset, validate
 
 __all__ = ["main", "RunConfig"]
@@ -49,6 +49,10 @@ SWEEP_PARAMS = ("k_r", "k_a", "k_d", "k_v", "mu_scale")
 
 class _UsageError(Exception):
     pass
+
+
+class _InvalidProblem(Exception):
+    """A problem that fails ``validate``; the message is the report (exit 1)."""
 
 
 @dataclass
@@ -127,6 +131,8 @@ def _config_from_args(args) -> RunConfig:
         raise _UsageError("give at most one of --dt and --ratio")
     if args.nodes < 3:
         raise _UsageError("--nodes must be >= 3")
+    if getattr(args, "decimate", 1) < 1:
+        raise _UsageError("--decimate must be >= 1")
     for flag, value in (("--dt", args.dt), ("--ratio", args.ratio)):
         if value is not None and not (0.0 < value < math.inf):
             raise _UsageError(f"{flag} must be positive and finite; got {value:g}")
@@ -156,6 +162,15 @@ def _load(config: RunConfig) -> BeamProblem:
         return load_problem(config.source)
     except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
         raise _UsageError(f"cannot read problem file {config.source}: {exc}") from None
+
+
+def _load_valid(config: RunConfig) -> BeamProblem:
+    """The configured problem; raises _InvalidProblem if ``validate`` fails."""
+    prob = _load(config)
+    report = validate(prob)
+    if not report.ok:
+        raise _InvalidProblem(str(report))
+    return prob
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +242,6 @@ def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None,
     return acc.result()
 
 
-def _nodal(columns: np.ndarray) -> np.ndarray:
-    """(T, M - 1) nodal columns of DOF rows -> (T, M), the clamped node's zeros first."""
-    return np.pad(columns, ((0, 0), (1, 0)))
-
-
 class _ErrorAccumulator:
     """Max and L2 errors of one run's nodal u, u_x, u_t and u_xx against an
     exact solution, fed the run's windows of levels as
@@ -269,13 +279,13 @@ class _ErrorAccumulator:
         exact, times, x = self._exact, self._grid.times, self._mesh.nodes
         new = rows[self._next - first:]
         t = times[self._next:self._next + len(new), None]
-        self._take("u", _nodal(new[:, 0::2]) - exact.u(x, t))
-        self._take("u_x", _nodal(new[:, 1::2]) - exact.u_x(x, t))
+        self._take("u", nodal(new, 0) - exact.u(x, t))
+        self._take("u_x", nodal(new, 1) - exact.u_x(x, t))
         self._next += len(new)
         lo = self._next_interior
         for out, u, ut in interior_blocks(rows[lo - 1 - first:], self._grid.dt, lo - 1):
             t = times[out.start + 1:out.stop + 1, None]
-            self._take("u_t", _nodal(ut[:, 0::2]) - exact.u_t(x, t))
+            self._take("u_t", nodal(ut, 0) - exact.u_t(x, t))
             self._take("u_xx", self._curvature(u) - exact.u_xx(x, t))
         self._next_interior = max(lo, first + len(rows) - 1)
 
@@ -336,11 +346,7 @@ def cmd_validate(config: RunConfig) -> int:
 
 
 def cmd_simulate(config: RunConfig) -> int:
-    prob = _load(config)
-    report = validate(prob)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return 1
+    prob = _load_valid(config)
     result = _simulate_pipeline(prob, config, config.out_dir, _steps_ahead())
     e = result["energy"]
     print(f"wrote trace.csv, energy.csv, bounds.json to {config.out_dir}")
@@ -373,11 +379,7 @@ def cmd_verify(config: RunConfig) -> int:
 def cmd_convergence(config: RunConfig, levels: int) -> int:
     if levels < 3:
         raise _UsageError("--levels must be >= 3")
-    prob = _load(config)
-    report = validate(prob)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return 1
+    prob = _load_valid(config)
     exact = None
     if config.is_preset:
         try:
@@ -468,11 +470,7 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
         if dirs.count(d) > 1:  # members run at once: both would write its files
             raise _UsageError(f"two --values share the member directory {d}")
 
-    base = _load(config)
-    report = validate(base)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return 1
+    base = _load_valid(config)
     # every member is checked before any starts, so an invalid one leaves no
     # member directory behind; so is --lambda, wherever no run can make it
     # admissible (a damper-only member's window needs its run, which checks it)
@@ -480,8 +478,7 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
     for v, member in zip(values, members):
         report = validate(member)
         if not report.ok:
-            print(f"{param} = {v:g}: invalid problem\n{report}", file=sys.stderr)
-            return 1
+            raise _InvalidProblem(f"{param} = {v:g}: invalid problem\n{report}")
     for member in members:
         bounds_mod.check_explicit_penalty(member, config.lam)
 
@@ -523,11 +520,7 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
 
 
 def cmd_bounds(config: RunConfig) -> int:
-    prob = _load(config)
-    report = validate(prob)
-    if not report.ok:
-        print(report, file=sys.stderr)
-        return 1
+    prob = _load_valid(config)
     try:
         regime = bounds_mod.classify_regime(prob)
     except ValueError as exc:
@@ -576,6 +569,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
+    except _InvalidProblem as exc:
+        print(exc, file=sys.stderr)
+        return 1
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # LinAlgError subclasses ValueError, so numerics are caught first
         print(f"numerical failure: {exc}", file=sys.stderr)

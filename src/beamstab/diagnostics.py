@@ -57,6 +57,7 @@ from .fem import (
     SemiDiscreteSystem,
     integrate_data,
     interior_blocks,
+    nodal,
 )
 from .problem import BeamProblem
 from .stepper import SolutionTrace, TimeGrid
@@ -85,7 +86,7 @@ def initial_energy(problem: BeamProblem) -> float:
 
 def _nodal_curvature(dofs2d: np.ndarray, h: float) -> np.ndarray:
     """Centered x-differences of the nodal slopes; one-sided at the two ends."""
-    theta = np.concatenate([np.zeros((dofs2d.shape[0], 1)), dofs2d[:, 1::2]], axis=1)
+    theta = nodal(dofs2d, 1)
     out = np.empty_like(theta)
     out[:, 1:-1] = (theta[:, 2:] - theta[:, :-2]) / (2.0 * h)
     out[:, 0] = (-3.0 * theta[:, 0] + 4.0 * theta[:, 1] - theta[:, 2]) / (2.0 * h)

@@ -42,8 +42,8 @@ O(CHUNK_LEVELS n) of the run, not O(N n), and the loop touches no fresh
 memory after its first block.  Each window is checked for non-finite
 values before it is yielded, so a run that blows up stops there and
 reports the first bad time.  ``run`` copies every window into a
-``SolutionTrace`` for library callers that need random access to the
-levels (``interpolate``, ``export_trace_csv``); no CLI command stores one.
+``SolutionTrace`` for library callers that need the whole history at once
+(``export_trace_csv``, ``diagnostics.energy``); no CLI command stores one.
 
 ``forked_blocks`` yields the same windows, stepped by a forked child
 process while the caller reduces the windows before them, so on a machine
@@ -85,12 +85,11 @@ from .fem import (
     assemble,
     block_row_csr,
     combine,
-    evaluate_solution,
     interpolate_profile,
 )
 
 __all__ = ["TimeGrid", "SolutionTrace", "TimeStepper", "TraceWriter", "run",
-           "interpolate", "export_trace_csv"]
+           "export_trace_csv"]
 
 # forked_blocks asks for pipes of this size, so the child can run a few
 # windows ahead of the caller (one window is 338 KB at M = 321, and Linux's
@@ -312,43 +311,6 @@ class TimeStepper:
 def run(problem, mesh: Mesh, grid: TimeGrid) -> SolutionTrace:
     """Assemble and integrate in one call; deterministic for fixed inputs."""
     return TimeStepper(assemble(problem, mesh), grid).run()
-
-
-def interpolate(trace: SolutionTrace, x: float, t: float):
-    """Evaluate (u, u_x, u_xx, u_t) at an arbitrary point of the space-time box.
-
-    Space uses the Hermite interpolant at the two bracketing time levels with
-    a linear blend in time.  u_t is the centered difference quotient at
-    interior grid times, one-sided at the first/last level, and the interval
-    slope between levels.
-    """
-    grid = trace.grid
-    if not 0.0 <= t <= grid.final_time * (1.0 + 1e-12):
-        raise ValueError(f"t = {t} outside [0, {grid.final_time}]")
-    dt = grid.dt
-    n_levels = grid.step_count
-    s = t / dt
-    j = int(round(s))
-    hist = trace.dof_history
-
-    if abs(t - j * dt) <= 1e-12 * grid.final_time and 0 <= j < n_levels:
-        u, u_x, u_xx = evaluate_solution(trace.system, hist[j], x)
-        if 1 <= j <= n_levels - 2:
-            v_dofs = (hist[j + 1] - hist[j - 1]) / (2.0 * dt)
-        elif j == 0:
-            v_dofs = (hist[1] - hist[0]) / dt
-        else:
-            v_dofs = (hist[-1] - hist[-2]) / dt
-        u_t = evaluate_solution(trace.system, v_dofs, x)[0]
-        return u, u_x, u_xx, u_t
-
-    j0 = min(int(s), n_levels - 2)
-    theta = s - j0
-    lo = evaluate_solution(trace.system, hist[j0], x)
-    hi = evaluate_solution(trace.system, hist[j0 + 1], x)
-    blend = tuple((1.0 - theta) * a + theta * b for a, b in zip(lo, hi))
-    u_t = (hi[0] - lo[0]) / dt
-    return blend[0], blend[1], blend[2], u_t
 
 
 class TraceWriter:

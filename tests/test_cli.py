@@ -599,6 +599,23 @@ def test_bounds_command_theorem2_runs_a_simulation(tmp_path):
     assert data["envelope"]["violations"]["decay"] == 0
 
 
+def test_bounds_failed_window_writes_the_certified_keys_and_a_note(tmp_path):
+    # the failed-window report is built apart from bounds.bound_report
+    base = pb.preset("mast_constant")
+    dead_tip = dataclasses.replace(base, initial=dataclasses.replace(
+        base.initial, u1=pb.SpatialProfile.polynomial((0.0,))))
+    args = ["--nodes", "11", "--ratio", "10"]
+    assert main(["bounds", "--problem", _write(tmp_path, dead_tip), *args,
+                 "--out", str(tmp_path / "dead")]) == 0
+    assert main(["bounds", "--preset", "mast_constant", *args,
+                 "--out", str(tmp_path / "live")]) == 0
+    failed = json.loads((tmp_path / "dead" / "bounds.json").read_text())
+    certified = json.loads((tmp_path / "live" / "bounds.json").read_text())
+    assert "note" not in certified
+    assert set(failed) == set(certified) | {"note"}
+    assert "fails at t = 0" in failed["note"]
+
+
 def test_bounds_command_streams_the_theorem2_window_once(tmp_path, monkeypatch):
     import beamstab.bounds as bounds
 
@@ -823,6 +840,15 @@ def test_step_rule_must_be_positive_and_finite(tmp_path, capsys, flag, value):
                  "--out", str(tmp_path / "out")]) == 3
     assert capsys.readouterr().err.startswith(f"usage error: {flag} must be positive and finite")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("decimate", ["0", "-2"])
+def test_decimate_must_be_positive_and_leaves_no_directory(tmp_path, capsys, decimate):
+    out = tmp_path / "d" / "x"
+    assert main(["simulate", "--preset", "test_NE1", "--nodes", "9",
+                 "--decimate", decimate, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "usage error: --decimate must be >= 1\n"
+    assert not (tmp_path / "d").exists()
 
 
 def test_usage_errors():

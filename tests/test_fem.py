@@ -370,7 +370,10 @@ def test_system_matrices_equal_the_dense_element_scatter(name):
 
 def test_zero_dofs_evaluate_to_zero():
     system = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 7))
-    assert fem.evaluate_solution(system, np.zeros(system.n), 0.37) == (0.0, 0.0, 0.0)
+    kernel = fem.FieldKernel(system.mesh.h, [0.0, 0.37, 1.0])
+    rows = np.zeros((2, system.n))
+    assert not np.any(kernel.values(rows)) and not np.any(kernel.curvatures(rows))
+    assert not np.any(fem.nodal(rows, 0)) and not np.any(fem.nodal(rows, 1))
 
 
 @pytest.mark.parametrize("nodes", [3, 9, 33])
@@ -378,59 +381,16 @@ def test_cubic_interpolation_is_exact(nodes):
     # 2x^2 - 0.7x^3 satisfies the clamp and lies in the Hermite space
     prob = _unit_problem()
     system = fem.assemble(prob, fem.Mesh(1.0, nodes))
-    poly = pb.SpatialProfile.polynomial((0.0, 0.0, 2.0, -0.7))
-    dofs = fem.interpolate_profile(poly, system.mesh)
-    for x in np.linspace(0.0, 1.0, 23):
-        u, ux, uxx = fem.evaluate_solution(system, dofs, x)
-        assert abs(u - float(poly(x))) <= 1e-10
-        assert abs(ux - float(poly.d1(x))) <= 1e-10
-        assert abs(uxx - float(poly.d2(x))) <= 1e-10
-
-
-def _evaluate_solution_padded_row(system, dofs, x):
-    """The evaluate_solution that padded the whole row: the bitwise oracle."""
-    dofs = np.asarray(dofs, dtype=float)
     mesh = system.mesh
-    if not (0.0 <= x <= mesh.length * (1.0 + 1e-12)):
-        raise ValueError(f"x = {x} outside [0, {mesh.length}]")
-    h = mesh.h
-    node = int(round(x / h))
-    if abs(x - node * h) <= 1e-12 * mesh.length and node >= 1:
-        e = min(node - 1, mesh.element_count - 1)
-    else:
-        e = min(int(x / h), mesh.element_count - 1)
-    xi = (x - mesh.nodes[e]) / mesh.h
-    xi = min(max(xi, 0.0), 1.0)
-    local = np.concatenate(([0.0, 0.0], dofs))[2 * e:2 * e + 4]
-    s = fem.hermite_shapes(xi, mesh.h)
-    return tuple(float(local @ s[:, k]) for k in range(3))
-
-
-@pytest.mark.parametrize("nodes", [3, 7, 41])
-def test_evaluate_solution_is_bitwise_the_padded_row_formula(nodes):
-    system = fem.assemble(_unit_problem(), fem.Mesh(1.0, nodes))
-    rng = np.random.default_rng(nodes)
-    rows = rng.standard_normal((2, system.n)) * np.array([[1.0], [1e-300]])
-    rows[0, :4] = (-0.0, 0.0, -0.0, 3e300)
-    h = system.mesh.h
-    # element 0, an interior and the last element, every node, xi = 0 and 1
-    # from either side, points near nodes, and the far end's tolerance band
-    xs = [0.0, 0.3 * h, h, (nodes // 2 + 0.6) * h, 1.0 - 0.2 * h, 1.0, 1.0 + 5e-13]
-    xs += list(system.mesh.nodes)
-    xs += [x + d for x in system.mesh.nodes[1:-1] for d in (-1e-13, 1e-13, -1e-9, 1e-9)]
-    xs += list(rng.random(40))
-    strided = np.repeat(rows[0], 2)[::2]  # a non-contiguous view of row 0
-    for dofs in (rows[0], rows[1], strided, list(rows[0])):
-        for x in xs:
-            for point in (float(x), np.float64(x)):
-                got = fem.evaluate_solution(system, dofs, point)
-                want = _evaluate_solution_padded_row(system, dofs, point)
-                assert all(type(v) is float for v in got)
-                assert np.array_equal(got, want), (x, dofs is strided)
-                assert np.array_equal(np.signbit(got), np.signbit(want)), x
-    for x in (-1e-300, 1.0 + 1e-11):
-        with pytest.raises(ValueError, match="outside"):
-            fem.evaluate_solution(system, rows[0], x)
+    poly = pb.SpatialProfile.polynomial((0.0, 0.0, 2.0, -0.7))
+    dofs = fem.interpolate_profile(poly, mesh)[None]
+    xi = np.concatenate([[0.0, 1.0], np.random.default_rng(nodes).random(21)])
+    x = mesh.nodes[:-1, None] + mesh.h * xi   # (E, q): every element
+    kernel = fem.FieldKernel(mesh.h, xi)
+    assert np.max(np.abs(kernel.values(dofs)[0] - poly(x))) <= 1e-10
+    assert np.max(np.abs(kernel.curvatures(dofs)[0] - poly.d2(x))) <= 1e-10
+    assert np.max(np.abs(fem.nodal(dofs, 0)[0] - poly(mesh.nodes))) <= 1e-10
+    assert np.max(np.abs(fem.nodal(dofs, 1)[0] - poly.d1(mesh.nodes))) <= 1e-10
 
 
 def _interpolate_profile_per_node(profile, mesh):
@@ -462,28 +422,11 @@ def test_interpolate_profile_is_bitwise_the_per_node_loop(profile, nodes):
 def test_ne1_initial_interpolant_end_values():
     prob = pb.preset("test_NE1")
     system = fem.assemble(prob, fem.Mesh(1.0, 9))
-    dofs = fem.interpolate_profile(prob.initial.u0, system.mesh)
-    u, ux, _ = fem.evaluate_solution(system, dofs, 1.0)
+    dofs = fem.interpolate_profile(prob.initial.u0, system.mesh)[None]
+    u = fem.FieldKernel(system.mesh.h, [1.0]).values(dofs)[0, -1, 0]
+    ux = fem.nodal(dofs, 1)[0, -1]
     assert u == pytest.approx(1.0, abs=1e-12)
     assert ux == pytest.approx(2.0, abs=1e-12)
-
-
-def test_interior_node_returns_left_element_curvature():
-    system = fem.assemble(_unit_problem(), fem.Mesh(1.0, 5))
-    rng = np.random.default_rng(11)
-    dofs = rng.standard_normal(system.n)
-    x_node = system.mesh.nodes[2]
-    _, _, at_node = fem.evaluate_solution(system, dofs, x_node)
-    _, _, left = fem.evaluate_solution(system, dofs, x_node - 1e-9)
-    _, _, right = fem.evaluate_solution(system, dofs, x_node + 1e-9)
-    assert abs(at_node - left) < 1e-6
-    assert abs(at_node - right) > 1e-3  # genuine curvature jump across the node
-
-
-def test_evaluate_outside_domain_rejected():
-    system = fem.assemble(_unit_problem(), fem.Mesh(1.0, 5))
-    with pytest.raises(ValueError):
-        fem.evaluate_solution(system, np.zeros(system.n), 1.5)
 
 
 def test_mesh_invariants():

@@ -415,47 +415,6 @@ def test_mast_matches_truncated_modal_series():
     assert all(b < a for a, b in zip(maxima, maxima[1:]))
 
 
-# ---------------------------------------------------------------------------
-# space-time interpolation
-# ---------------------------------------------------------------------------
-
-def test_interpolate_at_grid_time_equals_grid_evaluation():
-    prob = bs.preset("test_NE1")
-    trace = bs.run(prob, bs.Mesh(1.0, 11), TimeGrid.from_dt(1.5, 1 / 100))
-    j = 40
-    t = trace.grid.times[j]
-    u, ux, uxx, _ = bs.interpolate(trace, 0.43, t)
-    from beamstab.fem import evaluate_solution
-    direct = evaluate_solution(trace.system, trace.dof_history[j], 0.43)
-    assert (u, ux, uxx) == pytest.approx(direct, rel=1e-14)
-
-
-def test_interpolate_midpoint_is_arithmetic_mean():
-    prob = bs.preset("test_NE1")
-    trace = bs.run(prob, bs.Mesh(1.0, 11), TimeGrid.from_dt(1.5, 1 / 100))
-    j = 30
-    tm = 0.5 * (trace.grid.times[j] + trace.grid.times[j + 1])
-    from beamstab.fem import evaluate_solution
-    lo = evaluate_solution(trace.system, trace.dof_history[j], 0.7)
-    hi = evaluate_solution(trace.system, trace.dof_history[j + 1], 0.7)
-    u, _, _, _ = bs.interpolate(trace, 0.7, tm)
-    assert u == pytest.approx(0.5 * (lo[0] + hi[0]), rel=1e-13)
-
-
-def test_interpolate_matches_exact_solution_off_grid():
-    prob = bs.preset("test_NE1")
-    trace = bs.run(prob, bs.Mesh(1.0, 41), TimeGrid.from_dt(1.5, (1 / 40) / 40))
-    u, _, _, _ = bs.interpolate(trace, 0.5, 0.75)
-    assert u == pytest.approx(0.25 * np.exp(-1.5), abs=1e-5)
-
-
-def test_interpolate_rejects_out_of_domain():
-    prob = bs.preset("test_NE1")
-    trace = bs.run(prob, bs.Mesh(1.0, 7), TimeGrid.from_dt(1.5, 1 / 50))
-    with pytest.raises(ValueError):
-        bs.interpolate(trace, 0.5, 2.0)
-
-
 def test_trace_csv_export(tmp_path):
     prob = bs.preset("test_NE1")
     trace = bs.run(prob, bs.Mesh(1.0, 5), TimeGrid.from_dt(1.5, 1 / 20))
