@@ -155,7 +155,7 @@ def damper_window(problem: BeamProblem, grid, tip_vel: np.ndarray, tip_ang: np.n
 
 def decay_estimate(beta0: float, beta1: float, lam: float) -> tuple[float, float]:
     """Envelope constants (M_d, sigma) for a penalty weight lam in (0, 1/beta0)."""
-    if lam <= 0.0:
+    if not lam > 0.0:   # NaN too
         raise ValueError(f"penalty weight must be positive; got {lam:g}")
     if lam * beta0 >= 1.0:
         raise ValueError(
@@ -222,9 +222,9 @@ def compute_decay_bound(problem: BeamProblem, *, lam: float | None = None,
 
 def check_explicit_penalty(problem: BeamProblem, lam: float | None) -> None:
     """Reject an explicit penalty weight that no run can make admissible:
-    any ``lam`` when no certificate applies, or one outside a window that
-    needs no run.  A damper-only window needs the run, so ``lam`` is checked
-    against it by ``compute_decay_bound`` once the run is done."""
+    any ``lam`` when no certificate applies, one outside a window that needs
+    no run, or one outside (0, 1/beta0), which holds the damper-only window
+    that only the run gives (``compute_decay_bound`` checks that one)."""
     if lam is None:
         return
     try:
@@ -233,6 +233,8 @@ def check_explicit_penalty(problem: BeamProblem, lam: float | None) -> None:
         raise ValueError(f"no admissible penalty weight: {exc}") from None
     if regime != "theorem2":
         compute_decay_bound(problem, lam=lam)
+    else:
+        decay_estimate(*beta_constants(problem), lam)
 
 
 # ---------------------------------------------------------------------------

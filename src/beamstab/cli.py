@@ -39,7 +39,7 @@ import numpy as np
 
 from . import bounds as bounds_mod
 from . import diagnostics, problem as problem_mod, stepper
-from .fem import FieldKernel, Mesh, assemble, interior_blocks, nodal
+from .fem import FieldKernel, Mesh, assemble, nodal, velocities
 from .problem import BeamProblem, load_problem, preset, validate
 
 __all__ = ["main", "RunConfig"]
@@ -222,8 +222,8 @@ def _feed(system, grid: stepper.TimeGrid, consumers, ahead: bool = False) -> Non
     child process; the windows are the same bytes."""
     steps = stepper.TimeStepper(system, grid)
     # closed here, not by the collector, if this loop fails: that reaps the child
-    with contextlib.closing(steps.forked_blocks() if ahead else steps.blocks()) as windows:
-        for first, window in windows:
+    with contextlib.closing(steps.forked_blocks() if ahead else steps.blocks()) as stream:
+        for first, window in stream:
             for consume in consumers:
                 consume(window, first)
 
@@ -248,7 +248,7 @@ class _ErrorAccumulator:
     ``diagnostics.EnergyAccumulator`` is.
 
     u and u_x are compared on every level, each once.  u_t (the centered
-    rows of ``fem.interior_blocks``) and u_xx are compared on the interior
+    rows of ``fem.velocities``) and u_xx are compared on the interior
     levels; u_xx is the paper-mode nodal curvature or, in basis mode, the
     Hermite curvature at the nodes (left-element limits, the right one at
     x = 0).  Only running maxima of |error| and sums of squares are kept.
@@ -262,8 +262,7 @@ class _ErrorAccumulator:
         self._kernel = FieldKernel(self._mesh.h, (0.0, 1.0))
         self.max = dict.fromkeys(self.QUANTITIES, 0.0)
         self._squares = dict.fromkeys(self.QUANTITIES, 0.0)
-        self._next = 0            # the first level whose u, u_x are not compared
-        self._next_interior = 1   # the first interior level not compared
+        self._next = 0   # the first level of the next window
 
     def _take(self, name: str, err: np.ndarray) -> None:
         self.max[name] = max(self.max[name], float(np.max(np.abs(err))))
@@ -275,19 +274,20 @@ class _ErrorAccumulator:
         curv = self._kernel.curvatures(u)
         return np.concatenate([curv[:, :1, 0], curv[:, :, 1]], axis=1)
 
-    def add(self, rows: np.ndarray, first: int = 0) -> None:
+    def add(self, window: np.ndarray, first: int) -> None:
+        if first != self._next:
+            raise ValueError(f"window at level {first} is not the next one, at level {self._next}")
+        self._next = first + len(window) - 2
         exact, times, x = self._exact, self._grid.times, self._mesh.nodes
-        new = rows[self._next - first:]
-        t = times[self._next:self._next + len(new), None]
+        stop = first + len(window)
+        new = window[2:] if first else window   # the levels not in the window before
+        t = times[stop - len(new):stop, None]
         self._take("u", nodal(new, 0) - exact.u(x, t))
         self._take("u_x", nodal(new, 1) - exact.u_x(x, t))
-        self._next += len(new)
-        lo = self._next_interior
-        for out, u, ut in interior_blocks(rows[lo - 1 - first:], self._grid.dt, lo - 1):
-            t = times[out.start + 1:out.stop + 1, None]
-            self._take("u_t", nodal(ut, 0) - exact.u_t(x, t))
-            self._take("u_xx", self._curvature(u) - exact.u_xx(x, t))
-        self._next_interior = max(lo, first + len(rows) - 1)
+        t = times[first + 1:stop - 1, None]
+        ut = velocities(window, self._grid.dt)
+        self._take("u_t", nodal(ut, 0) - exact.u_t(x, t))
+        self._take("u_xx", self._curvature(window[1:-1]) - exact.u_xx(x, t))
 
     def rows(self) -> list[tuple[str, float, float]]:
         """``(quantity, max error, L2 error over the space-time grid)``."""
@@ -347,6 +347,7 @@ def cmd_validate(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     prob = _load_valid(config)
+    bounds_mod.check_explicit_penalty(prob, config.lam)   # before --out is made
     result = _simulate_pipeline(prob, config, config.out_dir, _steps_ahead())
     e = result["energy"]
     print(f"wrote trace.csv, energy.csv, bounds.json to {config.out_dir}")

@@ -25,22 +25,22 @@ post-processing (centered x-differences of the nodal slopes, linearly
 interpolated between nodes).
 
 Fields are never formed for the whole history.  ``EnergyAccumulator`` is
-fed the levels of one run as windows that may overlap but leave no gap: the
-windows of ``TimeStepper.blocks()`` as they are made (every CLI command,
-none of which stores the history) or a stored history as one window
-(``energy``).  ``fem.interior_blocks`` cuts each window, without copying,
-at the block bounds of ``fem.CHUNK_LEVELS`` interior levels; each block's
-velocity rows are formed, u, u_t and the curvature are evaluated at the
-element Gauss points (``fem.Quadrature``) into reused buffers, and the
-block is reduced to per-level integrals at once.  In the damper-only regime
-the same velocities also give a per-level ``||u_t||^2``, from which
-``bounds.damper_window`` computes the window, so it costs no second pass.
-Memory beyond the levels fed in is a few (CHUNK_LEVELS, E, q) blocks plus
-O(N) per-level arrays, and the blocks are the same however the levels
-arrive, so a streamed and a stored run give bitwise the same results.
-``export_energy_csv`` writes its rows in blocks of CHUNK_LEVELS too, one
-``%`` template and one write per block, byte-identical to a per-row
-``%.17g`` writer.
+fed the levels of one run one window of ``fem.windows`` at a time, in
+order: a block of ``fem.CHUNK_LEVELS`` interior levels with both
+neighbours.  The windows come from ``TimeStepper.blocks()`` as they are
+made (every CLI command, none of which stores the history) or as views of
+a stored history (``energy``).  For each window the velocity rows of its
+block are formed (``fem.velocities``), u, u_t and the curvature are
+evaluated at the element Gauss points (``fem.Quadrature``) into reused
+buffers, and the block is reduced to per-level integrals at once.  In the
+damper-only regime the same velocities also give a per-level
+``||u_t||^2``, from which ``bounds.damper_window`` computes the window, so
+it costs no second pass.  Memory beyond the levels fed in is a few
+(CHUNK_LEVELS, E, q) blocks plus O(N) per-level arrays, and a streamed and
+a stored run are fed the same windows, so they give bitwise the same
+results.  ``export_energy_csv`` writes its rows in blocks of CHUNK_LEVELS
+too, one ``%`` template and one write per block, byte-identical to a
+per-row ``%.17g`` writer.
 """
 
 from __future__ import annotations
@@ -56,8 +56,9 @@ from .fem import (
     CHUNK_LEVELS,
     SemiDiscreteSystem,
     integrate_data,
-    interior_blocks,
     nodal,
+    velocities,
+    windows,
 )
 from .problem import BeamProblem
 from .stepper import SolutionTrace, TimeGrid
@@ -129,13 +130,12 @@ class EnergyTrace:
 
 
 class EnergyAccumulator:
-    """Energy diagnostics of one run, fed its history as windows of levels
-    that may overlap but leave no gap (the windows of
-    ``TimeStepper.blocks()``, or a stored history as one window).
+    """Energy diagnostics of one run, fed its history one window of
+    ``fem.windows`` at a time, in order (the windows of
+    ``TimeStepper.blocks()``, or those of a stored history).
 
-    ``add(rows, first)`` reduces the interior levels of the window it has
-    not reduced before, block by block (``fem.interior_blocks``), to
-    per-level integrals and tip values; ``result()`` returns the
+    ``add(window, first)`` reduces the window's interior levels, its block,
+    to per-level integrals and tip values; ``result()`` returns the
     ``EnergyTrace`` once every level is in.  In the damper-only regime the
     same Gauss-point velocities give a per-level ``||u_t||^2`` column, and
     ``bounds.damper_window`` turns it and the tip velocities into the
@@ -159,7 +159,7 @@ class EnergyAccumulator:
         with contextlib.suppress(ValueError):   # no certificate: result() says why
             if bounds.classify_regime(system.problem) == "theorem2":
                 self._ut_norm_sq = np.empty(grid.step_count - 2)
-        self._next = 1   # the first interior level not yet reduced
+        self._next = 0   # the first level of the next window
         quad = system.quadrature
         self._lerp = np.stack([1.0 - quad.xi, quad.xi])  # nodal values -> Gauss points
         # u, u_t and the curvature at the Gauss points, and a product; the
@@ -172,19 +172,13 @@ class EnergyAccumulator:
          self._end_disp, self._end_rot, self._tip_vel, self._tip_ang) = \
             np.empty((9, grid.step_count - 2))
 
-    def add(self, rows: np.ndarray, first: int = 0) -> None:
-        """Reduce the interior levels of the levels ``first .. first + len(rows) - 1``
-        that were not reduced before."""
-        lo = self._next
-        if first > lo - 1:
-            raise ValueError(f"window starts at level {first}, leaving a gap: "
-                             f"interior level {lo} needs level {lo - 1}")
-        for piece in interior_blocks(rows[lo - 1 - first:], self._grid.dt, lo - 1,
-                                     self._velocity):
-            self._reduce(*piece)
-        self._next = max(lo, first + len(rows) - 1)
-
-    def _reduce(self, out: slice, u: np.ndarray, ut: np.ndarray) -> None:
+    def add(self, window: np.ndarray, first: int) -> None:
+        """Reduce the block of the next window, levels ``first ..``."""
+        if first != self._next:
+            raise ValueError(f"window at level {first} is not the next one, at level {self._next}")
+        self._next = first + len(window) - 2
+        out, u = slice(first, self._next), window[1:-1]   # the block's interior indices, rows
+        ut = velocities(window, self._grid.dt, self._velocity[:len(u)])
         quad = self._system.quadrature
         u_q, ut_q, curv_q, work = self._fields[:, :len(u)]
         padded = self._padded[:len(u)]
@@ -206,8 +200,8 @@ class EnergyAccumulator:
             self._ut_norm_sq[out] = quad.integral(quad.w_plain, ut_q, ut_q, work)
 
     def result(self) -> EnergyTrace:
-        if self._next < self._grid.step_count - 1:
-            raise ValueError(f"interior levels {self._next}.. were never added")
+        if self._next < self._grid.step_count - 2:
+            raise ValueError(f"interior levels {self._next + 1}.. were never added")
         problem, dt = self._system.problem, self._grid.dt
         lam = lam_max = window_error = None
         try:
@@ -267,10 +261,11 @@ class EnergyAccumulator:
 
 def energy(trace: SolutionTrace, lam: float | None = None, mode: str = "paper") -> EnergyTrace:
     """Compute E, J, L and the dissipation integrals of a stored trace: its
-    history fed to an ``EnergyAccumulator`` as one window (see there for
+    history fed to an ``EnergyAccumulator`` window by window (see there for
     ``lam``)."""
     acc = EnergyAccumulator(trace.system, trace.grid, lam, mode)
-    acc.add(trace.dof_history)
+    for first, stop in windows(trace.grid.step_count):
+        acc.add(trace.dof_history[first:stop], first)
     return acc.result()
 
 

@@ -23,11 +23,11 @@ Assembly produces symmetric banded mass/damping/stiffness matrices
 
 plus the time-dependent end-load vector.
 
-A run's history is cut into blocks one way only: ``interior_blocks`` groups
-the interior levels 1..N-2 into blocks of CHUNK_LEVELS from level 1, and the
-stepper's windows, the energy diagnostics and the damper-only window all
-follow it.  Per-block matrix products round the same way for the same rows
-only, so this is what keeps streamed and stored results bitwise equal.
+A run's history is cut one way only: ``windows`` yields blocks of
+CHUNK_LEVELS interior levels from level 1, each with both neighbours, for
+the stepper and for a stored history alike.  Per-block matrix products
+round the same way for the same rows only, so this is what keeps streamed
+and stored results bitwise equal.
 
 scipy (BLAS, LAPACK and the sparse product) is imported where it is first
 used, so importing this module loads numpy only, and a process that never
@@ -58,6 +58,8 @@ __all__ = [
     "assemble",
     "FieldKernel",
     "nodal",
+    "windows",
+    "velocities",
     "interpolate_profile",
 ]
 
@@ -450,31 +452,21 @@ class Quadrature(FieldKernel):
         return np.multiply(f, g, out=work).reshape(f.shape[0], -1) @ weights
 
 
-def interior_blocks(rows: np.ndarray, dt: float, first: int = 0,
-                    work: np.ndarray | None = None):
-    """Cut the levels ``first .. first + len(rows) - 1`` of a history at the
-    block bounds of the interior levels: blocks of CHUNK_LEVELS levels from
-    level 1 (levels 1..64, 65..128, ...), shortened where ``rows`` ends.
+def windows(n_levels: int):
+    """Yield ``(first, stop)`` for each block of CHUNK_LEVELS interior levels
+    of a run of ``n_levels`` levels, counted from level 1 (levels 1..64,
+    65..128, ...; the last block is shorter): levels ``first .. stop - 1``
+    are the block and one neighbouring level on each side, so consecutive
+    windows share two levels.  This is the one cut of a history."""
+    for lo in range(1, n_levels - 1, CHUNK_LEVELS):
+        yield lo - 1, min(lo + CHUNK_LEVELS, n_levels - 1) + 1
 
-    Yields ``(out, u, u_t)`` per block of interior levels [lo, hi) that
-    ``rows`` covers with both neighbours: the block's slice ``[lo - 1, hi - 1)``
-    of arrays over interior levels, its DOF rows (a view of ``rows``) and
-    its centered velocity rows ``(U^{j+1} - U^{j-1}) / (2 dt)``.  A stored
-    history and the windows of ``TimeStepper.blocks()`` are cut into the
-    same blocks, so every per-block reduction is bitwise the same for both.
 
-    ``work``, if given, is a (CHUNK_LEVELS, n) array that receives the
-    velocity rows, which are then valid only until the next block.
-    """
-    last = first + len(rows) - 1
-    lo = first + 1
-    while lo < last:
-        hi = min(lo - (lo - 1) % CHUNK_LEVELS + CHUNK_LEVELS, last)
-        block = rows[lo - 1 - first:hi + 1 - first]
-        ut = np.subtract(block[2:], block[:-2],
-                         out=None if work is None else work[:hi - lo])
-        yield slice(lo - 1, hi - 1), block[1:-1], np.divide(ut, 2.0 * dt, out=ut)
-        lo = hi
+def velocities(window: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Centered velocity rows ``(U^{j+1} - U^{j-1}) / (2 dt)`` of a window's
+    interior levels ``window[1:-1]``, into ``out`` if given."""
+    ut = np.subtract(window[2:], window[:-2], out=out)
+    return np.divide(ut, 2.0 * dt, out=ut)
 
 
 def interpolate_profile(profile, mesh: Mesh) -> np.ndarray:

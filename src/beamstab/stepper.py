@@ -33,17 +33,17 @@ concatenated.  Both add the load, solve and add ``U^{j-1}`` the same way,
 so the history is bitwise identical to startup() followed by repeated
 step().
 
-``blocks`` cuts the run once, at the block bounds of the interior levels
-(``fem.interior_blocks``): for each block [lo, hi) it yields the window of
-levels lo-1..hi, the block with both neighbours.  All windows live in one
-buffer of CHUNK_LEVELS + 3 levels, so a caller that reduces each window as
-it comes (``diagnostics.EnergyAccumulator``, ``TraceWriter``) holds
-O(CHUNK_LEVELS n) of the run, not O(N n), and the loop touches no fresh
-memory after its first block.  Each window is checked for non-finite
-values before it is yielded, so a run that blows up stops there and
-reports the first bad time.  ``run`` copies every window into a
-``SolutionTrace`` for library callers that need the whole history at once
-(``export_trace_csv``, ``diagnostics.energy``); no CLI command stores one.
+``blocks`` yields the run in the windows of ``fem.windows``, the one cut
+of a history: each block of interior levels with both neighbours.  All
+windows live in one buffer of CHUNK_LEVELS + 3 levels, so a caller that
+reduces each window as it comes (``diagnostics.EnergyAccumulator``,
+``TraceWriter``) holds O(CHUNK_LEVELS n) of the run, not O(N n), and the
+loop touches no fresh memory after its first block.  Each window is
+checked for non-finite values before it is yielded, so a run that blows up
+stops there and reports the first bad time.  ``run`` copies every window
+into a ``SolutionTrace`` for library callers that need the whole history
+at once; no CLI command stores one.  ``export_trace_csv`` and
+``diagnostics.energy`` feed a stored history through the same windows.
 
 ``forked_blocks`` yields the same windows, stepped by a forked child
 process while the caller reduces the windows before them, so on a machine
@@ -61,11 +61,10 @@ matrices itself, so the caller, which only reduces, never loads scipy.  It
 leaves through ``os._exit``, so it flushes none of the caller's buffers
 and runs none of its exit hooks.
 
-``TraceWriter`` writes the trace window by window: it takes up to
-CHUNK_LEVELS written levels at a time, formats them with one ``%``
-template (node labels and the clamped node's zeros baked in, each t
-formatted once) and writes them in one call.  Its output is byte-identical
-to a per-row ``%.17g`` writer.
+``TraceWriter`` writes the trace window by window: it formats a window's
+written levels with one ``%`` template (node labels and the clamped node's
+zeros baked in, each t formatted once) and writes them in one call.  Its
+output is byte-identical to a per-row ``%.17g`` writer.
 """
 
 from __future__ import annotations
@@ -86,6 +85,7 @@ from .fem import (
     block_row_csr,
     combine,
     interpolate_profile,
+    windows,
 )
 
 __all__ = ["TimeGrid", "SolutionTrace", "TimeStepper", "TraceWriter", "run",
@@ -209,9 +209,9 @@ class TimeStepper:
 
     def blocks(self):
         """Integrate over the whole grid, yielding ``(first, window)`` per
-        block of interior levels [lo, hi) of ``fem.interior_blocks``:
-        ``window`` holds the levels ``first = lo - 1 .. hi``, so consecutive
-        windows share two levels and the last one ends at level N-1.
+        window ``(first, stop)`` of ``fem.windows``: ``window`` holds the
+        levels ``first .. stop - 1``, so consecutive windows share two levels
+        and the last one ends at level N-1.
 
         Every window is a view of one buffer of CHUNK_LEVELS + 3 rows, whose
         first three rows carry the last three levels of the previous window,
@@ -221,32 +221,31 @@ class TimeStepper:
         window that reaches it.
         """
         sys_, grid = self.system, self.grid
-        n_levels, n = grid.step_count, sys_.n
+        n = sys_.n
         end_loads = sys_.end_load(grid.times)
         ops = self._operators
         history, solve = ops.history, ops.step.solve_in_place
         load = np.zeros(n)
-        buf = np.empty((CHUNK_LEVELS + 3, n))  # level j of block [lo, hi) in row j - lo + 2
+        buf = np.empty((CHUNK_LEVELS + 3, n))  # level j of window [first, stop) in row j-first+1
         buf[1:4] = self.startup()
-        for lo in range(1, n_levels - 1, CHUNK_LEVELS):
-            hi = min(lo + CHUNK_LEVELS, n_levels - 1)
-            if lo > 1:
+        for first, stop in windows(grid.step_count):
+            if first > 0:
                 buf[:3] = buf[-3:]
-            for j in range(max(lo + 1, 3), hi + 1):
-                row = j - lo + 2
+            for j in range(max(first + 2, 3), stop):
+                row = j - first + 1
                 load[-2:] = end_loads[j]
                 new = buf[row]
                 # rows row-3..row-1 are U^{j-3}, U^{j-2}, U^{j-1}, one contiguous vector
                 np.add(load, history @ buf[row - 3:row].reshape(-1), out=new)
                 solve(new)
                 new += buf[row - 1]
-            window = buf[1:hi - lo + 3]
+            window = buf[1:stop - first + 1]
             bad = ~np.isfinite(window).all(axis=1)
             if bad.any():
-                t = grid.times[lo - 1 + int(np.argmax(bad))]
+                t = grid.times[first + int(np.argmax(bad))]
                 raise FloatingPointError(
                     f"time integration produced non-finite values at t = {t:.12g}")
-            yield lo - 1, window
+            yield first, window
 
     def forked_blocks(self):
         """Yield exactly what ``blocks()`` yields, under the same contract (a
@@ -315,14 +314,14 @@ def run(problem, mesh: Mesh, grid: TimeGrid) -> SolutionTrace:
 
 class TraceWriter:
     """Writes the nodal trace of one run as CSV rows ``t, node, u, u_x``, fed
-    its history as windows of levels that may overlap but leave no gap (the
-    windows of ``TimeStepper.blocks()``, or a stored history as one window).
+    its history one window of ``fem.windows`` at a time, in order (the
+    windows of ``TimeStepper.blocks()``, or those of a stored history).
 
     Every ``decimate``-th level is written, and the last level always.  The
-    written levels are formatted up to CHUNK_LEVELS at a time with one ``%``
-    template (node labels and the clamped node's zeros baked in, each t
-    formatted once) and written in one call, so the writer holds at most one
-    such chunk of text, never the file.
+    written levels of a window are formatted with one ``%`` template (node
+    labels and the clamped node's zeros baked in, each t formatted once) and
+    written in one call, so the writer holds one window's text, never the
+    file.
     """
 
     def __init__(self, system: SemiDiscreteSystem, grid: TimeGrid, decimate: int = 1):
@@ -333,30 +332,30 @@ class TraceWriter:
         # the history columns 2(i-1), 2(i-1)+1
         self._pieces = ["", ", 0, 0, 0\n"] + [f", {node}, %.17g, %.17g\n"
                                              for node in range(1, system.mesh.node_count)]
-        self._next = 0   # the first level not yet taken
+        self._next = 0   # the first level of the next window
 
-    def write(self, fh, rows: np.ndarray, first: int = 0) -> None:
-        """Write the levels ``first .. first + len(rows) - 1`` that belong in
-        the trace and were not taken before; level 0 also writes the header."""
-        lo, step = self._next, self._decimate
-        if first > lo:
-            raise ValueError(f"window starts at level {first}, leaving a gap after level {lo - 1}")
-        block = rows[lo - first:]
-        self._next += len(block)
+    def write(self, fh, window: np.ndarray, first: int) -> None:
+        """Write the levels of the next window, ``first .. first + len(window) - 1``,
+        that belong in the trace and were not in the window before (all of
+        the first window, which also writes the header)."""
+        if first != self._next:
+            raise ValueError(f"window at level {first} is not the next one, at level {self._next}")
+        self._next = first + len(window) - 2
+        lo, step = first + 2 if first else 0, self._decimate
+        block = window[lo - first:]
         if lo == 0:
             fh.write("t, node, u, u_x\n")
         chosen = np.arange(-lo % step, len(block), step)
-        if lo <= self._last < self._next and self._last % step:
-            chosen = np.append(chosen, self._last - lo)
-        for k in range(0, len(chosen), CHUNK_LEVELS):
-            chunk = chosen[k:k + CHUNK_LEVELS]
-            template = "".join([("%.17g" % t).join(self._pieces)
-                                for t in self._times[lo + chunk].tolist()])
-            fh.write(template % tuple(block[chunk].ravel().tolist()))
+        if first + len(window) > self._last and self._last % step:
+            chosen = np.append(chosen, len(block) - 1)
+        template = "".join([("%.17g" % t).join(self._pieces)
+                            for t in self._times[lo + chosen].tolist()])
+        fh.write(template % tuple(block[chosen].ravel().tolist()))
 
 
 def export_trace_csv(trace: SolutionTrace, path, decimate: int = 1) -> None:
     """Write a stored trace as CSV rows ``t, node, u, u_x`` (see ``TraceWriter``)."""
     writer = TraceWriter(trace.system, trace.grid, decimate)
     with open(path, "w") as fh:
-        writer.write(fh, trace.dof_history)
+        for first, stop in windows(trace.grid.step_count):
+            writer.write(fh, trace.dof_history[first:stop], first)

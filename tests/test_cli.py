@@ -18,7 +18,7 @@ import beamstab.cli as cli
 from beamstab import bounds, diagnostics, fem, stepper
 from beamstab import problem as pb
 from beamstab.cli import main
-from beamstab.fem import CHUNK_LEVELS, FieldKernel, interior_blocks
+from beamstab.fem import CHUNK_LEVELS, FieldKernel, windows
 
 
 def _write(tmp_path, prob, name="problem.json"):
@@ -156,9 +156,11 @@ def _stored_window(prob, trace):
     of its own over the history (the oracle of the streamed window)."""
     if bounds.classify_regime(prob) != "theorem2":
         return bounds.lambda_window(prob)[0]
-    quad = trace.system.quadrature
+    quad, hist = trace.system.quadrature, trace.dof_history
     tip_vel, tip_ang, ut_norm_sq = np.empty((3, trace.grid.step_count - 2))
-    for out, _, ut in interior_blocks(trace.dof_history, trace.grid.dt):
+    for first, stop in windows(trace.grid.step_count):
+        out = slice(first, stop - 2)   # the window's interior levels first + 1 .. stop - 2
+        ut = (hist[first + 2:stop] - hist[first:stop - 2]) / (2.0 * trace.grid.dt)
         ut_q = quad.values(ut)
         ut_norm_sq[out] = quad.integral(quad.w_plain, ut_q, ut_q)
         tip_vel[out], tip_ang[out] = ut[:, -2], ut[:, -1]
@@ -842,13 +844,51 @@ def test_step_rule_must_be_positive_and_finite(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("decimate", ["0", "-2"])
-def test_decimate_must_be_positive_and_leaves_no_directory(tmp_path, capsys, decimate):
+@pytest.mark.parametrize("args, error", [
+    (["--preset", "test_NE1", "--decimate", "0"], "--decimate must be >= 1"),
+    (["--preset", "test_NE1", "--decimate", "-2"], "--decimate must be >= 1"),
+    # outside the theorem-1 window, which needs no run
+    (["--preset", "cantilever_dampers", "--lambda", "5"],
+     "lambda must satisfy 0 < lambda < lambda_max = 0.5; got 5"),
+    # outside (0, 1/beta0), which holds every damper-only window; a lambda
+    # inside it but above the run's own window can only be refused after
+    # the run, once --out exists
+    (["--preset", "mast_constant", "--lambda", "-1"], "penalty weight must be positive; got -1")],
+    ids=["0", "-2", "cantilever_dampers-lambda-5", "mast_constant-lambda--1"])
+def test_decimate_must_be_positive_and_leaves_no_directory(tmp_path, capsys, args, error):
     out = tmp_path / "d" / "x"
-    assert main(["simulate", "--preset", "test_NE1", "--nodes", "9",
-                 "--decimate", decimate, "--out", str(out)]) == 3
-    assert capsys.readouterr().err == "usage error: --decimate must be >= 1\n"
+    assert main(["simulate", *args, "--nodes", "9", "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"usage error: {error}\n"
     assert not (tmp_path / "d").exists()
+
+
+def _no_stepping(monkeypatch):
+    def stepped(*args, **kwargs):
+        raise AssertionError("a run was stepped")
+
+    monkeypatch.setattr(stepper.TimeStepper, "blocks", stepped)
+    monkeypatch.setattr(stepper.TimeStepper, "forked_blocks", stepped)
+
+
+@pytest.mark.parametrize("lam, error", [
+    ("-1", "penalty weight must be positive; got -1"),
+    ("nan", "penalty weight must be positive; got nan"),
+    ("5", "penalty weight must satisfy lam < 1/beta0 = 2; got 5")], ids=["-1", "nan", "5"])
+def test_a_damper_only_lambda_no_run_can_admit_is_refused_before_stepping(
+        tmp_path, monkeypatch, capsys, lam, error):
+    # every damper-only window lies in (0, 1/beta0), so a lambda outside it
+    # is refused before anything steps, and no sweep member starts
+    _no_stepping(monkeypatch)
+    out = tmp_path / "out"
+    assert main(["bounds", "--preset", "mast_constant", "--nodes", "321",
+                 "--lambda", lam, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"usage error: {error}\n"
+    assert not out.exists()
+    out.mkdir()
+    assert main(["sweep", "--preset", "mast_constant", "--param", "k_v", "--values", "1,2,3",
+                 "--lambda", lam, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == f"usage error: {error}\n"
+    assert list(out.iterdir()) == []
 
 
 def test_usage_errors():

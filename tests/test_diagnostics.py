@@ -8,7 +8,8 @@ import pytest
 
 import beamstab as bs
 from beamstab.diagnostics import _nodal_curvature
-from beamstab.fem import CHUNK_LEVELS, FieldKernel, interior_blocks, interpolate_profile
+from beamstab.fem import (
+    CHUNK_LEVELS, FieldKernel, interpolate_profile, velocities, windows)
 from beamstab.problem import (
     BoundaryParams,
     CoefficientField,
@@ -38,10 +39,11 @@ def _synthetic_trace(system, grid, dof_rows):
 
 
 def _velocities(trace):
-    """Centered velocity rows of the interior levels as ``interior_blocks``
-    cuts them: row j - 1 is level j."""
-    return np.concatenate([ut for _, _, ut in interior_blocks(trace.dof_history,
-                                                              trace.grid.dt)])
+    """Centered velocity rows of the interior levels, window by window of
+    ``fem.windows``: row j - 1 is level j."""
+    hist, dt = trace.dof_history, trace.grid.dt
+    return np.concatenate([velocities(hist[first:stop], dt)
+                           for first, stop in windows(len(hist))])
 
 
 def _curvature_field(trace, j, mode):
@@ -116,8 +118,9 @@ def test_velocity_needs_both_neighbors():
     # and the first and last rows are the quotients around levels 1 and N-2
     trace = _ne1_trace(nodes=5, ratio=5)
     hist, dt = trace.dof_history, trace.grid.dt
-    outs = [out for out, _, _ in interior_blocks(hist, dt)]
-    assert [(o.start, o.stop) for o in outs] == [
+    # each window's interior levels, as indices of arrays over interior levels
+    outs = [(first, stop - 2) for first, stop in windows(len(hist))]
+    assert outs == [
         (lo, min(lo + CHUNK_LEVELS, len(hist) - 2)) for lo in range(0, len(hist) - 2, CHUNK_LEVELS)]
     velocities = _velocities(trace)
     assert len(velocities) == len(hist) - 2
@@ -479,25 +482,27 @@ def test_basis_energy_matches_matrix_forms_across_blocks(offset):
     assert np.all(np.abs(e.J - j_oracle) <= 1e-12 * j_scale)
 
 
-def test_accumulator_takes_overlapping_windows_and_rejects_a_gap():
-    # windows cut at the block bounds (the stepper's two, one inside levels
-    # already reduced, one reaching back) give the stored results bitwise,
-    # the damper-only window included; a window that skips a level needed
-    # by the next interior level is refused, and so is an early result()
+def test_accumulator_rejects_a_window_that_is_not_the_next():
+    # the windows of fem.windows, fed in order, give the stored results
+    # bitwise, the damper-only window included; a window that leaves a gap
+    # or overlaps the one before by more than its two shared levels is
+    # refused and changes nothing, and so is an early result()
     prob = bs.preset("mast_constant")
     trace = bs.run(prob, bs.Mesh(1.0, 11), TimeGrid(prob.final_time, 3 * CHUNK_LEVELS + 9))
     hist = trace.dof_history
     acc = bs.EnergyAccumulator(trace.system, trace.grid)
-    with pytest.raises(ValueError, match="gap"):
+    with pytest.raises(ValueError, match="not the next one, at level 0"):
         acc.add(hist[1:10], 1)
-    acc.add(hist[:66])
+    acc.add(hist[:66], 0)
+    with pytest.raises(ValueError, match="not the next one, at level 64"):
+        acc.add(hist[65:131], 65)   # a gap: interior level 65 needs level 64
+    with pytest.raises(ValueError, match="not the next one, at level 64"):
+        acc.add(hist[63:129], 63)   # an overlap: interior level 64 again
     acc.add(hist[64:130], 64)
-    with pytest.raises(ValueError, match="gap"):
-        acc.add(hist[130:], 130)
     with pytest.raises(ValueError, match="never added"):
         acc.result()
-    acc.add(hist[100:110], 100)
-    acc.add(hist[120:], 120)
+    for first, stop in list(windows(len(hist)))[2:]:
+        acc.add(hist[first:stop], first)
     streamed, stored = acc.result(), bs.energy(trace)
     assert streamed.lambda_max is not None and streamed.lambda_max == stored.lambda_max
     for name in ("E", "J", "L", "j_mu", "j_a", "j_v", "residual"):

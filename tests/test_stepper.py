@@ -7,10 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import beamstab as bs
 from beamstab.fem import (
-    CHUNK_LEVELS, BandedSymmetricMatrix, SemiDiscreteSystem, combine, interpolate_profile)
+    CHUNK_LEVELS, BandedSymmetricMatrix, SemiDiscreteSystem, combine, interpolate_profile,
+    windows)
 from beamstab.stepper import SolutionTrace, TimeGrid, TimeStepper
 
 
@@ -198,6 +201,27 @@ def test_blocks_concatenate_to_the_stored_history(n_levels):
     assert firsts == list(range(0, n_levels - 2, CHUNK_LEVELS))
     assert end == n_levels
     assert all(buf is buffers[0] for buf in buffers)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(4, 6 * CHUNK_LEVELS + 5))
+def test_windows_cover_the_run_and_share_two_levels(n_levels):
+    cut = list(windows(n_levels))
+    assert cut[0][0] == 0 and cut[-1][1] == n_levels
+    assert all(3 <= stop - first <= CHUNK_LEVELS + 2 for first, stop in cut)
+    assert all(stop - first == CHUNK_LEVELS + 2 for first, stop in cut[:-1])
+    assert all(first == stop - 2 for (_, stop), (first, _) in zip(cut, cut[1:]))
+
+
+@pytest.mark.parametrize("n_levels", [4, CHUNK_LEVELS + 1, CHUNK_LEVELS + 2, CHUNK_LEVELS + 3,
+                                      201])
+def test_stepper_windows_are_the_one_cut(n_levels):
+    prob = bs.preset("mast_constant")
+    stepper = TimeStepper(bs.assemble(prob, bs.Mesh(prob.length, 5)),
+                          TimeGrid(prob.final_time, n_levels))
+    cut = list(windows(n_levels))
+    for blocks in (stepper.blocks, stepper.forked_blocks):
+        assert [(first, first + len(window)) for first, window in blocks()] == cut
 
 
 def test_forked_windows_larger_than_the_pipe_are_the_in_process_bytes(monkeypatch):
@@ -481,32 +505,34 @@ def test_trace_csv_of_a_forced_run_matches_the_per_row_writer(tmp_path):
 
 @pytest.mark.parametrize("decimate", [1, 5, 7, 64, 200])
 def test_trace_writer_fed_in_blocks_matches_the_per_row_writer(tmp_path, decimate):
+    # written levels fall on the seams of the windows, and decimate = 200
+    # writes level 0, then only the last level
     trace = _special_trace(3 * CHUNK_LEVELS + 9)
     _trace_csv_per_row(trace, tmp_path / "row.csv", decimate=decimate)
-    for windows in (
-            # consecutive windows of the stepper's block size and of odd
-            # sizes, so written levels fall on seams and in one-level windows
-            [(0, 64), (64, 65), (65, 72), (72, 141), (141, 143), (143, 201)],
-            # overlapping windows: the stepper's two shared levels, a window
-            # inside the levels already written, one that starts at level 0
-            [(0, 66), (64, 130), (100, 110), (0, 131), (129, 201)]):
-        assert windows[-1][1] == trace.grid.step_count
-        writer = bs.TraceWriter(trace.system, trace.grid, decimate)
-        with open(tmp_path / "windows.csv", "w") as fh:
-            for first, stop in windows:
-                writer.write(fh, trace.dof_history[first:stop], first)
-        assert (tmp_path / "windows.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+    writer = bs.TraceWriter(trace.system, trace.grid, decimate)
+    with open(tmp_path / "windows.csv", "w") as fh:
+        for first, stop in windows(trace.grid.step_count):
+            writer.write(fh, trace.dof_history[first:stop], first)
+    assert (tmp_path / "windows.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
-def test_trace_writer_rejects_a_window_that_leaves_a_gap(tmp_path):
+def test_trace_writer_rejects_a_window_that_is_not_the_next(tmp_path):
+    # a refused window writes nothing: the file is still the per-row one
     trace = _special_trace(3 * CHUNK_LEVELS + 9)
+    hist = trace.dof_history
     writer = bs.TraceWriter(trace.system, trace.grid)
     with open(tmp_path / "t.csv", "w") as fh:
-        with pytest.raises(ValueError, match="gap"):
-            writer.write(fh, trace.dof_history[1:10], 1)
-        writer.write(fh, trace.dof_history[:66], 0)
-        with pytest.raises(ValueError, match="gap"):
-            writer.write(fh, trace.dof_history[67:], 67)
+        with pytest.raises(ValueError, match="not the next one, at level 0"):
+            writer.write(fh, hist[1:10], 1)
+        writer.write(fh, hist[:66], 0)
+        with pytest.raises(ValueError, match="not the next one, at level 64"):
+            writer.write(fh, hist[67:133], 67)   # a gap
+        with pytest.raises(ValueError, match="not the next one, at level 64"):
+            writer.write(fh, hist[:66], 0)       # an overlap: the same window again
+        for first, stop in list(windows(len(hist)))[1:]:
+            writer.write(fh, hist[first:stop], first)
+    _trace_csv_per_row(trace, tmp_path / "row.csv")
+    assert (tmp_path / "t.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
 @pytest.mark.parametrize("decimate", [0, -3])
