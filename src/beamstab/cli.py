@@ -305,18 +305,42 @@ def _streamed_errors(prob: BeamProblem, config: RunConfig, exact) -> _ErrorAccum
 
 
 @contextlib.contextmanager
-def _published(out_dir: str, names):
-    """Temporary paths in ``out_dir`` to write ``names`` under.  They are
-    renamed into place if the block succeeds and removed if it fails, so a
-    run that fails part-way leaves no partial artifact."""
-    tmp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
+def _made_dir(path: str):
+    """Make the directory ``path`` and its missing parents.  If the block
+    fails, the directories made here are removed again, deepest first, as
+    far as they are empty; one that existed before stays."""
+    made, head = [], os.path.abspath(path)
+    while not os.path.exists(head):
+        made.append(head)
+        head = os.path.dirname(head)
+    os.makedirs(path, exist_ok=True)
     try:
-        yield tmp
+        yield
     except BaseException:
-        for path in tmp.values():
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(path)
+        for made_dir in made:
+            try:
+                os.rmdir(made_dir)
+            except OSError:   # not empty: a member of a sweep wrote there
+                break
         raise
+
+
+@contextlib.contextmanager
+def _published(out_dir: str, names):
+    """Temporary paths in ``out_dir``, which is made if missing, to write
+    ``names`` under.  They are renamed into place if the block succeeds and
+    removed if it fails, and so is ``out_dir`` if it was made here, so a
+    run that fails part-way leaves no partial artifact and no empty
+    directory."""
+    tmp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
+    with _made_dir(out_dir):
+        try:
+            yield tmp
+        except BaseException:
+            for path in tmp.values():
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(path)
+            raise
     for name, path in tmp.items():
         os.replace(path, os.path.join(out_dir, name))
 
@@ -324,7 +348,6 @@ def _published(out_dir: str, names):
 def _simulate_pipeline(prob: BeamProblem, config: RunConfig, out_dir: str,
                        ahead: bool) -> dict:
     """Run one simulation and write trace.csv, energy.csv, bounds.json."""
-    os.makedirs(out_dir, exist_ok=True)
     with _published(out_dir, ("trace.csv", "energy.csv", "bounds.json")) as paths:
         with open(paths["trace.csv"], "w") as fh:
             energy_trace = _streamed_energy(prob, config, fh, ahead)
@@ -485,28 +508,30 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
 
     # Members share nothing, so they run in worker processes.  ``fork`` keeps
     # this process's imports (a ``spawn`` worker would import numpy and the
-    # package again; each worker imports scipy at its first member); the
-    # only other threads are OpenBLAS's, which it shuts down before a fork.
-    # pool.map re-raises a member's exception with its own type, and the
-    # members not yet started are then cancelled.  The pool fills the CPUs,
-    # so its members step in-process.
+    # package again; a worker imports scipy only for a member above
+    # fem.DENSE_MAX_N DOFs); the only other threads are OpenBLAS's, which it
+    # shuts down before a fork.  pool.map re-raises a member's exception
+    # with its own type, and the members not yet started are then
+    # cancelled.  The pool fills the CPUs, so its members step in-process.
+    # The output directory is made here, before any member starts, so a
+    # failed member removes only its own directory.
     import multiprocessing
 
     member = functools.partial(_sweep_member, base, param, config=config)
     workers = min(len(values), _usable_cpus())
-    if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
-        from concurrent.futures import ProcessPoolExecutor
+    with _made_dir(config.out_dir):
+        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
 
-        pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-        try:
-            summaries = list(pool.map(functools.partial(member, ahead=False),
-                                      values))   # in value order
-        finally:
-            pool.shutdown(cancel_futures=True)
-    else:
-        summaries = [member(v, ahead=_steps_ahead()) for v in values]
+            pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+            try:
+                summaries = list(pool.map(functools.partial(member, ahead=False),
+                                          values))   # in value order
+            finally:
+                pool.shutdown(cancel_futures=True)
+        else:
+            summaries = [member(v, ahead=_steps_ahead()) for v in values]
 
-    os.makedirs(config.out_dir, exist_ok=True)
     path = os.path.join(config.out_dir, "sweep.csv")
     cols = ["value", "beta0", "beta1", "lambda_max", "lambda", "M_d", "sigma",
             "E0", "E_final_over_E0", "j_mu", "j_a", "j_v"]

@@ -29,10 +29,16 @@ the stepper and for a stored history alike.  Per-block matrix products
 round the same way for the same rows only, so this is what keeps streamed
 and stored results bitwise equal.
 
-scipy (BLAS, LAPACK and the sparse product) is imported where it is first
-used, so importing this module loads numpy only, and a process that never
-factors or steps, such as the reducing parent of a forked run, never loads
-scipy.
+Small and large systems step with different kernels, by one rule keyed on
+the system size n: up to DENSE_MAX_N DOFs, ``matvec``, ``factor`` and
+``block_row`` are numpy's dense products (a solve is one product with the
+precomputed inverse); above it they are BLAS ``dsbmv``, LAPACK
+``dpbtrf``/``dpbtrs`` and a CSR product.  Both kinds of factor check the
+same things and raise the same errors.  scipy is imported only where a
+banded kernel is first used, so importing this module loads numpy only, a
+process that never factors or steps (the reducing parent of a forked run)
+never loads scipy, and neither does any process of a run with n <=
+DENSE_MAX_N.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ __all__ = [
     "Mesh",
     "BandedSymmetricMatrix",
     "BandedCholesky",
+    "DenseCholesky",
     "combine",
     "SemiDiscreteSystem",
     "hermite_shapes",
@@ -69,6 +76,16 @@ HALF_BANDWIDTH = 3  # two coupled nodes x two DOFs -> |i - j| <= 3
 # the history plus a few blocks whatever the run length (one (levels, E, q)
 # block is 0.6 MiB at M = 321); 64 was the fastest of 32..512 at M = 321.
 CHUNK_LEVELS = 64
+
+# Systems of at most this many DOFs (M <= 81 nodes) use numpy's dense
+# kernels, larger ones the banded LAPACK/BLAS/CSR kernels.  A BDF2 step
+# (cantilever_dampers, one BLAS thread, 2-core x86-64) took 6.4 / 8.5 /
+# 12.8 / 19.3 / 28.5 / 54.8 us dense against 9.0 / 10.5 / 12.2 / 14.2 /
+# 14.9 / 18.1 us banded at n = 40 / 80 / 120 / 160 / 200 / 240.  So an
+# M = 81 run at dt = h/40 (6401 levels) costs about 0.03 s more dense,
+# while the banded kernels cost their process 0.22-0.30 s and 27 MiB of
+# scipy import; at n = 200 the two are close, and at n = 240 dense loses.
+DENSE_MAX_N = 160
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +154,26 @@ class BandedSymmetricMatrix:
         return a
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A x``."""
+        """``A x``: the dense product up to DENSE_MAX_N DOFs, BLAS ``dsbmv``
+        above."""
+        if self.n <= DENSE_MAX_N:
+            return self.to_dense() @ x
         from scipy.linalg.blas import dsbmv
 
         return dsbmv(self.halfband, 1.0, self.bands, x, lower=0)
 
-    def factor(self) -> "BandedCholesky":
-        return BandedCholesky(self)
+    def factor(self) -> "DenseCholesky | BandedCholesky":
+        """The checked factor: dense up to DENSE_MAX_N DOFs, banded above."""
+        return (DenseCholesky if self.n <= DENSE_MAX_N else BandedCholesky)(self)
+
+
+def _not_positive_definite(order: int) -> np.linalg.LinAlgError:
+    return np.linalg.LinAlgError(
+        "banded Cholesky failed (matrix not positive definite): "
+        f"{order}-th leading minor not positive definite")
+
+
+_NOT_FINITE = "banded Cholesky failed (matrix not finite)"
 
 
 class BandedCholesky:
@@ -160,11 +190,9 @@ class BandedCholesky:
         self._dpbtrs = lapack.dpbtrs
         self._factor, info = lapack.dpbtrf(matrix.bands, lower=0)
         if info > 0:
-            raise np.linalg.LinAlgError(
-                "banded Cholesky failed (matrix not positive definite): "
-                f"{info}-th leading minor not positive definite")
+            raise _not_positive_definite(info)
         if info < 0 or not np.all(np.isfinite(self._factor)):
-            raise np.linalg.LinAlgError("banded Cholesky failed (matrix not finite)")
+            raise np.linalg.LinAlgError(_NOT_FINITE)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return self._dpbtrs(self._factor, rhs, lower=0)[0]
@@ -173,6 +201,48 @@ class BandedCholesky:
         """Overwrite ``rhs``, a contiguous float64 vector, with the solution."""
         if self._dpbtrs(self._factor, rhs, lower=0, overwrite_b=1)[0] is not rhs:
             raise ValueError("rhs must be a contiguous float64 vector")
+
+
+class DenseCholesky:
+    """A small SPD matrix, checked like ``BandedCholesky`` and solved with
+    its precomputed inverse, one matrix-vector product a solve.
+
+    The checks raise BandedCholesky's errors: not finite, or the order of
+    the first leading minor that is not positive definite.  That order is
+    found only on failure, by bisection over the leading blocks: once one
+    is not positive definite, no larger one is.
+    """
+
+    def __init__(self, matrix: BandedSymmetricMatrix):
+        a = matrix.to_dense()
+        if not np.all(np.isfinite(a)):
+            raise np.linalg.LinAlgError(_NOT_FINITE)
+        if not _cholesky_succeeds(a):
+            good, bad = 0, len(a)   # a[:good, :good] is positive definite, a[:bad, :bad] not
+            while bad - good > 1:
+                mid = (good + bad) // 2
+                good, bad = (mid, bad) if _cholesky_succeeds(a[:mid, :mid]) else (good, mid)
+            raise _not_positive_definite(bad)
+        self._inverse = np.linalg.inv(a)
+        if not np.all(np.isfinite(self._inverse)):
+            raise np.linalg.LinAlgError(_NOT_FINITE)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return self._inverse @ rhs
+
+    def solve_in_place(self, rhs: np.ndarray) -> None:
+        """Overwrite ``rhs``, a contiguous float64 vector, with the solution."""
+        if rhs.ndim != 1 or rhs.dtype != np.float64 or not rhs.flags.c_contiguous:
+            raise ValueError("rhs must be a contiguous float64 vector")
+        rhs[:] = self._inverse @ rhs
+
+
+def _cholesky_succeeds(a: np.ndarray) -> bool:
+    try:
+        np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def combine(terms) -> BandedSymmetricMatrix:
@@ -186,17 +256,20 @@ def combine(terms) -> BandedSymmetricMatrix:
     return out
 
 
-def block_row_csr(matrices) -> scipy.sparse.csr_array:
-    """The n x (k n) CSR array ``[A_1 | ... | A_k]`` of k banded symmetric
-    n x n matrices, read straight from their upper bands.
+def block_row(matrices) -> "np.ndarray | scipy.sparse.csr_array":
+    """The n x (k n) block row ``[A_1 | ... | A_k]`` of k banded symmetric
+    n x n matrices: a dense array up to DENSE_MAX_N DOFs, a CSR array read
+    straight from the upper bands above.
 
-    Row i holds the entries ``A[i, j]``, ``|i - j| <= b``, of each block in
+    A CSR row i holds the entries ``A[i, j]``, ``|i - j| <= b``, of each block in
     turn, in ascending column order.  Band entries that are zero are stored
     too, so the pattern depends only on n and the half-bandwidths.
     """
+    n = matrices[0].n
+    if n <= DENSE_MAX_N:
+        return np.hstack([mat.to_dense() for mat in matrices])
     from scipy import sparse
 
-    n = matrices[0].n
     # 32-bit indices: a product reads a third fewer bytes than with 64-bit ones
     i = np.arange(n, dtype=np.int32)[:, None]
     data, cols, inside = [], [], []

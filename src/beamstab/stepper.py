@@ -6,27 +6,29 @@ three-level backward difference quotients
     u'(t_j)  ~ (3 U^j - 4 U^{j-1} + U^{j-2}) / (2 dt)
     u''(t_j) ~ (2 U^j - 5 U^{j-1} + 4 U^{j-2} - U^{j-3}) / dt^2
 
-so each step solves one SPD banded system whose matrix is factored once per
-run, by the process that steps it.  The scheme needs three history levels;
+so each step solves one SPD system whose matrix is factored once per run,
+by the process that steps it.  The scheme needs three history levels;
 the first two steps come from the trapezoidal rule on the first-order
 reformulation, which keeps the global order at two.
 
 ``TimeStepper.step`` advances one level on its own and is the reference
 the whole-run loop ``TimeStepper.blocks`` is tested against.  The step
 matrix is constant (fixed dt), so the loop factors it once and repeats only
-the two banded triangular solves (LAPACK ``dpbtrs``, in place on the new
-level's row).  Each step solves for the increment: with the step matrix
-``S = 2M/dt^2 + 3C/(2dt) + K`` it solves
+the solve, in place on the new level's row.  Each step solves for the
+increment: with the step matrix ``S = 2M/dt^2 + 3C/(2dt) + K`` it solves
 ``S (U^j - U^{j-1}) = load + H (U^{j-3}, U^{j-2}, U^{j-1})`` and adds
-``U^{j-1}``.  ``H = [A3 | A2 | A1 - S]`` is one n x 3n CSR operator with
+``U^{j-1}``.  ``H = [A3 | A2 | A1 - S]`` is one n x 3n operator with
 ``A3 = M/dt^2``, ``A2 = -(4M/dt^2 + C/(2dt))`` and
 ``A1 - S = 3M/dt^2 + C/(2dt) - K``, which folds the mass, the damping, the
-stiffness and the three-level stencil into one sparse product per step.
-The increment form is the same scheme in exact arithmetic; it makes the
-rounding error of the one Cholesky factor scale with the increment rather
-than with |U^j|.  An error proportional to |U^j|, made again every step,
-biases the run, and the energy-balance residual then stops falling and
-grows with M.  The loop evaluates the end loads once over the whole
+stiffness and the three-level stencil into one product per step.  The
+kernels are those ``fem`` picks by the system size: for n <= DENSE_MAX_N
+H is a dense array and the solve one product with the inverse of S (numpy
+alone); above it H is a CSR array and the solve LAPACK ``dpbtrs``'s two
+banded triangular solves.  The increment form is the same scheme in exact
+arithmetic; it makes the rounding error of the solve scale with the
+increment rather than with |U^j|.  An error proportional to |U^j|, made
+again every step, biases the run, and the energy-balance residual then
+stops falling and grows with M.  The loop evaluates the end loads once over the whole
 grid and applies ``H`` to the three previous levels where they already lie
 contiguously in its buffer; ``step`` applies it to the three levels
 concatenated.  Both add the load, solve and add ``U^{j-1}`` the same way,
@@ -57,9 +59,9 @@ computes bitwise the same results either way.  An exception in the child
 in the caller with its type and text, after the windows before it.  The
 child is forked, not spawned, because it steps the system the caller
 already assembled, with the caller's imports.  It factors the step
-matrices itself, so the caller, which only reduces, never loads scipy.  It
-leaves through ``os._exit``, so it flushes none of the caller's buffers
-and runs none of its exit hooks.
+matrices itself, so the caller, which only reduces, never loads scipy (nor
+does the child for n <= DENSE_MAX_N).  It leaves through ``os._exit``, so
+it flushes none of the caller's buffers and runs none of its exit hooks.
 
 ``TraceWriter`` writes the trace window by window: it formats a window's
 written levels with one ``%`` template (node labels and the clamped node's
@@ -82,7 +84,7 @@ from .fem import (
     Mesh,
     SemiDiscreteSystem,
     assemble,
-    block_row_csr,
+    block_row,
     combine,
     interpolate_profile,
     windows,
@@ -151,15 +153,15 @@ class TimeStepper:
 
     @functools.cached_property
     def _operators(self) -> SimpleNamespace:
-        """The Cholesky factors of the step, startup and mass matrices, and
-        the history operator H."""
+        """The checked factors (``BandedSymmetricMatrix.factor``) of the
+        step, startup and mass matrices, and the history operator H."""
         dt = self.grid.dt
         m, c, k = self.system.mass, self.system.damping, self.system.stiffness
         return SimpleNamespace(
             step=combine([(2.0 / dt**2, m), (1.5 / dt, c), (1.0, k)]).factor(),
             # step j solves for U^j - U^{j-1}, whose right-hand side is
             # load + H (U^{j-3}, U^{j-2}, U^{j-1}) with H = [A3 | A2 | A1 - S]
-            history=block_row_csr([
+            history=block_row([
                 combine([(1.0 / dt**2, m)]),
                 combine([(-4.0 / dt**2, m), (-0.5 / dt, c)]),
                 combine([(3.0 / dt**2, m), (0.5 / dt, c), (-1.0, k)])]),
@@ -231,14 +233,17 @@ class TimeStepper:
         for first, stop in windows(grid.step_count):
             if first > 0:
                 buf[:3] = buf[-3:]
-            for j in range(max(first + 2, 3), stop):
-                row = j - first + 1
-                load[-2:] = end_loads[j]
-                new = buf[row]
-                # rows row-3..row-1 are U^{j-3}, U^{j-2}, U^{j-1}, one contiguous vector
-                np.add(load, history @ buf[row - 3:row].reshape(-1), out=new)
-                solve(new)
-                new += buf[row - 1]
+            # a run that blows up is reported below, once, as the banded
+            # kernels do, not also as numpy's warnings from the dense ones
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(max(first + 2, 3), stop):
+                    row = j - first + 1
+                    load[-2:] = end_loads[j]
+                    new = buf[row]
+                    # rows row-3..row-1 are U^{j-3}, U^{j-2}, U^{j-1}, one contiguous vector
+                    np.add(load, history @ buf[row - 3:row].reshape(-1), out=new)
+                    solve(new)
+                    new += buf[row - 1]
             window = buf[1:stop - first + 1]
             bad = ~np.isfinite(window).all(axis=1)
             if bad.any():

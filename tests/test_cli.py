@@ -145,7 +145,7 @@ def test_simulate_blow_up_leaves_no_partial_artifacts(tmp_path, monkeypatch, cap
         assert main(["simulate", "--problem", problem_file, "--nodes", "9",
                      "--dt", "0.0025", "--out", str(bad)]) == 2
     assert "non-finite values at t = " in capsys.readouterr().err
-    assert os.listdir(bad) == [] and len(forks) == 1
+    assert not bad.exists() and len(forks) == 1
     assert main(["simulate", "--preset", "test_NE1", "--nodes", "9", "--ratio", "10",
                  "--out", str(good)]) == 0
     assert sorted(os.listdir(good)) == ["bounds.json", "energy.csv", "trace.csv"]
@@ -553,14 +553,17 @@ def test_sweep_member_usage_error_exits_three_through_the_pool(
             # in the pool
             ("mast_constant", "k_v", "0.0", True)):
         out = tmp_path / preset
-        assert _sweep(["--preset", preset], param, "4,1,2", out,
-                      "--ratio", "10", "--lam", "1") == 3
+        with monkeypatch.context() as patch:
+            if not members_run:
+                _no_stepping(patch)
+            assert _sweep(["--preset", preset], param, "4,1,2", out,
+                          "--ratio", "10", "--lam", "1") == 3
         err = capsys.readouterr().err
         assert err.startswith("usage error: lambda must satisfy 0 < lambda < lambda_max = "
                               + window)
         assert "Traceback" not in err
-        assert not (out / "sweep.csv").exists()
-        assert bool(list(out.glob(f"{param}_*"))) == members_run
+        # failed members remove the directories they made, and the sweep its own
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -674,18 +677,20 @@ def _peak_mib(args, out):
 def test_bounds_peak_memory_does_not_grow_with_the_history(tmp_path):
     # Peak RSS of whole `bounds` runs on the damper-only preset, whose window
     # needs a full run.  At M = 641 and dt = h/10 the run has 12801 levels of
-    # 1280 DOFs: a stored history would be 125 MiB.
+    # 1280 DOFs: a stored history would be 125 MiB.  Both sizes compared
+    # are above fem.DENSE_MAX_N, so both load scipy (about 26 MiB); M = 41
+    # steps with numpy alone and peaks at 33.2 MiB.
     # Streamed, on a 2-core x86-64 Linux box: stepped in a forked child,
-    # M = 641 peaked 1.7 MiB above M = 41 (58.0 against 56.3 MiB, both the
-    # child's, which loads scipy; this process peaked at 42.4 against
-    # 33.5 MiB), and in-process on one CPU 9.4 MiB above it (70.7 against
-    # 61.3 MiB).  Storing the history put it 135 MiB above.
+    # M = 641 peaked 1.5 MiB above M = 161 (57.8 against 56.3 MiB, both the
+    # child's; this process peaked at 42.5 against 34.9 MiB), and in-process
+    # on one CPU 7.9 MiB above it (70.8 against 62.9 MiB).  Storing the
+    # history put M = 641 135 MiB above M = 41.
     prob = pb.preset("mast_constant")
     levels = cli.RunConfig("mast_constant", True, nodes=641, ratio=10.0).grid(prob).step_count
     assert levels * 2 * 640 * 8 >= 125 * 2**20   # the history a stored run would hold
     peaks = {nodes: _peak_mib(["bounds", "--preset", "mast_constant", "--nodes", str(nodes),
-                               "--ratio", "10"], tmp_path / str(nodes)) for nodes in (41, 641)}
-    assert peaks[641] - peaks[41] < 40.0
+                               "--ratio", "10"], tmp_path / str(nodes)) for nodes in (161, 641)}
+    assert peaks[641] - peaks[161] < 40.0
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -693,17 +698,19 @@ def test_bounds_peak_memory_does_not_grow_with_the_history(tmp_path):
 def test_verify_peak_memory_does_not_grow_with_the_history(tmp_path):
     # At M = 641 and dt = h/10 test_NE1 has 9601 levels of 1280 DOFs: the
     # stored history is 94 MiB, and the stored errors put M = 641 515 MiB
-    # above M = 41 (579.0 against 63.6 MiB).
+    # above M = 41 (579.0 against 63.6 MiB).  Both sizes compared are above
+    # fem.DENSE_MAX_N, so both load scipy (about 26 MiB); M = 41 steps with
+    # numpy alone and peaks at 32.9 MiB.
     # Streamed, on a 2-core x86-64 Linux box: stepped in a forked child,
-    # M = 641 peaked 1.9 MiB above M = 41 (57.8 against 55.9 MiB, both the
-    # child's; this process peaked at 35.1 against 32.8 MiB), and in-process
-    # on one CPU 3.6 MiB above it (63.9 against 60.3 MiB).
+    # M = 641 peaked 1.6 MiB above M = 161 (57.7 against 56.1 MiB, both the
+    # child's; this process peaked at 35.2 against 32.8 MiB), and in-process
+    # on one CPU 2.8 MiB above it (63.7 against 60.9 MiB).
     prob = pb.preset("test_NE1")
     levels = cli.RunConfig("test_NE1", True, nodes=641, ratio=10.0).grid(prob).step_count
     assert levels * 2 * 640 * 8 >= 90 * 2**20   # the history a stored run would hold
     peaks = {nodes: _peak_mib(["verify", "--preset", "test_NE1", "--nodes", str(nodes),
-                               "--ratio", "10"], tmp_path / str(nodes)) for nodes in (41, 641)}
-    assert peaks[641] - peaks[41] < 20.0
+                               "--ratio", "10"], tmp_path / str(nodes)) for nodes in (161, 641)}
+    assert peaks[641] - peaks[161] < 20.0
 
 
 def test_no_command_stores_a_run(tmp_path, monkeypatch):
@@ -733,15 +740,56 @@ def test_cli_import_loads_no_scipy_module():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="a run steps in a child only by fork")
 def test_the_reducing_parent_of_a_forked_run_loads_no_scipy_module(tmp_path):
-    # the child factors the step matrices and steps; this process reduces
-    # the windows with numpy alone
-    code = ("import sys, beamstab.cli as cli\n"
+    # the child factors the step matrices and steps, here with the banded
+    # kernels, which load scipy; this process reduces the windows with
+    # numpy alone
+    code = ("import sys, beamstab.cli as cli, beamstab.fem as fem\n"
             "cli._usable_cpus = lambda: 2\n"
+            "fem.DENSE_MAX_N = 0\n"
             "print([cli.main([command, '--preset', 'mast_constant', '--nodes', '11',\n"
             "                 '--ratio', '10', '--out', sys.argv[1] + '/' + command])\n"
             "       for command in ('bounds', 'simulate')],\n"
             "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _python(code, tmp_path).splitlines()[-1] == "[0, 0] []"
+
+
+def test_a_small_run_loads_no_scipy_module(tmp_path):
+    # up to fem.DENSE_MAX_N DOFs (M <= 81) the dense numpy kernels step, so
+    # no process of such a run imports scipy; on one CPU that is this one.
+    # Above it the banded kernels load scipy, so the switch is what keeps
+    # it out.
+    code = ("import sys, beamstab.cli as cli\n"
+            "cli._usable_cpus = lambda: 1\n"
+            "out, nodes, commands = sys.argv[1], sys.argv[2], sys.argv[3:]\n"
+            "runs = {'simulate': ['--preset', 'cantilever_dampers'],\n"
+            "        'bounds': ['--preset', 'mast_constant'],\n"
+            "        'sweep': ['--preset', 'cantilever_dampers', '--param', 'k_v',\n"
+            "                  '--values', '1,2']}\n"
+            "print([cli.main([command, *runs[command], '--nodes', nodes, '--ratio', '10',\n"
+            "                 '--out', f'{out}/{command}']) for command in commands],\n"
+            "      sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    small = _python(code, tmp_path / "41", 41, "simulate", "bounds", "sweep").splitlines()[-1]
+    assert small == "[0, 0, 0] []"
+    large = _python(code, tmp_path / "161", 161, "bounds").splitlines()[-1]
+    assert large.startswith("[0] [") and "'scipy.linalg'" in large
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_a_failed_run_removes_only_the_directories_it_made(tmp_path, capsys, command):
+    # lambda = 1 lies in (0, 1/beta0) but above mast_constant's own window
+    # (0.0399 here), so every run steps and then fails with exit 3
+    args = [command, "--preset", "mast_constant", "--nodes", "11", "--ratio", "10",
+            "--lambda", "1"]
+    if command == "sweep":
+        args += ["--param", "k_v", "--values", "1,2"]
+    assert main([*args, "--out", str(tmp_path / "new" / "out")]) == 3
+    assert "lambda must satisfy" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "keep.txt").write_text("kept\n")
+    assert main([*args, "--out", str(existing)]) == 3
+    assert os.listdir(existing) == ["keep.txt"]
 
 
 def test_bounds_command_undamped_exits_one(tmp_path, capsys):
@@ -752,10 +800,12 @@ def test_bounds_command_undamped_exits_one(tmp_path, capsys):
     assert "k_a + k_v + mu0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("owner, name", [
-    pytest.param(stepper.TimeStepper, "blocks", id="blocks"),
-    pytest.param(fem.BandedCholesky, "__init__", id="factor")])
-def test_numerical_failure_exits_two(tmp_path, monkeypatch, capsys, forks, owner, name):
+@pytest.mark.parametrize("owner, name, nodes", [
+    pytest.param(stepper.TimeStepper, "blocks", 9, id="blocks"),
+    # the factor class each size uses: n = 16 is dense, n = 320 banded
+    pytest.param(fem.DenseCholesky, "__init__", 9, id="factor"),
+    pytest.param(fem.BandedCholesky, "__init__", 161, id="factor-banded")])
+def test_numerical_failure_exits_two(tmp_path, monkeypatch, capsys, forks, owner, name, nodes):
     def boom(*args, **kwargs):
         raise np.linalg.LinAlgError("factorization failed")
 
@@ -764,10 +814,10 @@ def test_numerical_failure_exits_two(tmp_path, monkeypatch, capsys, forks, owner
     monkeypatch.setattr(owner, name, boom)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     out = tmp_path / "out"
-    assert main(["simulate", "--preset", "test_NE1", "--nodes", "9",
+    assert main(["simulate", "--preset", "test_NE1", "--nodes", str(nodes),
                  "--ratio", "10", "--out", str(out)]) == 2
     assert capsys.readouterr().err == "numerical failure: factorization failed\n"
-    assert os.listdir(out) == [] and len(forks) == 1
+    assert not out.exists() and len(forks) == 1
 
 
 def test_a_second_cpu_steps_each_run_in_one_child_with_the_same_bytes(
@@ -852,7 +902,7 @@ def test_step_rule_must_be_positive_and_finite(tmp_path, capsys, flag, value):
      "lambda must satisfy 0 < lambda < lambda_max = 0.5; got 5"),
     # outside (0, 1/beta0), which holds every damper-only window; a lambda
     # inside it but above the run's own window can only be refused after
-    # the run, once --out exists
+    # the run (test_a_failed_run_removes_only_the_directories_it_made)
     (["--preset", "mast_constant", "--lambda", "-1"], "penalty weight must be positive; got -1")],
     ids=["0", "-2", "cantilever_dampers-lambda-5", "mast_constant-lambda--1"])
 def test_decimate_must_be_positive_and_leaves_no_directory(tmp_path, capsys, args, error):

@@ -253,13 +253,15 @@ def test_invalid_problem_rejected():
 # banded symmetric matrices
 # ---------------------------------------------------------------------------
 
-def test_matvec_matches_dense():
+def test_matvec_matches_dense(kernels):
     system = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 11))
     rng = np.random.default_rng(3)
     dense = system.stiffness.to_dense()
-    for _ in range(5):
-        x = rng.standard_normal(system.n)
-        assert system.stiffness.matvec(x) == pytest.approx(dense @ x, rel=1e-13)
+    for kind in ("dense", "banded"):
+        kernels(kind)
+        for _ in range(5):
+            x = rng.standard_normal(system.n)
+            assert system.stiffness.matvec(x) == pytest.approx(dense @ x, rel=1e-13)
 
 
 def test_banded_cholesky_solves():
@@ -270,25 +272,32 @@ def test_banded_cholesky_solves():
     assert system.stiffness.to_dense() @ x == pytest.approx(b, rel=1e-10)
 
 
-def test_banded_in_place_kernels_and_factor_time_checks():
+def test_banded_in_place_kernels_and_factor_time_checks(kernels):
+    # both kinds of factor keep one contract, error texts included
     system = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 11))
-    solve = system.stiffness.factor()
-    b = np.random.default_rng(5).standard_normal(system.n)
-    x = b.copy()
-    solve.solve_in_place(x)
-    assert np.array_equal(x, solve.solve(b))
-    with pytest.raises(ValueError, match="contiguous"):
-        solve.solve_in_place(np.zeros(2 * system.n)[::2])
+    for kind, factor in (("dense", fem.DenseCholesky), ("banded", fem.BandedCholesky)):
+        kernels(kind)
+        solve = system.stiffness.factor()
+        assert type(solve) is factor
+        b = np.random.default_rng(5).standard_normal(system.n)
+        x = b.copy()
+        solve.solve_in_place(x)
+        assert np.array_equal(x, solve.solve(b))
+        with pytest.raises(ValueError, match="^rhs must be a contiguous float64 vector$"):
+            solve.solve_in_place(np.zeros(2 * system.n)[::2])
 
-    indefinite = fem.combine([(1.0, system.stiffness)])
-    indefinite.add(4, 4, -1e9)
-    with pytest.raises(np.linalg.LinAlgError,
-                       match="not positive definite.*5-th leading minor"):
-        indefinite.factor()
-    not_finite = fem.combine([(1.0, system.stiffness)])
-    not_finite.add(2, 3, np.nan)
-    with pytest.raises(np.linalg.LinAlgError, match="not finite"):
-        not_finite.factor()
+        for entry, minor in ((4, 5), (0, 1), (system.n - 1, system.n)):
+            indefinite = fem.combine([(1.0, system.stiffness)])
+            indefinite.add(entry, entry, -1e9)
+            with pytest.raises(np.linalg.LinAlgError, match=(
+                    r"^banded Cholesky failed \(matrix not positive definite\): "
+                    f"{minor}-th leading minor not positive definite$")):
+                indefinite.factor()
+        not_finite = fem.combine([(1.0, system.stiffness)])
+        not_finite.add(2, 3, np.nan)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"^banded Cholesky failed \(matrix not finite\)$"):
+            not_finite.factor()
 
 
 def test_combine_linear_combination():

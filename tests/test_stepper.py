@@ -165,18 +165,40 @@ def _forced_variable_problem():
 
 
 @pytest.mark.parametrize("name", [*bs.PRESET_NAMES, "forced_variable"])
-def test_run_is_bitwise_the_one_step_path(name):
+def test_run_is_bitwise_the_one_step_path(name, kernels):
     prob = _forced_variable_problem() if name == "forced_variable" else bs.preset(name)
-    # two seams between finite-check blocks
-    stepper = TimeStepper(bs.assemble(prob, bs.Mesh(prob.length, 9)),
-                          TimeGrid(prob.final_time, 2 * CHUNK_LEVELS + 7))
-    levels = list(stepper.startup())
-    for j in range(3, stepper.grid.step_count):
-        levels.append(stepper.step(tuple(levels[-3:]), j))
-    reference = np.array(levels)
-    history = stepper.run().dof_history
-    assert np.array_equal(history, reference)
-    assert np.array_equal(np.signbit(history), np.signbit(reference))
+    system = bs.assemble(prob, bs.Mesh(prob.length, 9))
+    for kind in ("dense", "banded"):
+        kernels(kind)
+        # two seams between finite-check blocks
+        stepper = TimeStepper(system, TimeGrid(prob.final_time, 2 * CHUNK_LEVELS + 7))
+        levels = list(stepper.startup())
+        for j in range(3, stepper.grid.step_count):
+            levels.append(stepper.step(tuple(levels[-3:]), j))
+        reference = np.array(levels)
+        history = stepper.run().dof_history
+        assert np.array_equal(history, reference)
+        assert np.array_equal(np.signbit(history), np.signbit(reference))
+
+
+@pytest.mark.parametrize("nodes", [41, 81])
+def test_dense_and_banded_kernels_agree_to_round_off(nodes, kernels):
+    # The two kinds of kernel sum in different orders, so the runs differ by
+    # round-off amplified by the step matrix's condition.  Measured worst,
+    # max |dU| / max |U| over the five presets at dt = h/40: 7.5e-12 at
+    # M = 41 and 6.5e-11 at M = 81 (cantilever_spring, both); the bound is
+    # ten times the larger.
+    for name in bs.PRESET_NAMES:
+        prob = bs.preset(name)
+        mesh = bs.Mesh(prob.length, nodes)
+        system = bs.assemble(prob, mesh)
+        grid = TimeGrid.from_dt(prob.final_time, mesh.h / 40)
+        runs = {}
+        for kind in ("dense", "banded"):
+            kernels(kind)
+            runs[kind] = TimeStepper(system, grid).run().dof_history
+        deviation = np.max(np.abs(runs["dense"] - runs["banded"]))
+        assert deviation <= 10 * 6.5e-11 * np.max(np.abs(runs["banded"])), name
 
 
 @pytest.mark.parametrize("n_levels", [
@@ -282,15 +304,15 @@ def test_blocks_yield_only_finite_levels_before_a_blow_up():
 
 @pytest.mark.parametrize("name, nodes", [
     *((name, nodes) for name in bs.PRESET_NAMES for nodes in (7, 3)), ("scalar", None)])
-def test_history_operator_is_the_dense_three_level_stencil(name, nodes):
+def test_history_operator_is_the_dense_three_level_stencil(name, nodes, kernels):
     # M = 3 gives n = 4 with half-bandwidth 3: every band entry is in the matrix
     if name == "scalar":
         system = _scalar_system(2.0, 0.3, 1.7)
     else:
         prob = bs.preset(name)
         system = bs.assemble(prob, bs.Mesh(prob.length, nodes))
-    stepper = TimeStepper(system, TimeGrid(1.0, 11))
-    dt = stepper.grid.dt
+    grid = TimeGrid(1.0, 11)
+    dt = grid.dt
     m, c, k = system.mass.to_dense(), system.damping.to_dense(), system.stiffness.to_dense()
     # [A3 | A2 | A1 - S]: the step solves S (U^j - U^{j-1}) = load + A3 U^{j-3}
     # + A2 U^{j-2} + (A1 - S) U^{j-1}, with A1 = 5M/dt^2 + 2C/dt and
@@ -298,8 +320,11 @@ def test_history_operator_is_the_dense_three_level_stencil(name, nodes):
     dense = np.hstack([(1.0 / dt**2) * m,
                        (-4.0 / dt**2) * m + (-0.5 / dt) * c,
                        (3.0 / dt**2) * m + (0.5 / dt) * c - k])
-    assert stepper._operators.history.shape == (system.n, 3 * system.n)
-    assert np.array_equal(stepper._operators.history.toarray(), dense)
+    for kind, read in (("dense", np.asarray), ("banded", lambda csr: csr.toarray())):
+        kernels(kind)
+        history = TimeStepper(system, grid)._operators.history
+        assert history.shape == (system.n, 3 * system.n)
+        assert np.array_equal(read(history), dense)
 
 
 def _two_product_history(stepper):
