@@ -45,8 +45,9 @@ print("\n  lambda      M_d     sigma")
 for lam, m_d, sigma in bs.scan_lambda(beta0, beta1, lam_max, 9):
     print(f"  {lam:6.3f} {m_d:8.3f} {sigma:9.5f}")
 
-# certificate at the default weight (99% of the window) checked on the trace
-bound = bs.compute_decay_bound(prob, lambda_max=energy.lambda_max)
+# certificate at the default weight (99% of the window), decided with the
+# energy trace, checked on the trace
+bound = energy.bound
 report = bs.verify_envelopes(energy, bound)
 print(f"\nM_d = {bound.M_d:.4f}, sigma = {bound.sigma:.5f}")
 print("violations (upper/lower/decay):",
@@ -61,7 +62,7 @@ m_mesh = bs.Mesh(mast.length, 41)
 m_grid = bs.TimeGrid.from_dt(mast.final_time, m_mesh.h / 40.0)
 m_trace = bs.run(mast, m_mesh, m_grid)
 m_energy = bs.energy(m_trace, mode="basis")
-m_bound = bs.compute_decay_bound(mast, lambda_max=m_energy.lambda_max)
+m_bound = m_energy.bound
 m_report = bs.verify_envelopes(m_energy, m_bound)
 print(f"\nmast: regime {m_bound.regime}, lambda_max {m_bound.lambda_max:.5f}, "
       f"sigma {m_bound.sigma:.5f}, envelope ok: {m_report.ok}")

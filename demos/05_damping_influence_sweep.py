@@ -27,7 +27,7 @@ grid = bs.TimeGrid.from_dt(base.final_time, mesh.h / 20.0)
 def summarize(prob):
     trace = bs.run(prob, mesh, grid)
     energy = bs.energy(trace, mode="basis")
-    bound = bs.compute_decay_bound(prob, lambda_max=energy.lambda_max)
+    bound = energy.bound
     return {
         "beta1": bound.beta1,
         "lambda_max": bound.lambda_max,

@@ -26,8 +26,9 @@ conditional certificates attached to the run that produced them.
 ``damper_window`` needs only three per-level arrays over the interior grid
 times: the tip velocities u_t(L), u_xt(L) and ||u_t||^2.  The energy
 diagnostics collect them in the same streamed pass as the energies and
-carry the window as ``EnergyTrace.lambda_max``, which
-``compute_decay_bound`` takes as ``lambda_max``.
+pass them to ``compute_decay_bound``, the one place a run's certificate is
+decided; the trace carries it as ``EnergyTrace.bound``, and
+``bound_report`` renders every bounds.json.
 """
 
 from __future__ import annotations
@@ -105,14 +106,14 @@ def lambda_window(problem: BeamProblem) -> tuple[float, str]:
     for the theorem-1 regimes, whose window follows from the problem alone.
 
     The damper-only (theorem2) window depends on the run, so it raises
-    ValueError: it is the ``lambda_max`` of the run's energy trace, from
+    ValueError: it is the ``lambda_max`` of the run's certificate, from
     ``damper_window``.
     """
     regime = classify_regime(problem)
     if regime == "theorem2":
         raise ValueError(
             "the damper-only (theorem2) window depends on the solution; "
-            "take it from a computed energy trace (EnergyTrace.lambda_max)")
+            "take it from a computed energy trace (EnergyTrace.bound)")
     beta0, _ = beta_constants(problem)
     mu0, _ = problem.mu_bounds
     _, rho1 = problem.rho_bounds
@@ -195,20 +196,24 @@ class DecayBound:
 
 
 def compute_decay_bound(problem: BeamProblem, *, lam: float | None = None,
-                        lambda_max: float | None = None) -> DecayBound:
-    """Assemble the full certificate.  This is where the penalty weight is
-    decided: ``lam`` defaults to 99% of the window, and an explicit ``lam``
-    outside the open window is rejected.
-
-    ``lambda_max`` passes in the window of a run (its
-    ``EnergyTrace.lambda_max``), which the damper-only regime needs; None
-    computes the theorem-1 window with ``lambda_window``.
+                        run=None) -> DecayBound:
+    """Assemble the full certificate.  This is where the window and the
+    penalty weight are decided: ``lam`` defaults to 99% of the window, and
+    an explicit ``lam`` outside the open window, or with no window, is
+    rejected.  ``run`` holds the arguments of ``damper_window`` after the
+    problem, ``(grid, tip_vel, tip_ang, ut_norm_sq)``, from which the
+    damper-only regime takes its window; the others use ``lambda_window``.
     """
     beta0, beta1 = beta_constants(problem)
-    if lambda_max is None:
-        lam_max, regime = lambda_window(problem)
-    else:
-        lam_max, regime = lambda_max, classify_regime(problem)
+    try:
+        if run is not None and classify_regime(problem) == "theorem2":
+            lam_max, regime = damper_window(problem, *run), "theorem2"
+        else:
+            lam_max, regime = lambda_window(problem)
+    except ValueError as exc:
+        if lam is None:
+            raise
+        raise ValueError(f"no admissible penalty weight: {exc}") from None
     if lam_max <= 0.0:
         raise ValueError("admissible window is empty")
     if lam is None:
@@ -316,22 +321,30 @@ def verify_envelopes(energy_trace, bound: DecayBound) -> EnvelopeReport:
     )
 
 
-def bound_report(bound: DecayBound, envelope: EnvelopeReport | None = None) -> dict:
-    """JSON-ready report: constants, window, scan table of SCAN_POINTS rows,
-    envelope check."""
-    scan = [
-        {"lambda": lam, "M_d": m_d, "sigma": sigma}
-        for lam, m_d, sigma in scan_lambda(bound.beta0, bound.beta1,
-                                           bound.lambda_max, SCAN_POINTS)
-    ]
-    return {
-        "beta0": bound.beta0,
-        "beta1": bound.beta1,
+def bound_report(problem: BeamProblem, energy_trace=None, lam: float | None = None) -> dict:
+    """JSON-ready bounds.json: constants, window, scan table of SCAN_POINTS
+    rows, envelope check.  Without ``energy_trace``: the certificate that
+    needs no run (``lam`` as in ``compute_decay_bound``), no envelope.  With
+    one: the run's ``energy_trace.bound`` and its envelope check or, if the
+    run has none, null entries, an empty scan and a ``note`` saying why."""
+    report = dict.fromkeys(("lambda_max", "lambda", "M_d", "sigma", "regime", "envelope"))
+    report["beta0"], report["beta1"] = beta_constants(problem)
+    if energy_trace is None:
+        bound = compute_decay_bound(problem, lam=lam)
+    elif energy_trace.bound is None:
+        report.update(scan=[], note=energy_trace.window_error)
+        return report
+    else:
+        bound = energy_trace.bound
+        report["envelope"] = verify_envelopes(energy_trace, bound).to_dict()
+    report.update({
         "lambda_max": bound.lambda_max,
         "lambda": bound.lam,
         "M_d": bound.M_d,
         "sigma": bound.sigma,
         "regime": bound.regime,
-        "scan": scan,
-        "envelope": envelope.to_dict() if envelope is not None else None,
-    }
+        "scan": [{"lambda": row_lam, "M_d": m_d, "sigma": sigma}
+                 for row_lam, m_d, sigma in scan_lambda(bound.beta0, bound.beta1,
+                                                        bound.lambda_max, SCAN_POINTS)],
+    })
+    return report

@@ -160,7 +160,7 @@ def _load(config: RunConfig) -> BeamProblem:
             raise _UsageError(str(exc)) from None
     try:
         return load_problem(config.source)
-    except (OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         raise _UsageError(f"cannot read problem file {config.source}: {exc}") from None
 
 
@@ -181,25 +181,6 @@ def _write_json(data: dict, path) -> None:
     with open(path, "w") as fh:
         json.dump(data, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _bound_payload(prob: BeamProblem, energy_trace, lam) -> dict:
-    """Bound report, or a constants-only stub for a run whose window failed.
-
-    The window is the one ``energy_trace`` carries; without a trace (the
-    theorem-1 ``bounds`` command) it needs no run.
-    """
-    if energy_trace is None:
-        return bounds_mod.bound_report(bounds_mod.compute_decay_bound(prob, lam=lam))
-    if energy_trace.window_error is not None:
-        beta0, beta1 = bounds_mod.beta_constants(prob)
-        return {
-            "beta0": beta0, "beta1": beta1, "lambda_max": None, "lambda": None,
-            "M_d": None, "sigma": None, "regime": None, "scan": [],
-            "envelope": None, "note": energy_trace.window_error,
-        }
-    bound = bounds_mod.compute_decay_bound(prob, lam=lam, lambda_max=energy_trace.lambda_max)
-    return bounds_mod.bound_report(bound, bounds_mod.verify_envelopes(energy_trace, bound))
 
 
 def _usable_cpus() -> int:
@@ -352,7 +333,7 @@ def _simulate_pipeline(prob: BeamProblem, config: RunConfig, out_dir: str,
         with open(paths["trace.csv"], "w") as fh:
             energy_trace = _streamed_energy(prob, config, fh, ahead)
         diagnostics.export_energy_csv(energy_trace, paths["energy.csv"])
-        payload = _bound_payload(prob, energy_trace, config.lam)
+        payload = bounds_mod.bound_report(prob, energy_trace)
         _write_json(payload, paths["bounds.json"])
     return {"energy": energy_trace, "bounds": payload}
 
@@ -370,7 +351,6 @@ def cmd_validate(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     prob = _load_valid(config)
-    bounds_mod.check_explicit_penalty(prob, config.lam)   # before --out is made
     result = _simulate_pipeline(prob, config, config.out_dir, _steps_ahead())
     e = result["energy"]
     print(f"wrote trace.csv, energy.csv, bounds.json to {config.out_dir}")
@@ -557,7 +537,7 @@ def cmd_bounds(config: RunConfig) -> int:
     if regime == "theorem2":
         # window depends on the solution: run the configured simulation
         energy_trace = _streamed_energy(prob, config, ahead=_steps_ahead())
-    payload = _bound_payload(prob, energy_trace, config.lam)
+    payload = bounds_mod.bound_report(prob, energy_trace, config.lam)
     os.makedirs(config.out_dir, exist_ok=True)
     _write_json(payload, os.path.join(config.out_dir, "bounds.json"))
     if payload.get("note"):

@@ -34,8 +34,9 @@ block are formed (``fem.velocities``), u, u_t and the curvature are
 evaluated at the element Gauss points (``fem.Quadrature``) into reused
 buffers, and the block is reduced to per-level integrals at once.  In the
 damper-only regime the same velocities also give a per-level
-``||u_t||^2``, from which ``bounds.damper_window`` computes the window, so
-it costs no second pass.  Memory beyond the levels fed in is a few
+``||u_t||^2``, from which ``bounds.compute_decay_bound`` takes the window,
+so it costs no second pass; the trace carries the certificate that bounds
+decides as ``EnergyTrace.bound``.  Memory beyond the levels fed in is a few
 (CHUNK_LEVELS, E, q) blocks plus O(N) per-level arrays, and a streamed and
 a stored run are fed the same windows, so they give bitwise the same
 results.  ``export_energy_csv`` writes its rows in blocks of CHUNK_LEVELS
@@ -108,8 +109,9 @@ def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
 class EnergyTrace:
     """Energy diagnostics on interior grid times of one run.
 
-    ``window_error`` says why ``lambda_max`` is None: no certificate applies,
-    or the damper-only window failed on this trace.
+    ``bound`` is the run's decay certificate, from
+    ``bounds.compute_decay_bound``; ``window_error`` says why it is None: no
+    certificate applies, or the damper-only window failed on this trace.
     """
 
     times: np.ndarray
@@ -121,8 +123,7 @@ class EnergyTrace:
     j_v: np.ndarray
     residual: np.ndarray
     E0: float
-    lam: float | None
-    lambda_max: float | None
+    bound: bounds.DecayBound | None
     mode: str
     forced: bool
     problem: BeamProblem
@@ -138,15 +139,16 @@ class EnergyAccumulator:
     to per-level integrals and tip values; ``result()`` returns the
     ``EnergyTrace`` once every level is in.  In the damper-only regime the
     same Gauss-point velocities give a per-level ``||u_t||^2`` column, and
-    ``bounds.damper_window`` turns it and the tip velocities into the
-    window, so the window costs no second pass.
+    ``bounds.compute_decay_bound`` takes the window from it and the tip
+    velocities, so the window costs no second pass.
 
-    ``lam`` is the Lyapunov penalty weight, decided by
-    ``bounds.compute_decay_bound`` on the window in ``result()``: None picks
-    its default, and L is left unset when no window exists (e.g. undamped
-    systems).  An explicit ``lam`` is rejected here when no run can make it
-    admissible (``bounds.check_explicit_penalty``), so a run is not stepped
-    for nothing, and by ``result()`` when the run's own window rejects it.
+    ``lam`` is the Lyapunov penalty weight, decided with the rest of the
+    certificate by ``bounds.compute_decay_bound`` in ``result()``: None
+    picks its default, and L is left unset when there is no certificate
+    (e.g. undamped systems).  An explicit ``lam`` is rejected here when no
+    run can make it admissible (``bounds.check_explicit_penalty``), so a run
+    is not stepped for nothing, and by ``result()`` when the run's own
+    window rejects it.
     """
 
     def __init__(self, system: SemiDiscreteSystem, grid: TimeGrid,
@@ -203,19 +205,14 @@ class EnergyAccumulator:
         if self._next < self._grid.step_count - 2:
             raise ValueError(f"interior levels {self._next + 1}.. were never added")
         problem, dt = self._system.problem, self._grid.dt
-        lam = lam_max = window_error = None
+        bound = window_error = None
         try:
-            if self._ut_norm_sq is None:
-                lam_max, _ = bounds.lambda_window(problem)
-            else:
-                lam_max = bounds.damper_window(
-                    problem, self._grid, self._tip_vel, self._tip_ang, self._ut_norm_sq)
+            bound = bounds.compute_decay_bound(problem, lam=self._lam, run=(
+                self._grid, self._tip_vel, self._tip_ang, self._ut_norm_sq))
         except ValueError as exc:
             if self._lam is not None:
-                raise ValueError(f"no admissible penalty weight: {exc}") from None
+                raise
             window_error = str(exc)
-        else:
-            lam = bounds.compute_decay_bound(problem, lam=self._lam, lambda_max=lam_max).lam
 
         bc = problem.boundary
         end_disp, end_rot = self._end_disp, self._end_rot
@@ -238,7 +235,7 @@ class EnergyAccumulator:
 
         e0 = initial_energy(problem)
         residual = e0 - e_vals - (j_mu + j_a + j_v)
-        lyapunov = e_vals + lam * j_vals if lam is not None else None
+        lyapunov = e_vals + bound.lam * j_vals if bound is not None else None
 
         return EnergyTrace(
             times=self._grid.times[1:-1],
@@ -250,8 +247,7 @@ class EnergyAccumulator:
             j_v=j_v,
             residual=residual,
             E0=e0,
-            lam=lam,
-            lambda_max=lam_max,
+            bound=bound,
             mode=self._mode,
             forced=problem.has_forcing,
             problem=problem,

@@ -71,8 +71,8 @@ def test_criterion_2_bound_constants():
 
 
 def test_criterion_3_envelope_verification(ne1_run):
-    prob, _, energy, _ = ne1_run
-    bound = bs.compute_decay_bound(prob, lambda_max=energy.lambda_max)
+    _, _, energy, _ = ne1_run
+    bound = energy.bound
     report = bs.verify_envelopes(energy, bound)
     ok = report.ok
     _report(3, ok,
@@ -187,9 +187,10 @@ def test_criterion_7_oracle_equivalence():
 
 def test_criterion_8_theorem2_pipeline(preset_energies):
     prob, _, energy = preset_energies["mast_constant"]
-    # the window of the run, None had its tip-motion check failed
-    lam_max, regime = energy.lambda_max, bs.classify_regime(prob)
-    bound = bs.compute_decay_bound(prob, lambda_max=lam_max)
+    # the certificate of the run, None had its tip-motion check failed
+    bound, regime = energy.bound, bs.classify_regime(prob)
+    assert bound is not None, energy.window_error
+    lam_max = bound.lambda_max
     report = bs.verify_envelopes(energy, bound)
     ok = regime == "theorem2" and lam_max > 0.0 and report.ok \
         and not report.informational

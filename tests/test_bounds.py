@@ -108,8 +108,8 @@ def test_theorem2_needs_a_trace():
 
 def test_theorem2_window_is_reproducible_and_matches_recompute():
     prob, trace = _mast_trace(21, 20)
-    lam1 = bs.energy(trace).lambda_max
-    lam2 = bs.energy(trace, mode="basis").lambda_max
+    lam1 = bs.energy(trace).bound.lambda_max
+    lam2 = bs.energy(trace, mode="basis").bound.lambda_max
     regime = bs.classify_regime(prob)
     assert regime == "theorem2"
     assert lam1 == lam2  # bit-exact across calls
@@ -139,16 +139,21 @@ def test_theorem2_window_is_reproducible_and_matches_recompute():
     assert lam1 > 0.0
 
 
-def test_theorem2_condition_violated_at_rest_start():
+def _dead_tip_trace():
+    """mast_constant started with its tip at rest: no damper-only window."""
     prob = dataclasses.replace(
         bs.preset("mast_constant"),
         initial=InitialData(
             u0=bs.preset("mast_constant").initial.u0,
             u1=SpatialProfile.polynomial((0.0,))))
     mesh = bs.Mesh(1.0, 11)
-    trace = bs.run(prob, mesh, TimeGrid.from_dt(2.0, 1 / 100))
+    return prob, bs.run(prob, mesh, TimeGrid.from_dt(2.0, 1 / 100))
+
+
+def test_theorem2_condition_violated_at_rest_start():
+    _, trace = _dead_tip_trace()
     e = bs.energy(trace)
-    assert e.lambda_max is None and "fails at t = 0" in e.window_error
+    assert e.bound is None and "fails at t = 0" in e.window_error
     with pytest.raises(ValueError, match="t = 0"):
         bs.energy(trace, lam=0.01)
 
@@ -237,9 +242,8 @@ def _ne1_energy(nodes=21, ratio=20, mode="paper"):
 
 
 def test_ne1_envelopes_hold_with_zero_violations():
-    prob, e = _ne1_energy()
-    bound = bs.compute_decay_bound(prob, lambda_max=e.lambda_max)
-    report = bs.verify_envelopes(e, bound)
+    _, e = _ne1_energy()
+    report = bs.verify_envelopes(e, e.bound)
     assert report.ok
     assert report.informational  # forced run
     assert report.first_violation_time is None
@@ -273,16 +277,14 @@ def test_rest_state_envelopes_are_trivial():
                             u1=SpatialProfile.polynomial((0.0,))))
     trace = bs.run(prob, bs.Mesh(1.0, 9), TimeGrid(2.0, 101))
     e = bs.energy(trace, mode="basis")
-    bound = bs.compute_decay_bound(prob, lambda_max=e.lambda_max)
-    assert bs.verify_envelopes(e, bound).ok
+    assert bs.verify_envelopes(e, e.bound).ok
 
 
 def test_mast_envelope_verifies():
-    prob, trace = _mast_trace(21, 20)
+    _, trace = _mast_trace(21, 20)
     e = bs.energy(trace, mode="basis")
-    bound = bs.compute_decay_bound(prob, lambda_max=e.lambda_max)
-    assert bound.regime == "theorem2"
-    report = bs.verify_envelopes(e, bound)
+    assert e.bound.regime == "theorem2"
+    report = bs.verify_envelopes(e, e.bound)
     assert report.ok and not report.informational
 
 
@@ -294,17 +296,34 @@ def test_every_damped_preset_envelope_verifies_at_acceptance_resolution(name):
     grid = TimeGrid.from_dt(prob.final_time, mesh.h / 40.0)
     trace = bs.run(prob, mesh, grid)
     e = bs.energy(trace, mode="basis")
-    report = bs.verify_envelopes(e, bs.compute_decay_bound(prob, lambda_max=e.lambda_max))
+    report = bs.verify_envelopes(e, e.bound)
     assert report.ok and not report.informational
+
+
+REPORT_KEYS = {"beta0", "beta1", "lambda_max", "lambda", "M_d", "sigma", "regime",
+               "scan", "envelope"}
 
 
 def test_bound_report_schema():
     prob, e = _ne1_energy(nodes=9, ratio=10)
-    bound = bs.compute_decay_bound(prob, lambda_max=e.lambda_max)
-    report = bs.bound_report(bound, envelope=bs.verify_envelopes(e, bound))
-    assert set(report) == {"beta0", "beta1", "lambda_max", "lambda", "M_d",
-                           "sigma", "regime", "scan", "envelope"}
+    report = bs.bound_report(prob, e)
+    assert set(report) == REPORT_KEYS
+    assert report["lambda"] == e.bound.lam and report["M_d"] == e.bound.M_d
     assert len(report["scan"]) == 9
     assert report["envelope"]["violations"] == {"upper": 0, "lower": 0, "decay": 0}
     sigmas = [row["sigma"] for row in report["scan"]]
     assert sigmas == sorted(sigmas)
+    # the theorem-1 window needs no run: the same certificate, no envelope
+    no_run = bs.bound_report(prob)
+    assert no_run == {**report, "envelope": None}
+    # a run without a certificate: the same keys, null where the
+    # certificate's entries go, and a note saying why
+    prob, trace = _dead_tip_trace()
+    e = bs.energy(trace)
+    report = bs.bound_report(prob, e)
+    assert set(report) == REPORT_KEYS | {"note"}
+    assert (report["beta0"], report["beta1"]) == bs.beta_constants(prob)
+    assert all(report[key] is None for key in
+               ("lambda_max", "lambda", "M_d", "sigma", "regime", "envelope"))
+    assert report["scan"] == []
+    assert report["note"] == e.window_error and "fails at t = 0" in report["note"]

@@ -73,6 +73,30 @@ def test_validate_undamped_warns_but_exits_zero(tmp_path, capsys):
     assert "WARNING" in capsys.readouterr().out
 
 
+def _malformed(case):
+    d = pb.problem_to_dict(pb.preset("cantilever_dampers"))
+    if case == "list":
+        return [d]
+    if case == "rho_number":
+        d["rho"] = 5
+    elif case == "mu_data_null":
+        d["mu"] = {"kind": "polynomial", "data": None}
+    else:
+        d["length"] = None
+    return d
+
+
+@pytest.mark.parametrize("case", ["rho_number", "mu_data_null", "length_null", "list"])
+def test_malformed_problem_file_is_a_usage_error(tmp_path, capsys, case):
+    # values of the wrong type raise TypeError while the file is read
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(_malformed(case)))
+    assert main(["validate", "--problem", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: cannot read problem file {path}: ")
+    assert "Traceback" not in captured.err + captured.out
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -190,7 +214,7 @@ def test_streamed_pass_is_bitwise_the_stored_energy_and_window(name, mode, expli
     for ahead in (False, True):   # stepped in-process, then in a forked child
         streamed = cli._streamed_energy(prob, config, ahead=ahead)
         _assert_same_energy(diagnostics.energy(trace, lam=config.lam, mode=mode), streamed)
-        assert streamed.lambda_max == lam_max
+        assert streamed.bound.lambda_max == lam_max
         assert streamed.window_error is None
 
 
@@ -211,7 +235,7 @@ def test_streamed_pass_fails_the_window_like_the_stored_one(case, lam):
         if lam is None:
             streamed = cli._streamed_energy(prob, config, ahead=ahead)
             _assert_same_energy(diagnostics.energy(trace, mode=config.mode), streamed)
-            assert streamed.lambda_max is None
+            assert streamed.bound is None
             assert streamed.window_error == str(window.value)
         else:
             with pytest.raises(ValueError) as stored:
@@ -605,7 +629,7 @@ def test_bounds_command_theorem2_runs_a_simulation(tmp_path):
 
 
 def test_bounds_failed_window_writes_the_certified_keys_and_a_note(tmp_path):
-    # the failed-window report is built apart from bounds.bound_report
+    # bounds.bound_report writes the failed-window form too
     base = pb.preset("mast_constant")
     dead_tip = dataclasses.replace(base, initial=dataclasses.replace(
         base.initial, u1=pb.SpatialProfile.polynomial((0.0,))))
@@ -635,6 +659,30 @@ def test_bounds_command_streams_the_theorem2_window_once(tmp_path, monkeypatch):
     assert main(["bounds", "--preset", "mast_constant", "--nodes", "11",
                  "--ratio", "10", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args, runs", [
+    (["simulate", "--preset", "cantilever_dampers"], 1),
+    (["simulate", "--preset", "mast_constant"], 1),
+    (["bounds", "--preset", "cantilever_dampers"], 1),
+    (["bounds", "--preset", "mast_constant"], 1),
+    (["sweep", "--preset", "mast_constant", "--param", "k_v", "--values", "1,2,4"], 3)],
+    ids=["simulate-theorem1", "simulate-theorem2", "bounds-theorem1", "bounds-theorem2",
+         "sweep"])
+def test_each_run_decides_its_certificate_once(tmp_path, monkeypatch, args, runs):
+    # bounds.compute_decay_bound is the one owner of a run's certificate:
+    # the energy trace carries it and bounds.json is rendered from it
+    calls = []
+    decide = bounds.compute_decay_bound
+
+    def counted(*a, **kw):
+        calls.append(1)
+        return decide(*a, **kw)
+
+    monkeypatch.setattr(bounds, "compute_decay_bound", counted)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)   # every run in this process
+    assert main([*args, "--nodes", "11", "--ratio", "10", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == runs
 
 
 def _python(code: str, *args) -> str:

@@ -235,7 +235,7 @@ def test_energy_is_nonnegative_and_dissipation_nondecreasing():
 def test_lyapunov_column_and_window():
     trace = _ne1_trace(nodes=9, ratio=10)
     e = bs.energy(trace, lam=0.5, mode="basis")
-    assert e.lambda_max == pytest.approx(1.0)
+    assert e.bound.lambda_max == pytest.approx(1.0)
     assert e.L == pytest.approx(e.E + 0.5 * e.J)
     with pytest.raises(ValueError, match="lambda"):
         bs.energy(trace, lam=1.5)
@@ -294,7 +294,7 @@ def test_undamped_identity_reduces_to_energy_conservation():
         grid = TimeGrid.from_dt(1.0, mesh.h / ratio)
         e = bs.energy(bs.run(prob, mesh, grid), mode="basis")
         assert np.all(e.j_mu == 0.0) and np.all(e.j_a == 0.0) and np.all(e.j_v == 0.0)
-        assert e.lam is None and e.L is None
+        assert e.bound is None and e.L is None
         residuals.append(bs.identity_residual(e))
         assert np.max(np.abs((e.E0 - e.E) - e.residual)) == 0.0
     assert residuals[1] < residuals[0] / 4.0
@@ -504,7 +504,7 @@ def test_accumulator_rejects_a_window_that_is_not_the_next():
     for first, stop in list(windows(len(hist)))[2:]:
         acc.add(hist[first:stop], first)
     streamed, stored = acc.result(), bs.energy(trace)
-    assert streamed.lambda_max is not None and streamed.lambda_max == stored.lambda_max
+    assert streamed.bound is not None and streamed.bound == stored.bound
     for name in ("E", "J", "L", "j_mu", "j_a", "j_v", "residual"):
         assert getattr(streamed, name).tobytes() == getattr(stored, name).tobytes(), name
 
@@ -524,4 +524,4 @@ def test_energy_and_window_memory_stays_below_half_the_history():
         tracemalloc.stop()
     assert trace.dof_history.nbytes > 8e6
     assert energy_peak < limit
-    assert e.lambda_max is not None   # the damper-only window came out of the same pass
+    assert e.bound is not None   # the damper-only window came out of the same pass
