@@ -56,7 +56,6 @@ from .bounds import (
     bound_report,
     classify_regime,
     compute_decay_bound,
-    damper_window,
     decay_estimate,
     lambda_window,
     scan_lambda,

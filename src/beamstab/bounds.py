@@ -12,20 +12,21 @@ weight ``lam`` in the admissible window gives the envelope constants
 
     M_d = (1 + beta1 lam) / (1 - beta0 lam),   sigma = 2 lam / (1 + beta1 lam)
 
-with E(t) <= M_d exp(-sigma t) E(0).  The window is
-``min(1/beta0, mu0 / (2 rho1))`` in the viscously damped regime
-(``lambda_window``); in the damper-only constant-coefficient regime
-(mu = 0) it is certified post hoc from a computed run:
+with E(t) <= M_d exp(-sigma t) E(0).  ``lambda_window`` gives the window of
+every regime: ``min(1/beta0, mu0 / (2 rho1))`` in the viscously damped
+regime; in the damper-only constant-coefficient regime (mu = 0, rho = m) it
+is certified post hoc from a computed run:
 
     min( 1/beta0,  inf_t [k_a^2 u_xt(L,t)^2 + k_v^2 u_t(L,t)^2]
-                   / (2 m sup_t ||u_t||_{L2}^2) )
+                   / (2 sup_t int rho u_t^2) )
 
-provided the tip never comes to rest, u_xt(L,t)^2 + u_t(L,t)^2 > 0.  Grid
-infima/suprema stand in for the continuum values, so theorem2 results are
-conditional certificates attached to the run that produced them.
-``damper_window`` needs only three per-level arrays over the interior grid
-times: the tip velocities u_t(L), u_xt(L) and ||u_t||^2.  The energy
-diagnostics collect them in the same streamed pass as the energies and
+provided the tip never comes to rest, u_xt(L,t)^2 + u_t(L,t)^2 > 0.  As
+rho = m, the denominator is the paper's ``2 m sup_t ||u_t||^2``, read from
+the kinetic term of the energy.  Grid infima/suprema stand in for the
+continuum values, so theorem2 results are conditional certificates
+attached to the run that produced them.  The energy diagnostics collect
+the run's three per-level arrays over the interior grid times, u_t(L),
+u_xt(L) and int rho u_t^2, in the same streamed pass as the energies and
 pass them to ``compute_decay_bound``, the one place a run's certificate is
 decided; the trace carries it as ``EnergyTrace.bound``, and
 ``bound_report`` renders every bounds.json.
@@ -47,7 +48,6 @@ __all__ = [
     "beta_constants",
     "classify_regime",
     "lambda_window",
-    "damper_window",
     "check_explicit_penalty",
     "decay_estimate",
     "scan_lambda",
@@ -101,35 +101,28 @@ def beta_constants(problem: BeamProblem) -> tuple[float, float]:
     return beta0, beta0 * bracket
 
 
-def lambda_window(problem: BeamProblem) -> tuple[float, str]:
-    """Admissible penalty window upper bound and the regime that produced it,
-    for the theorem-1 regimes, whose window follows from the problem alone.
+def lambda_window(problem: BeamProblem, run=None) -> tuple[float, str]:
+    """Admissible penalty window upper bound and the regime that produced it.
 
-    The damper-only (theorem2) window depends on the run, so it raises
-    ValueError: it is the ``lambda_max`` of the run's certificate, from
-    ``damper_window``.
+    The theorem-1 windows follow from the problem alone and ignore ``run``.
+    The damper-only (theorem2) window is taken from ``run = (grid, tip_vel,
+    tip_ang, kinetic)``: u_t(L), u_xt(L) and int rho u_t^2 at the interior
+    grid times t_1..t_{N-2}, with t = 0 taken from the analytic initial
+    velocity.  Raises ValueError without a run, naming the first grid time
+    at which the tip is at rest, or when the least damper feedback
+    ``k_a^2 u_xt(L)^2 + k_v^2 u_t(L)^2`` vanishes.
     """
     regime = classify_regime(problem)
-    if regime == "theorem2":
+    beta0, _ = beta_constants(problem)
+    if regime != "theorem2":
+        mu0, _ = problem.mu_bounds
+        _, rho1 = problem.rho_bounds
+        return min(1.0 / beta0, mu0 / (2.0 * rho1)), regime
+    if run is None:
         raise ValueError(
             "the damper-only (theorem2) window depends on the solution; "
             "take it from a computed energy trace (EnergyTrace.bound)")
-    beta0, _ = beta_constants(problem)
-    mu0, _ = problem.mu_bounds
-    _, rho1 = problem.rho_bounds
-    return min(1.0 / beta0, mu0 / (2.0 * rho1)), regime
-
-
-def damper_window(problem: BeamProblem, grid, tip_vel: np.ndarray, tip_ang: np.ndarray,
-                  ut_norm_sq: np.ndarray) -> float:
-    """``lambda_max`` of the damper-only (theorem2) window of one run.
-
-    The arrays hold u_t(L), u_xt(L) and ||u_t||^2 at the interior grid times
-    t_1..t_{N-2}; t = 0 is taken from the analytic initial velocity.  Raises
-    ValueError naming the first grid time at which the tip is at rest, or
-    when the least damper feedback ``k_a^2 u_xt(L)^2 + k_v^2 u_t(L)^2``
-    vanishes.
-    """
+    grid, tip_vel, tip_ang, kinetic = run
     u1, L = problem.initial.u1, problem.length
     tip_vel = np.concatenate([[float(u1(L))], tip_vel])
     tip_ang = np.concatenate([[float(u1.d1(L))], tip_ang])
@@ -144,10 +137,9 @@ def damper_window(problem: BeamProblem, grid, tip_vel: np.ndarray, tip_ang: np.n
         raise ValueError(
             "admissible window is empty: the damper feedback power vanishes "
             "at some grid time")
-    sup_norm_sq = max(integrate_data(problem, lambda x: u1(x) ** 2), float(np.max(ut_norm_sq)))
-    beta0, _ = beta_constants(problem)
-    m = float(problem.rho(0.0))
-    return min(1.0 / beta0, numerator / (2.0 * m * sup_norm_sq))
+    sup_kinetic = max(integrate_data(problem, lambda x: problem.rho(x) * u1(x) ** 2),
+                      float(np.max(kinetic)))
+    return min(1.0 / beta0, numerator / (2.0 * sup_kinetic)), regime
 
 
 # ---------------------------------------------------------------------------
@@ -195,32 +187,35 @@ class DecayBound:
     regime: str
 
 
+def _penalty(lam_max: float, lam: float | None) -> float:
+    """The penalty weight in the open window (0, lam_max): ``lam`` checked,
+    or 99% of the window when it is None."""
+    if lam_max <= 0.0:
+        raise ValueError("admissible window is empty")
+    if lam is None:
+        return 0.99 * lam_max
+    if not 0.0 < lam < lam_max:
+        raise ValueError(
+            f"lambda must satisfy 0 < lambda < lambda_max = {lam_max:.12g}; got {lam:g}")
+    return lam
+
+
 def compute_decay_bound(problem: BeamProblem, *, lam: float | None = None,
                         run=None) -> DecayBound:
     """Assemble the full certificate.  This is where the window and the
     penalty weight are decided: ``lam`` defaults to 99% of the window, and
     an explicit ``lam`` outside the open window, or with no window, is
-    rejected.  ``run`` holds the arguments of ``damper_window`` after the
-    problem, ``(grid, tip_vel, tip_ang, ut_norm_sq)``, from which the
-    damper-only regime takes its window; the others use ``lambda_window``.
+    rejected.  ``run`` is passed on to ``lambda_window``, from which the
+    damper-only regime takes its window.
     """
     beta0, beta1 = beta_constants(problem)
     try:
-        if run is not None and classify_regime(problem) == "theorem2":
-            lam_max, regime = damper_window(problem, *run), "theorem2"
-        else:
-            lam_max, regime = lambda_window(problem)
+        lam_max, regime = lambda_window(problem, run)
     except ValueError as exc:
         if lam is None:
             raise
         raise ValueError(f"no admissible penalty weight: {exc}") from None
-    if lam_max <= 0.0:
-        raise ValueError("admissible window is empty")
-    if lam is None:
-        lam = 0.99 * lam_max
-    elif not 0.0 < lam < lam_max:
-        raise ValueError(
-            f"lambda must satisfy 0 < lambda < lambda_max = {lam_max:.12g}; got {lam:g}")
+    lam = _penalty(lam_max, lam)
     m_d, sigma = decay_estimate(beta0, beta1, lam)
     return DecayBound(beta0, beta1, lam_max, lam, m_d, sigma, regime)
 
@@ -237,7 +232,7 @@ def check_explicit_penalty(problem: BeamProblem, lam: float | None) -> None:
     except ValueError as exc:
         raise ValueError(f"no admissible penalty weight: {exc}") from None
     if regime != "theorem2":
-        compute_decay_bound(problem, lam=lam)
+        _penalty(lambda_window(problem)[0], lam)
     else:
         decay_estimate(*beta_constants(problem), lam)
 

@@ -32,11 +32,11 @@ made (every CLI command, none of which stores the history) or as views of
 a stored history (``energy``).  For each window the velocity rows of its
 block are formed (``fem.velocities``), u, u_t and the curvature are
 evaluated at the element Gauss points (``fem.Quadrature``) into reused
-buffers, and the block is reduced to per-level integrals at once.  In the
-damper-only regime the same velocities also give a per-level
-``||u_t||^2``, from which ``bounds.compute_decay_bound`` takes the window,
-so it costs no second pass; the trace carries the certificate that bounds
-decides as ``EnergyTrace.bound``.  Memory beyond the levels fed in is a few
+buffers, and the block is reduced to per-level integrals at once.  The
+damper-only window of ``bounds.compute_decay_bound`` reads the kinetic
+column ``int rho u_t^2`` and the tip velocities, so it costs no second
+pass; the trace carries the certificate that bounds decides as
+``EnergyTrace.bound``.  Memory beyond the levels fed in is a few
 (CHUNK_LEVELS, E, q) blocks plus O(N) per-level arrays, and a streamed and
 a stored run are fed the same windows, so they give bitwise the same
 results.  ``export_energy_csv`` writes its rows in blocks of CHUNK_LEVELS
@@ -46,7 +46,6 @@ per-row ``%.17g`` writer.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -137,10 +136,9 @@ class EnergyAccumulator:
 
     ``add(window, first)`` reduces the window's interior levels, its block,
     to per-level integrals and tip values; ``result()`` returns the
-    ``EnergyTrace`` once every level is in.  In the damper-only regime the
-    same Gauss-point velocities give a per-level ``||u_t||^2`` column, and
-    ``bounds.compute_decay_bound`` takes the window from it and the tip
-    velocities, so the window costs no second pass.
+    ``EnergyTrace`` once every level is in.  ``bounds.compute_decay_bound``
+    takes the damper-only window from the kinetic column ``int rho u_t^2``
+    and the tip velocities, so the window costs no second pass.
 
     ``lam`` is the Lyapunov penalty weight, decided with the rest of the
     certificate by ``bounds.compute_decay_bound`` in ``result()``: None
@@ -157,10 +155,6 @@ class EnergyAccumulator:
             raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
         bounds.check_explicit_penalty(system.problem, lam)
         self._system, self._grid, self._lam, self._mode = system, grid, lam, mode
-        self._ut_norm_sq = None
-        with contextlib.suppress(ValueError):   # no certificate: result() says why
-            if bounds.classify_regime(system.problem) == "theorem2":
-                self._ut_norm_sq = np.empty(grid.step_count - 2)
         self._next = 0   # the first level of the next window
         quad = system.quadrature
         self._lerp = np.stack([1.0 - quad.xi, quad.xi])  # nodal values -> Gauss points
@@ -198,8 +192,6 @@ class EnergyAccumulator:
         self._mu_rate[out] = quad.integral(quad.w_mu, ut_q, ut_q, work)
         self._end_disp[out], self._end_rot[out] = u[:, -2], u[:, -1]
         self._tip_vel[out], self._tip_ang[out] = ut[:, -2], ut[:, -1]
-        if self._ut_norm_sq is not None:
-            self._ut_norm_sq[out] = quad.integral(quad.w_plain, ut_q, ut_q, work)
 
     def result(self) -> EnergyTrace:
         if self._next < self._grid.step_count - 2:
@@ -208,7 +200,7 @@ class EnergyAccumulator:
         bound = window_error = None
         try:
             bound = bounds.compute_decay_bound(problem, lam=self._lam, run=(
-                self._grid, self._tip_vel, self._tip_ang, self._ut_norm_sq))
+                self._grid, self._tip_vel, self._tip_ang, self._kinetic))
         except ValueError as exc:
             if self._lam is not None:
                 raise

@@ -14,7 +14,8 @@ nodal displacements or slopes, the clamped node's zero first.
 
 Assembly, ``element_matrices`` and the field kernel of the diagnostics read
 one Gauss table: the shape values and curvatures at the element Gauss points
-and the weights ``h w``, ``h w rho``, ``h w mu``, ``h w r`` (``Quadrature``).
+and the three weight arrays ``h w rho``, ``h w mu``, ``h w r``
+(``Quadrature``).
 Assembly produces symmetric banded mass/damping/stiffness matrices
 
     mass      = integral rho psi_i psi_j
@@ -333,8 +334,8 @@ def _auto_points(problem: BeamProblem) -> int:
 
 
 def _gauss_weights(problem: BeamProblem, x_left: np.ndarray, h: float):
-    """Gauss points ``xi`` of the problem's element rule and the (4, E, q)
-    weights ``h w``, ``h w rho``, ``h w mu``, ``h w r`` at the points
+    """Gauss points ``xi`` of the problem's element rule and the (3, E, q)
+    weights ``h w rho``, ``h w mu``, ``h w r`` at the points
     ``x_left[:, None] + h xi`` of the elements [x_left, x_left + h].
 
     The rule integrates products of two fields against the polynomial
@@ -343,8 +344,8 @@ def _gauss_weights(problem: BeamProblem, x_left: np.ndarray, h: float):
     xi, w = gauss_rule(_auto_points(problem))
     xq = x_left[:, None] + h * xi
     wq = h * w
-    return xi, np.stack([np.broadcast_to(wq, xq.shape), wq * problem.rho(xq),
-                         wq * problem.mu(xq), wq * problem.rigidity(xq)])
+    return xi, np.stack([wq * problem.rho(xq), wq * problem.mu(xq),
+                         wq * problem.rigidity(xq)])
 
 
 def integrate_data(problem: BeamProblem, f) -> float:
@@ -393,9 +394,9 @@ class SemiDiscreteSystem:
 
 def _element_batch(kernel: "FieldKernel", weights: np.ndarray):
     """(E, 4, 4) element mass, damping and stiffness matrices from a kernel at
-    the Gauss points and the (4, E, q) weights of ``_gauss_weights``."""
+    the Gauss points and the (3, E, q) weights of ``_gauss_weights``."""
     vals, curv = kernel._value.T, kernel._curvature.T  # (q, 4)
-    _, w_rho, w_mu, w_r = weights
+    w_rho, w_mu, w_r = weights
     return (np.einsum("eq,qa,qb->eab", w_rho, vals, vals),
             np.einsum("eq,qa,qb->eab", w_mu, vals, vals),
             np.einsum("eq,qa,qb->eab", w_r, curv, curv))
@@ -508,14 +509,14 @@ class FieldKernel:
 
 class Quadrature(FieldKernel):
     """Field kernel at the Gauss points of every element of a mesh.  The
-    flattened (E*q,) weights ``w_plain``, ``w_rho``, ``w_mu``, ``w_r``
-    integrate against 1, rho, mu, r, exactly for products of two fields with
+    three flattened (E*q,) weight arrays ``w_rho``, ``w_mu``, ``w_r``
+    integrate against rho, mu, r, exactly for products of two fields with
     polynomial coefficients."""
 
     def __init__(self, mesh: Mesh, problem: BeamProblem):
         xi, self._weights = _gauss_weights(problem, mesh.nodes[:-1], mesh.h)
         super().__init__(mesh.h, xi)
-        self.w_plain, self.w_rho, self.w_mu, self.w_r = self._weights.reshape(4, -1)
+        self.w_rho, self.w_mu, self.w_r = self._weights.reshape(3, -1)
 
     @staticmethod
     def integral(weights: np.ndarray, f: np.ndarray, g: np.ndarray,

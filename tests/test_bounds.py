@@ -102,8 +102,45 @@ def test_ne1_window():
 
 
 def test_theorem2_needs_a_trace():
-    with pytest.raises(ValueError, match="trace"):
+    with pytest.raises(ValueError) as exc:
         bs.lambda_window(bs.preset("mast_constant"))
+    assert str(exc.value) == (
+        "the damper-only (theorem2) window depends on the solution; "
+        "take it from a computed energy trace (EnergyTrace.bound)")
+
+
+@pytest.mark.parametrize("name", ["test_NE1", "cantilever_dampers", "cantilever_free"])
+def test_theorem1_windows_ignore_the_run(name):
+    prob = bs.preset(name)
+    grid = TimeGrid.from_dt(1.0, 0.5)
+    run = (grid, np.zeros(1), np.zeros(1), np.full(1, np.nan))
+    assert bs.lambda_window(prob, run) == bs.lambda_window(prob)
+
+
+@pytest.mark.parametrize("nodes, ratio", [(21, 20), (161, 5)])
+@pytest.mark.parametrize("m", [3.0, 0.7])
+def test_damper_only_window_is_the_papers_for_a_constant_density(m, nodes, ratio):
+    # the paper's min_t(k_a^2 u_xt(L)^2 + k_v^2 u_t(L)^2) / (2 m sup_t ||u_t||^2),
+    # with ||u_t||^2 from plain Gauss weights at five points per element (the
+    # run's rule has four) and t = 0 from the analytic initial velocity
+    prob = dataclasses.replace(bs.preset("mast_constant"), rho=CoefficientField.constant(m))
+    mesh = bs.Mesh(1.0, nodes)
+    trace = bs.run(prob, mesh, TimeGrid.from_dt(prob.final_time, mesh.h / ratio))
+    window = bs.energy(trace).bound.lambda_max
+
+    from beamstab.fem import FieldKernel, gauss_rule
+    xi, w = gauss_rule(5)
+    vel = (trace.dof_history[2:] - trace.dof_history[:-2]) / (2.0 * trace.grid.dt)
+    norms = (FieldKernel(mesh.h, xi).values(vel) ** 2 @ (mesh.h * w)).sum(axis=1)
+    u1, bc = prob.initial.u1, prob.boundary
+    norm0 = float(np.sum(u1(mesh.nodes[:-1, None] + mesh.h * xi) ** 2 @ (mesh.h * w)))
+    tip_v = np.concatenate([[float(u1(1.0))], vel[:, -2]])
+    tip_a = np.concatenate([[float(u1.d1(1.0))], vel[:, -1]])
+    paper = np.min(bc.k_a**2 * tip_a**2 + bc.k_v**2 * tip_v**2) \
+        / (2.0 * m * max(norm0, np.max(norms)))
+    beta0, _ = bs.beta_constants(prob)
+    assert paper < 1.0 / beta0   # the run's term decides the window
+    assert window == pytest.approx(paper, rel=1e-14, abs=0.0)
 
 
 def test_theorem2_window_is_reproducible_and_matches_recompute():

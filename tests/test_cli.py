@@ -177,18 +177,21 @@ def test_simulate_blow_up_leaves_no_partial_artifacts(tmp_path, monkeypatch, cap
 
 def _stored_window(prob, trace):
     """The penalty window of a stored trace: the damper-only one from a pass
-    of its own over the history (the oracle of the streamed window)."""
+    of its own over the history (the oracle of the streamed window), whose
+    kinetic column is ``m sum h w u_t^2`` with plain Gauss weights."""
     if bounds.classify_regime(prob) != "theorem2":
         return bounds.lambda_window(prob)[0]
     quad, hist = trace.system.quadrature, trace.dof_history
-    tip_vel, tip_ang, ut_norm_sq = np.empty((3, trace.grid.step_count - 2))
+    mesh = trace.system.mesh
+    weights = np.tile(mesh.h * fem.gauss_rule(len(quad.xi))[1], mesh.element_count)
+    tip_vel, tip_ang, kinetic = np.empty((3, trace.grid.step_count - 2))
     for first, stop in windows(trace.grid.step_count):
         out = slice(first, stop - 2)   # the window's interior levels first + 1 .. stop - 2
         ut = (hist[first + 2:stop] - hist[first:stop - 2]) / (2.0 * trace.grid.dt)
         ut_q = quad.values(ut)
-        ut_norm_sq[out] = quad.integral(quad.w_plain, ut_q, ut_q)
+        kinetic[out] = float(prob.rho(0.0)) * quad.integral(weights, ut_q, ut_q)
         tip_vel[out], tip_ang[out] = ut[:, -2], ut[:, -1]
-    return bounds.damper_window(prob, trace.grid, tip_vel, tip_ang, ut_norm_sq)
+    return bounds.lambda_window(prob, (trace.grid, tip_vel, tip_ang, kinetic))[0]
 
 
 def _assert_same_energy(stored, streamed):
@@ -649,13 +652,13 @@ def test_bounds_command_streams_the_theorem2_window_once(tmp_path, monkeypatch):
     import beamstab.bounds as bounds
 
     calls = []
-    window = bounds.damper_window
+    window = bounds.lambda_window
 
     def counted(*args, **kwargs):
         calls.append(1)
         return window(*args, **kwargs)
 
-    monkeypatch.setattr(bounds, "damper_window", counted)
+    monkeypatch.setattr(bounds, "lambda_window", counted)
     assert main(["bounds", "--preset", "mast_constant", "--nodes", "11",
                  "--ratio", "10", "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1
@@ -666,9 +669,12 @@ def test_bounds_command_streams_the_theorem2_window_once(tmp_path, monkeypatch):
     (["simulate", "--preset", "mast_constant"], 1),
     (["bounds", "--preset", "cantilever_dampers"], 1),
     (["bounds", "--preset", "mast_constant"], 1),
-    (["sweep", "--preset", "mast_constant", "--param", "k_v", "--values", "1,2,4"], 3)],
+    (["sweep", "--preset", "mast_constant", "--param", "k_v", "--values", "1,2,4"], 3),
+    (["simulate", "--preset", "cantilever_dampers", "--lambda", "0.25"], 1),
+    (["sweep", "--preset", "cantilever_dampers", "--param", "k_v", "--values", "1,2,4",
+      "--lambda", "0.25"], 3)],
     ids=["simulate-theorem1", "simulate-theorem2", "bounds-theorem1", "bounds-theorem2",
-         "sweep"])
+         "sweep", "simulate-explicit-lambda", "sweep-explicit-lambda"])
 def test_each_run_decides_its_certificate_once(tmp_path, monkeypatch, args, runs):
     # bounds.compute_decay_bound is the one owner of a run's certificate:
     # the energy trace carries it and bounds.json is rendered from it
