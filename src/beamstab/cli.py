@@ -380,6 +380,12 @@ def cmd_verify(config: RunConfig) -> int:
     return 0
 
 
+def _order(coarse: float, fine: float) -> float:
+    """The observed order ``log2(coarse / fine)`` of one refinement; nan
+    unless both values are positive (a beam at rest has nothing to halve)."""
+    return math.log2(coarse / fine) if coarse > 0 and fine > 0 else float("nan")
+
+
 def cmd_convergence(config: RunConfig, levels: int) -> int:
     if levels < 3:
         raise _UsageError("--levels must be >= 3")
@@ -403,7 +409,7 @@ def cmd_convergence(config: RunConfig, levels: int) -> int:
             level = dataclasses.replace(config, dt=dt0 / 2**k)
             err = _streamed_errors(prob, level, exact).max["u"]
             errors.append(err)
-            order = math.log2(errors[-2] / err) if k else float("nan")
+            order = _order(errors[-2], err) if k else float("nan")
             rows.append(("temporal_u_error", k, level.mesh(prob).h, level.grid(prob).dt,
                          err, order))
 
@@ -416,7 +422,7 @@ def cmd_convergence(config: RunConfig, levels: int) -> int:
             res = diagnostics.identity_residual(
                 _streamed_energy(prob, level, ahead=_steps_ahead()))
             residuals.append(res)
-            order = math.log2(residuals[-2] / res) if k else float("nan")
+            order = _order(residuals[-2], res) if k else float("nan")
             rows.append(("identity_residual", k, level.mesh(prob).h, level.grid(prob).dt,
                          res, order))
 

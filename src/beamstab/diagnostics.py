@@ -39,9 +39,9 @@ pass; the trace carries the certificate that bounds decides as
 ``EnergyTrace.bound``.  Memory beyond the levels fed in is a few
 (CHUNK_LEVELS, E, q) blocks plus O(N) per-level arrays, and a streamed and
 a stored run are fed the same windows, so they give bitwise the same
-results.  ``export_energy_csv`` writes its rows in blocks of CHUNK_LEVELS
-too, one ``%`` template and one write per block, byte-identical to a
-per-row ``%.17g`` writer.
+results.  ``export_energy_csv`` writes its rows in blocks of at most
+about ``_g17.CHUNK`` numbers, each formatted by one ``_g17.fields`` call
+and written in one call, byte-identical to a per-row ``%.17g`` writer.
 """
 
 from __future__ import annotations
@@ -271,14 +271,26 @@ def identity_residual(energy_trace: EnergyTrace) -> float:
 
 
 def export_energy_csv(energy_trace: EnergyTrace, path) -> None:
-    """Write the energy trace as CSV rows ``t, E, J, L, j_mu, j_a, j_v, residual``,
-    in blocks of CHUNK_LEVELS rows; L is ``nan`` when it is unset."""
+    """Write the energy trace as CSV rows ``t, E, J, L, j_mu, j_a, j_v, residual``;
+    L is ``nan`` when it is unset.  The rows go in blocks of at most about
+    ``_g17.CHUNK`` numbers, each formatted by one ``_g17.fields`` call, laid
+    out as one uint8 matrix with its separators and written in one call
+    with the NUL padding removed."""
+    from . import _g17   # loaded by the runs that write energy.csv, not by the CLI's import
+
     et = energy_trace
     lam_col = et.L if et.L is not None else np.full_like(et.E, np.nan)
     columns = (et.times, et.E, et.J, lam_col, et.j_mu, et.j_a, et.j_v, et.residual)
-    row = ", ".join(["%.17g"] * len(columns)) + "\n"
-    with open(path, "w") as fh:
-        fh.write("t, E, J, L, j_mu, j_a, j_v, residual\n")
-        for lo in range(0, len(et.times), CHUNK_LEVELS):
-            block = np.column_stack([c[lo:lo + CHUNK_LEVELS] for c in columns])
-            fh.write(row * len(block) % tuple(block.ravel().tolist()))
+    width = _g17.WIDTH
+    line = np.zeros((len(columns), width + 2), np.uint8)   # each number and ", " or "\n"
+    line[:, width:] = np.frombuffer(b", ", np.uint8)
+    line[-1, width:] = [ord("\n"), 0]
+    rows = max(1, _g17.CHUNK // len(columns))
+    with open(path, "wb") as fh:
+        fh.write(b"t, E, J, L, j_mu, j_a, j_v, residual\n")
+        for lo in range(0, len(et.times), rows):
+            block = np.column_stack([c[lo:lo + rows] for c in columns])
+            lines = np.empty((len(block),) + line.shape, np.uint8)
+            lines[:] = line
+            lines[:, :, :width] = _g17.fields(block.ravel()).reshape(block.shape + (width,))
+            fh.write(_g17.text(lines))

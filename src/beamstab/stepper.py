@@ -63,10 +63,13 @@ matrices itself, so the caller, which only reduces, never loads scipy (nor
 does the child for n <= DENSE_MAX_N).  It leaves through ``os._exit``, so
 it flushes none of the caller's buffers and runs none of its exit hooks.
 
-``TraceWriter`` writes the trace window by window: it formats a window's
-written levels with one ``%`` template (node labels and the clamped node's
-zeros baked in, each t formatted once) and writes them in one call.  Its
-output is byte-identical to a per-row ``%.17g`` writer.
+``TraceWriter`` writes the trace window by window, in pieces of whole
+levels that hold at most ``_g17.CHUNK`` numbers (or one level).  One ``_g17.fields`` call turns a piece's t
+values (each formatted once) and DOF values into the exact bytes of
+``%.17g`` as fixed-width, NUL-padded rows; the rows are laid out with the
+node labels and separators as one uint8 matrix and written in one call
+with the padding removed.  Its output is byte-identical to a per-row
+``%.17g`` writer.
 """
 
 from __future__ import annotations
@@ -323,21 +326,35 @@ class TraceWriter:
     windows of ``TimeStepper.blocks()``, or those of a stored history).
 
     Every ``decimate``-th level is written, and the last level always.  The
-    written levels of a window are formatted with one ``%`` template (node
-    labels and the clamped node's zeros baked in, each t formatted once) and
-    written in one call, so the writer holds one window's text, never the
-    file.
+    written levels of a window are cut into pieces of whole levels, as many
+    as ``_g17.CHUNK`` numbers hold (one level at least); each piece's t and
+    DOF values go through one ``_g17.fields`` call, its lines are laid out
+    as one uint8 matrix (t, the node's label, u, u_x and the separators,
+    NUL-padded) and written in one call with the padding removed.  So the
+    writer holds one piece's text, never the file.
     """
 
     def __init__(self, system: SemiDiscreteSystem, grid: TimeGrid, decimate: int = 1):
+        from . import _g17   # loaded by the runs that write a trace, not by the CLI's import
+
         if decimate < 1:
             raise ValueError("decimate must be >= 1")
         self._times, self._last, self._decimate = grid.times, grid.step_count - 1, decimate
-        # joined with the level's t: the clamped node 0, then node i >= 1 with
-        # the history columns 2(i-1), 2(i-1)+1
-        self._pieces = ["", ", 0, 0, 0\n"] + [f", {node}, %.17g, %.17g\n"
-                                             for node in range(1, system.mesh.node_count)]
         self._next = 0   # the first level of the next window
+        # one level's lines but their numbers: t, the label, u, ", ", u_x,
+        # "\n"; the clamped node 0's label carries its zeros and line end,
+        # and node i >= 1 takes the history columns 2(i-1), 2(i-1)+1
+        nodes, width = system.mesh.node_count, _g17.WIDTH
+        self._fields, self._text, self._width = _g17.fields, _g17.text, width
+        self._per = max(1, _g17.CHUNK // (system.n + 1))   # levels a piece holds
+        labels = [b", 0, 0, 0\n"] + [b", %d, " % node for node in range(1, nodes)]
+        label = max(map(len, labels))
+        self._u, self._u_x = width + label, 2 * width + label + 2
+        self._lines = np.zeros((nodes, 3 * width + label + 3), np.uint8)
+        for node, text in enumerate(labels):
+            self._lines[node, width:width + len(text)] = np.frombuffer(text, np.uint8)
+        self._lines[1:, self._u_x - 2:self._u_x] = np.frombuffer(b", ", np.uint8)
+        self._lines[1:, -1] = ord("\n")
 
     def write(self, fh, window: np.ndarray, first: int) -> None:
         """Write the levels of the next window, ``first .. first + len(window) - 1``,
@@ -353,9 +370,18 @@ class TraceWriter:
         chosen = np.arange(-lo % step, len(block), step)
         if first + len(window) > self._last and self._last % step:
             chosen = np.append(chosen, len(block) - 1)
-        template = "".join([("%.17g" % t).join(self._pieces)
-                            for t in self._times[lo + chosen].tolist()])
-        fh.write(template % tuple(block[chosen].ravel().tolist()))
+        width, u, u_x, per = self._width, self._u, self._u_x, self._per
+        for start in range(0, len(chosen), per):
+            levels = chosen[start:start + per]
+            count = len(levels)
+            text = self._fields(np.concatenate([self._times[lo + levels], block[levels].ravel()]))
+            values = text[count:].reshape(count, -1, 2, width)
+            lines = np.empty((count,) + self._lines.shape, np.uint8)
+            lines[:] = self._lines
+            lines[:, :, :width] = text[:count, None]
+            lines[:, 1:, u:u + width] = values[:, :, 0]
+            lines[:, 1:, u_x:u_x + width] = values[:, :, 1]
+            fh.write(self._text(lines).decode("ascii"))
 
 
 def export_trace_csv(trace: SolutionTrace, path, decimate: int = 1) -> None:

@@ -376,6 +376,16 @@ def test_convergence_invalid_problem_exits_one(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_convergence_of_a_beam_at_rest_has_no_order(tmp_path):
+    # every residual is 0, so no level has an order to observe
+    out = tmp_path / "out"
+    assert main(["convergence", "--problem", _write(tmp_path, _rest_problem()),
+                 "--nodes", "5", "--levels", "3", "--out", str(out)]) == 0
+    rows = [r.split(", ") for r in (out / "convergence.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["identity_residual"] * 3
+    assert [(r[4], r[5]) for r in rows] == [("0", "nan")] * 3
+
+
 def test_convergence_needs_levels_three(tmp_path):
     assert main(["convergence", "--preset", "test_NE1", "--levels", "2"]) == 3
 

@@ -422,6 +422,16 @@ def test_energy_csv_bytes_match_the_per_row_writer(tmp_path, levels, with_lyapun
     assert (b", nan, " in block) == (not with_lyapunov)
 
 
+@pytest.mark.parametrize("mode", ["paper", "basis"])
+def test_energy_csv_of_a_damped_run_matches_the_per_row_writer(tmp_path, mode):
+    # a cantilever_dampers run at M = 41, dt = h/40, as `simulate` writes it
+    prob = bs.preset("cantilever_dampers")
+    mesh = bs.Mesh(prob.length, 41)
+    e = bs.energy(bs.run(prob, mesh, TimeGrid.from_dt(prob.final_time, mesh.h / 40)), mode=mode)
+    assert e.L is not None and len(e.times) > 3000
+    _assert_energy_csv_bytes(e, tmp_path)
+
+
 def test_energy_csv_of_forced_and_unset_lyapunov_runs_matches_the_per_row_writer(tmp_path):
     forced = bs.energy(_ne1_trace(nodes=9, ratio=10), mode="basis")
     assert forced.forced and forced.L is not None

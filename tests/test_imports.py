@@ -76,13 +76,24 @@ def test_package_import_graph_is_acyclic():
     assert _cycle({**graph, "fem": graph["fem"] | {"cli"}}) is not None
 
 
+def _after_importing_the_cli(expression: str) -> str:
+    """What a fresh interpreter prints for ``expression`` once it has
+    imported beamstab.cli."""
+    code = f"import sys, beamstab.cli; print({expression})"
+    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def test_importing_the_cli_loads_no_csv_number_kernel():
+    # the %.17g kernel of the CSV writers is compiled and loaded only by the
+    # runs that write trace.csv or energy.csv, off setup_s and off `bounds`
+    assert _after_importing_the_cli("'beamstab._g17' in sys.modules") == "False"
+
+
 def test_importing_the_cli_loads_no_multiprocessing_module():
     # a run on one CPU never forks, so the pipe of the forked step loop (and
     # the sweep's worker pool) are imported where they are used, off setup_s
-    code = ("import sys, beamstab.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))")
-    paths = [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    assert _after_importing_the_cli(
+        "sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing')") == "[]"

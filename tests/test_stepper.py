@@ -528,6 +528,52 @@ def test_trace_csv_of_a_forced_run_matches_the_per_row_writer(tmp_path):
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
+@pytest.mark.parametrize("decimate", [1, 7])
+def test_trace_csv_of_a_damped_run_matches_the_per_row_writer(tmp_path, decimate):
+    # the numbers of a real run, almost all on the kernel's fast path: a
+    # cantilever_dampers run at M = 41, dt = h/40, as `simulate` writes it
+    prob = bs.preset("cantilever_dampers")
+    mesh = bs.Mesh(prob.length, 41)
+    trace = bs.run(prob, mesh, TimeGrid.from_dt(prob.final_time, mesh.h / 40))
+    bs.export_trace_csv(trace, tmp_path / "block.csv", decimate=decimate)
+    _trace_csv_per_row(trace, tmp_path / "row.csv", decimate=decimate)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+@pytest.mark.parametrize("decimate", [1, 3])
+def test_trace_csv_of_levels_wider_than_a_kernel_call_matches_the_per_row_writer(tmp_path,
+                                                                                   decimate):
+    # from M = 1025 on, one level holds more numbers than one kernel call
+    # takes: each piece is then a single level
+    from beamstab import _g17
+
+    system = bs.assemble(bs.preset("mast_constant"), bs.Mesh(1.0, 1025))
+    assert system.n + 1 > _g17.CHUNK
+    levels = CHUNK_LEVELS + 5
+    history = np.random.default_rng(1025).standard_normal((levels, system.n))
+    trace = SolutionTrace(TimeGrid(1.0, levels), history, system)
+    bs.export_trace_csv(trace, tmp_path / "block.csv", decimate=decimate)
+    _trace_csv_per_row(trace, tmp_path / "row.csv", decimate=decimate)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
+@pytest.mark.parametrize("chunk", [1, 8, 9, 10, 17, 18, 19, 100])
+def test_trace_pieces_of_any_kernel_call_size_match_the_per_row_writer(tmp_path, monkeypatch,
+                                                                        chunk):
+    # a level at M = 5 holds 9 numbers: a call takes one level (chunk < 18),
+    # two, or eleven, and the windows' last pieces are shorter
+    from beamstab import _g17
+
+    monkeypatch.setattr(_g17, "CHUNK", chunk)
+    system = bs.assemble(bs.preset("mast_constant"), bs.Mesh(1.0, 5))
+    levels = 2 * CHUNK_LEVELS + 3
+    history = np.random.default_rng(chunk).standard_normal((levels, system.n))
+    trace = SolutionTrace(TimeGrid(1.0, levels), history, system)
+    bs.export_trace_csv(trace, tmp_path / "block.csv", decimate=2)
+    _trace_csv_per_row(trace, tmp_path / "row.csv", decimate=2)
+    assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
+
+
 @pytest.mark.parametrize("decimate", [1, 5, 7, 64, 200])
 def test_trace_writer_fed_in_blocks_matches_the_per_row_writer(tmp_path, decimate):
     # written levels fall on the seams of the windows, and decimate = 200

@@ -2,9 +2,10 @@
 
 In a time unit ``s`` times the original one, rho -> s^2 rho, mu -> s mu,
 k_a, k_v -> s k, u_1 -> u_1 / s and T -> s T; in a mass unit ``c`` times the
-original one, rho, mu, r and all four k scale by c.  Either leaves the
-equations of motion of the homogeneous problems, and with the same number
-of time levels the BDF2 recurrence, unchanged.  With powers of 2 every
+original one, rho, mu, r and all four k scale by c.  An end load
+``g = a e^{bt}`` becomes ``c a e^{(b/s) t}``.  Either leaves the equations of
+motion, and with the same number of time levels the BDF2 recurrence,
+unchanged.  With powers of 2 every
 rescaled product is exact, so the DOF history must be bitwise the same, E
 must scale by exactly c, J by c s, and the certificate's comparison
 constants and penalty window must transform as a time and an inverse time.
@@ -16,10 +17,12 @@ import numpy as np
 import pytest
 
 import beamstab as bs
-from beamstab.problem import BoundaryParams, SpatialProfile
+from beamstab.problem import BoundaryForcing, BoundaryParams, SpatialProfile, TimeFunction
 from beamstab.stepper import TimeGrid
 
-HOMOGENEOUS = ("cantilever_free", "cantilever_spring", "cantilever_dampers", "mast_constant")
+# the homogeneous presets and test_NE1, whose ends are loaded
+PRESETS = ("cantilever_free", "cantilever_spring", "cantilever_dampers", "mast_constant",
+           "test_NE1")
 UNITS = [(0.25, 1.0), (4.0, 1.0), (16.0, 1.0), (1.0, 0.25), (1.0, 4.0)]   # (s, c)
 NODES, LEVELS = 21, 1601   # dt = h/40 on the presets' T = 2
 
@@ -27,6 +30,13 @@ NODES, LEVELS = 21, 1601   # dt = h/40 on the presets' T = 2
 def _rescaled(prob, s, c):
     """``prob`` in a time unit ``s`` times and a mass unit ``c`` times its own."""
     bc, u1 = prob.boundary, prob.initial.u1
+
+    def load(g):
+        if g.kind == "zero":
+            return g
+        a, b = g.data
+        return TimeFunction.exponential(c * a, b / s)
+
     return dataclasses.replace(
         prob,
         final_time=s * prob.final_time,
@@ -35,6 +45,7 @@ def _rescaled(prob, s, c):
         rigidity=prob.rigidity.scaled(c),
         boundary=BoundaryParams(k_r=c * bc.k_r, k_d=c * bc.k_d,
                                 k_a=c * s * bc.k_a, k_v=c * s * bc.k_v),
+        forcing=BoundaryForcing(load(prob.forcing.g_M), load(prob.forcing.g_Q)),
         initial=dataclasses.replace(
             prob.initial, u1=SpatialProfile.polynomial([a / s for a in u1.data])))
 
@@ -46,7 +57,7 @@ def _energy(prob):
 
 @pytest.mark.parametrize("kind", ["dense", "banded"])
 @pytest.mark.parametrize("s, c", UNITS)
-@pytest.mark.parametrize("name", HOMOGENEOUS)
+@pytest.mark.parametrize("name", PRESETS)
 def test_a_change_of_units_leaves_the_run_unchanged(name, s, c, kind, kernels):
     kernels(kind)
     prob = bs.preset(name)
