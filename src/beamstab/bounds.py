@@ -24,12 +24,13 @@ provided the tip never comes to rest, u_xt(L,t)^2 + u_t(L,t)^2 > 0.  As
 rho = m, the denominator is the paper's ``2 m sup_t ||u_t||^2``, read from
 the kinetic term of the energy.  Grid infima/suprema stand in for the
 continuum values, so theorem2 results are conditional certificates
-attached to the run that produced them.  The energy diagnostics collect
-the run's three per-level arrays over the interior grid times, u_t(L),
-u_xt(L) and int rho u_t^2, in the same streamed pass as the energies and
-pass them to ``compute_decay_bound``, the one place a run's certificate is
-decided; the trace carries it as ``EnergyTrace.bound``, and
-``bound_report`` renders every bounds.json.
+attached to the run that produced them.  The energy diagnostics own the
+run's per-level record over the grid times t_0..t_{N-2}, level 0 from the
+analytic initial data; they pass its rows u_t(L), u_xt(L) and
+int rho u_t^2 to ``compute_decay_bound``, the one place a run's
+certificate is decided.  This module reads nothing else of a run and
+depends on ``problem`` alone.  The trace carries the certificate as
+``EnergyTrace.bound``, and ``bound_report`` renders every bounds.json.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fem import integrate_data
 from .problem import BeamProblem
 
 __all__ = [
@@ -106,11 +106,10 @@ def lambda_window(problem: BeamProblem, run=None) -> tuple[float, str]:
 
     The theorem-1 windows follow from the problem alone and ignore ``run``.
     The damper-only (theorem2) window is taken from ``run = (grid, tip_vel,
-    tip_ang, kinetic)``: u_t(L), u_xt(L) and int rho u_t^2 at the interior
-    grid times t_1..t_{N-2}, with t = 0 taken from the analytic initial
-    velocity.  Raises ValueError without a run, naming the first grid time
-    at which the tip is at rest, or when the least damper feedback
-    ``k_a^2 u_xt(L)^2 + k_v^2 u_t(L)^2`` vanishes.
+    tip_ang, kinetic)``: u_t(L), u_xt(L) and int rho u_t^2 at the grid times
+    t_0..t_{N-2}, entry j at ``grid.times[j]``.  Raises ValueError without a
+    run, naming the first grid time at which the tip is at rest, or when
+    the least damper feedback ``k_a^2 u_xt(L)^2 + k_v^2 u_t(L)^2`` vanishes.
     """
     regime = classify_regime(problem)
     beta0, _ = beta_constants(problem)
@@ -123,9 +122,6 @@ def lambda_window(problem: BeamProblem, run=None) -> tuple[float, str]:
             "the damper-only (theorem2) window depends on the solution; "
             "take it from a computed energy trace (EnergyTrace.bound)")
     grid, tip_vel, tip_ang, kinetic = run
-    u1, L = problem.initial.u1, problem.length
-    tip_vel = np.concatenate([[float(u1(L))], tip_vel])
-    tip_ang = np.concatenate([[float(u1.d1(L))], tip_ang])
     rest = np.flatnonzero(tip_ang**2 + tip_vel**2 <= 0.0)
     if rest.size:
         raise ValueError(
@@ -137,9 +133,7 @@ def lambda_window(problem: BeamProblem, run=None) -> tuple[float, str]:
         raise ValueError(
             "admissible window is empty: the damper feedback power vanishes "
             "at some grid time")
-    sup_kinetic = max(integrate_data(problem, lambda x: problem.rho(x) * u1(x) ** 2),
-                      float(np.max(kinetic)))
-    return min(1.0 / beta0, numerator / (2.0 * sup_kinetic)), regime
+    return min(1.0 / beta0, numerator / (2.0 * float(np.max(kinetic)))), regime
 
 
 # ---------------------------------------------------------------------------

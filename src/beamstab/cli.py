@@ -15,7 +15,8 @@ Every command that runs the beam feeds each window of
 ``TimeStepper.blocks()`` to its reducers (the energy diagnostics, the trace
 writer, the error reducer of ``verify`` and ``convergence``), so it holds
 O(N + CHUNK_LEVELS n) of a run of N levels and n DOFs, never the O(N n)
-history, and writes its artifacts only when the run succeeds.  When this
+history.  Every artifact of every command is written under a temporary
+name and renamed into place only when the run succeeds.  When this
 process may use a second CPU and can fork, a run steps in a forked child
 (``TimeStepper.forked_blocks``) while this process reduces the windows;
 members in the sweep's worker pool, which already fills the CPUs, step
@@ -183,6 +184,16 @@ def _write_json(data: dict, path) -> None:
         fh.write("\n")
 
 
+def _write_table(header, rows, path) -> None:
+    """Write a small CSV table, the header and then each row, cells joined
+    by ", ": strings as they are, None as ``nan``, numbers as ``%.17g``."""
+    with open(path, "w") as fh:
+        for row in (header, *rows):
+            fh.write(", ".join(cell if isinstance(cell, str)
+                               else "nan" if cell is None else f"{cell:.17g}"
+                               for cell in row) + "\n")
+
+
 def _usable_cpus() -> int:
     """Number of CPUs this process may run on."""
     if hasattr(os, "sched_getaffinity"):
@@ -286,42 +297,31 @@ def _streamed_errors(prob: BeamProblem, config: RunConfig, exact) -> _ErrorAccum
 
 
 @contextlib.contextmanager
-def _made_dir(path: str):
-    """Make the directory ``path`` and its missing parents.  If the block
-    fails, the directories made here are removed again, deepest first, as
-    far as they are empty; one that existed before stays."""
-    made, head = [], os.path.abspath(path)
+def _published(out_dir: str, names):
+    """Temporary paths in ``out_dir``, which is made here with its missing
+    parents, to write ``names`` under.  They are renamed into place if the
+    block succeeds.  If it fails they are removed, and so are the
+    directories made here, deepest first, as far as they are empty; one
+    that existed before stays.  So a run that fails part-way leaves no
+    partial artifact and no empty directory."""
+    made, head = [], os.path.abspath(out_dir)
     while not os.path.exists(head):
         made.append(head)
         head = os.path.dirname(head)
-    os.makedirs(path, exist_ok=True)
+    os.makedirs(out_dir, exist_ok=True)
+    tmp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
     try:
-        yield
+        yield tmp
     except BaseException:
+        for path in tmp.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(path)
         for made_dir in made:
             try:
                 os.rmdir(made_dir)
             except OSError:   # not empty: a member of a sweep wrote there
                 break
         raise
-
-
-@contextlib.contextmanager
-def _published(out_dir: str, names):
-    """Temporary paths in ``out_dir``, which is made if missing, to write
-    ``names`` under.  They are renamed into place if the block succeeds and
-    removed if it fails, and so is ``out_dir`` if it was made here, so a
-    run that fails part-way leaves no partial artifact and no empty
-    directory."""
-    tmp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
-    with _made_dir(out_dir):
-        try:
-            yield tmp
-        except BaseException:
-            for path in tmp.values():
-                with contextlib.suppress(FileNotFoundError):
-                    os.remove(path)
-            raise
     for name, path in tmp.items():
         os.replace(path, os.path.join(out_dir, name))
 
@@ -368,13 +368,8 @@ def cmd_verify(config: RunConfig) -> int:
         raise _UsageError(str(exc)) from None
     prob = _load(config)
     rows = _streamed_errors(prob, config, exact).rows()
-
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "errors.csv")
-    with open(path, "w") as fh:
-        fh.write("quantity, max_error, l2_error\n")
-        for name, mx, l2 in rows:
-            fh.write(f"{name}, {mx:.17g}, {l2:.17g}\n")
+    with _published(config.out_dir, ("errors.csv",)) as paths:
+        _write_table(("quantity", "max_error", "l2_error"), rows, paths["errors.csv"])
     for name, mx, l2 in rows:
         print(f"{name:5s} max {mx:.3e}  l2 {l2:.3e}")
     return 0
@@ -426,13 +421,9 @@ def cmd_convergence(config: RunConfig, levels: int) -> int:
             rows.append(("identity_residual", k, level.mesh(prob).h, level.grid(prob).dt,
                          res, order))
 
-    os.makedirs(config.out_dir, exist_ok=True)
-    path = os.path.join(config.out_dir, "convergence.csv")
-    with open(path, "w") as fh:
-        fh.write("study, level, h_x, dt, value, order\n")
-        for study, k, hx, dt, value, order in rows:
-            fh.write(f"{study}, {k}, {hx:.17g}, {dt:.17g}, {value:.17g}, "
-                     f"{order:.17g}\n")
+    with _published(config.out_dir, ("convergence.csv",)) as paths:
+        _write_table(("study", "level", "h_x", "dt", "value", "order"), rows,
+                     paths["convergence.csv"])
     for study, k, hx, dt, value, order in rows:
         print(f"{study} level {k}: value {value:.3e} order {order:.2f}")
     return 0
@@ -505,7 +496,9 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
 
     member = functools.partial(_sweep_member, base, param, config=config)
     workers = min(len(values), _usable_cpus())
-    with _made_dir(config.out_dir):
+    cols = ("value", "beta0", "beta1", "lambda_max", "lambda", "M_d", "sigma",
+            "E0", "E_final_over_E0", "j_mu", "j_a", "j_v")
+    with _published(config.out_dir, ("sweep.csv",)) as paths:
         if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
             from concurrent.futures import ProcessPoolExecutor
 
@@ -517,17 +510,9 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
                 pool.shutdown(cancel_futures=True)
         else:
             summaries = [member(v, ahead=_steps_ahead()) for v in values]
-
-    path = os.path.join(config.out_dir, "sweep.csv")
-    cols = ["value", "beta0", "beta1", "lambda_max", "lambda", "M_d", "sigma",
-            "E0", "E_final_over_E0", "j_mu", "j_a", "j_v"]
-    with open(path, "w") as fh:
-        fh.write("param, " + ", ".join(cols) + "\n")
-        for row in summaries:
-            cells = ", ".join(
-                "nan" if row[c] is None else f"{row[c]:.17g}" for c in cols)
-            fh.write(f"{param}, {cells}\n")
-    print(f"wrote {path} ({len(values)} runs)")
+        _write_table(("param", *cols), [(param, *(row[c] for c in cols)) for row in summaries],
+                     paths["sweep.csv"])
+    print(f"wrote {os.path.join(config.out_dir, 'sweep.csv')} ({len(values)} runs)")
     return 0
 
 
@@ -544,8 +529,8 @@ def cmd_bounds(config: RunConfig) -> int:
         # window depends on the solution: run the configured simulation
         energy_trace = _streamed_energy(prob, config, ahead=_steps_ahead())
     payload = bounds_mod.bound_report(prob, energy_trace, config.lam)
-    os.makedirs(config.out_dir, exist_ok=True)
-    _write_json(payload, os.path.join(config.out_dir, "bounds.json"))
+    with _published(config.out_dir, ("bounds.json",)) as paths:
+        _write_json(payload, paths["bounds.json"])
     if payload.get("note"):
         print(f"beta0 = {payload['beta0']:.6g}, beta1 = {payload['beta1']:.6g}; "
               f"no certificate: {payload['note']}")

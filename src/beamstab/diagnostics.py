@@ -15,9 +15,11 @@ together with the cumulative dissipation integrals
     j_v  = k_v int_0^t u_t(L)^2 dtau
 
 and the balance residual ``E(0) - E(t) - (j_mu + j_a + j_v)``, which vanishes
-for the homogeneous system as the discretization is refined.  E(0) is
-evaluated from the analytic initial data, not the interpolant, so the
-residual isolates the error of the evolution.
+for the homogeneous system as the discretization is refined.  The t = 0
+entries, E(0) and the dissipation integrands, are evaluated once from the
+analytic initial data, not the interpolant, so the residual isolates the
+error of the evolution; ``initial_energy`` applies the same E formula to
+them.
 
 Curvature comes in two flavors: ``mode='basis'`` differentiates the Hermite
 interpolant exactly, ``mode='paper'`` reproduces the reference
@@ -32,12 +34,14 @@ made (every CLI command, none of which stores the history) or as views of
 a stored history (``energy``).  For each window the velocity rows of its
 block are formed (``fem.velocities``), u, u_t and the curvature are
 evaluated at the element Gauss points (``fem.Quadrature``) into reused
-buffers, and the block is reduced to per-level integrals at once.  The
-damper-only window of ``bounds.compute_decay_bound`` reads the kinetic
-column ``int rho u_t^2`` and the tip velocities, so it costs no second
+buffers, and the block is reduced to per-level integrals at once, into
+the run's one (9, N - 1) record over t_0..t_{N-2}, whose level 0 the
+accumulator fills from the analytic initial data.  The damper-only window
+of ``bounds.compute_decay_bound`` reads the record's kinetic row
+``int rho u_t^2`` and tip velocities from t_0 on, so it costs no second
 pass; the trace carries the certificate that bounds decides as
 ``EnergyTrace.bound``.  Memory beyond the levels fed in is a few
-(CHUNK_LEVELS, E, q) blocks plus O(N) per-level arrays, and a streamed and
+(CHUNK_LEVELS, E, q) blocks plus the O(N) record, and a streamed and
 a stored run are fed the same windows, so they give bitwise the same
 results.  ``export_energy_csv`` writes its rows in blocks of at most
 about ``_g17.CHUNK`` numbers, each formatted by one ``_g17.fields`` call
@@ -75,14 +79,27 @@ __all__ = [
 MODES = ("paper", "basis")
 
 
+def _initial_record(problem: BeamProblem) -> np.ndarray:
+    """Level 0 of a run's record (rows as in ``EnergyAccumulator``), from the
+    analytic initial data.  The two rows only J reads, the cross term and
+    ``int mu u^2``, stay NaN: nothing reports J(0)."""
+    u0, u1, L = problem.initial.u0, problem.initial.u1, problem.length
+    kinetic = integrate_data(problem, lambda x: problem.rho(x) * u1(x) ** 2)
+    bending = integrate_data(problem, lambda x: problem.rigidity(x) * u0.d2(x) ** 2)
+    mu_rate = integrate_data(problem, lambda x: problem.mu(x) * u1(x) ** 2)
+    return np.array([kinetic, bending, np.nan, np.nan, mu_rate,
+                     u0(L), u0.d1(L), u1(L), u1.d1(L)], dtype=float)
+
+
+def _energy(record: np.ndarray, bc) -> np.ndarray:
+    """E at each level of a record (rows as in ``EnergyAccumulator``)."""
+    kinetic, bending, _, _, _, end_disp, end_rot, _, _ = record
+    return 0.5 * (kinetic + bending) + 0.5 * bc.k_r * end_rot**2 + 0.5 * bc.k_d * end_disp**2
+
+
 def initial_energy(problem: BeamProblem) -> float:
     """Initial total energy from the analytic initial data."""
-    u0, u1 = problem.initial.u0, problem.initial.u1
-    bending = integrate_data(problem, lambda x: problem.rigidity(x) * u0.d2(x) ** 2)
-    kinetic = integrate_data(problem, lambda x: problem.rho(x) * u1(x) ** 2)
-    L, bc = problem.length, problem.boundary
-    return 0.5 * (kinetic + bending) + 0.5 * bc.k_r * float(u0.d1(L)) ** 2 \
-        + 0.5 * bc.k_d * float(u0(L)) ** 2
+    return float(_energy(_initial_record(problem), problem.boundary))
 
 
 def _nodal_curvature(dofs2d: np.ndarray, h: float) -> np.ndarray:
@@ -123,9 +140,7 @@ class EnergyTrace:
     residual: np.ndarray
     E0: float
     bound: bounds.DecayBound | None
-    mode: str
     forced: bool
-    problem: BeamProblem
     window_error: str | None = None
 
 
@@ -134,11 +149,16 @@ class EnergyAccumulator:
     ``fem.windows`` at a time, in order (the windows of
     ``TimeStepper.blocks()``, or those of a stored history).
 
-    ``add(window, first)`` reduces the window's interior levels, its block,
-    to per-level integrals and tip values; ``result()`` returns the
-    ``EnergyTrace`` once every level is in.  ``bounds.compute_decay_bound``
-    takes the damper-only window from the kinetic column ``int rho u_t^2``
-    and the tip velocities, so the window costs no second pass.
+    The run's record is one (9, N - 1) array over the grid times
+    t_0..t_{N-2}, level j in column j.  Its rows are ``int rho u_t^2``,
+    ``int r u_xx^2``, ``int rho u u_t``, ``int mu u^2``, ``int mu u_t^2``,
+    u(L), u_x(L), u_t(L) and u_xt(L).  The constructor fills level 0 once
+    from the analytic initial data, and ``add(window, first)`` reduces the
+    window's interior levels, its block, into their columns; ``result()``
+    returns the ``EnergyTrace`` once every level is in.
+    ``bounds.compute_decay_bound`` takes the damper-only window from the
+    rows u_t(L), u_xt(L) and ``int rho u_t^2`` from t_0 on, so the window
+    costs no second pass.
 
     ``lam`` is the Lyapunov penalty weight, decided with the rest of the
     certificate by ``bounds.compute_decay_bound`` in ``result()``: None
@@ -164,16 +184,15 @@ class EnergyAccumulator:
         self._fields = np.empty((4, CHUNK_LEVELS, system.mesh.element_count, len(quad.xi)))
         self._velocity = np.empty((CHUNK_LEVELS, system.n))
         self._padded = np.zeros((CHUNK_LEVELS, system.n + 2))
-        (self._kinetic, self._bending, self._cross, self._mu_disp, self._mu_rate,
-         self._end_disp, self._end_rot, self._tip_vel, self._tip_ang) = \
-            np.empty((9, grid.step_count - 2))
+        self._record = np.empty((9, grid.step_count - 1))
+        self._record[:, 0] = _initial_record(system.problem)
 
     def add(self, window: np.ndarray, first: int) -> None:
         """Reduce the block of the next window, levels ``first ..``."""
         if first != self._next:
             raise ValueError(f"window at level {first} is not the next one, at level {self._next}")
         self._next = first + len(window) - 2
-        out, u = slice(first, self._next), window[1:-1]   # the block's interior indices, rows
+        u = window[1:-1]   # the block's rows, levels first + 1 .. self._next
         ut = velocities(window, self._grid.dt, self._velocity[:len(u)])
         quad = self._system.quadrature
         u_q, ut_q, curv_q, work = self._fields[:, :len(u)]
@@ -185,47 +204,40 @@ class EnergyAccumulator:
         else:
             np.matmul(sliding_window_view(_nodal_curvature(u, self._system.mesh.h), 2, axis=1),
                       self._lerp, out=curv_q)
-        self._kinetic[out] = quad.integral(quad.w_rho, ut_q, ut_q, work)
-        self._bending[out] = quad.integral(quad.w_r, curv_q, curv_q, work)
-        self._cross[out] = quad.integral(quad.w_rho, u_q, ut_q, work)
-        self._mu_disp[out] = quad.integral(quad.w_mu, u_q, u_q, work)
-        self._mu_rate[out] = quad.integral(quad.w_mu, ut_q, ut_q, work)
-        self._end_disp[out], self._end_rot[out] = u[:, -2], u[:, -1]
-        self._tip_vel[out], self._tip_ang[out] = ut[:, -2], ut[:, -1]
+        kinetic, bending, cross, mu_disp, mu_rate, end_disp, end_rot, tip_vel, tip_ang = \
+            self._record[:, first + 1:self._next + 1]   # views of the block's columns
+        kinetic[:] = quad.integral(quad.w_rho, ut_q, ut_q, work)
+        bending[:] = quad.integral(quad.w_r, curv_q, curv_q, work)
+        cross[:] = quad.integral(quad.w_rho, u_q, ut_q, work)
+        mu_disp[:] = quad.integral(quad.w_mu, u_q, u_q, work)
+        mu_rate[:] = quad.integral(quad.w_mu, ut_q, ut_q, work)
+        end_disp[:], end_rot[:] = u[:, -2], u[:, -1]
+        tip_vel[:], tip_ang[:] = ut[:, -2], ut[:, -1]
 
     def result(self) -> EnergyTrace:
         if self._next < self._grid.step_count - 2:
             raise ValueError(f"interior levels {self._next + 1}.. were never added")
         problem, dt = self._system.problem, self._grid.dt
+        bc = problem.boundary
+        kinetic, _, cross, mu_disp, mu_rate, end_disp, end_rot, tip_vel, tip_ang = self._record
         bound = window_error = None
         try:
             bound = bounds.compute_decay_bound(problem, lam=self._lam, run=(
-                self._grid, self._tip_vel, self._tip_ang, self._kinetic))
+                self._grid, tip_vel, tip_ang, kinetic))
         except ValueError as exc:
             if self._lam is not None:
                 raise
             window_error = str(exc)
 
-        bc = problem.boundary
-        end_disp, end_rot = self._end_disp, self._end_rot
-        e_vals = 0.5 * (self._kinetic + self._bending) \
-            + 0.5 * bc.k_r * end_rot**2 + 0.5 * bc.k_d * end_disp**2
-        j_vals = self._cross + 0.5 * self._mu_disp \
-            + 0.5 * bc.k_a * end_rot**2 + 0.5 * bc.k_v * end_disp**2
-
-        # dissipation integrands on grid times 0..N-2; t = 0 from analytic data
-        u1 = problem.initial.u1
-        L = problem.length
-        mu_rate0 = integrate_data(problem, lambda x: problem.mu(x) * u1(x) ** 2)
-        mu_rate = np.concatenate([[mu_rate0], self._mu_rate])
-        a_rate = np.concatenate([[bc.k_a * float(u1.d1(L)) ** 2], bc.k_a * self._tip_ang**2])
-        v_rate = np.concatenate([[bc.k_v * float(u1(L)) ** 2], bc.k_v * self._tip_vel**2])
-
+        # E and J on the interior times t_1..t_{N-2}; J is not read at t_0
+        e_vals = _energy(self._record, bc)
+        e0, e_vals = float(e_vals[0]), e_vals[1:]
+        j_vals = (cross + 0.5 * mu_disp
+                  + 0.5 * bc.k_a * end_rot**2 + 0.5 * bc.k_v * end_disp**2)[1:]
+        # the dissipation integrands are read on t_0..t_{N-2}
         j_mu = _cumulative_trapezoid(mu_rate, dt)
-        j_a = _cumulative_trapezoid(a_rate, dt)
-        j_v = _cumulative_trapezoid(v_rate, dt)
-
-        e0 = initial_energy(problem)
+        j_a = _cumulative_trapezoid(bc.k_a * tip_ang**2, dt)
+        j_v = _cumulative_trapezoid(bc.k_v * tip_vel**2, dt)
         residual = e0 - e_vals - (j_mu + j_a + j_v)
         lyapunov = e_vals + bound.lam * j_vals if bound is not None else None
 
@@ -240,9 +252,7 @@ class EnergyAccumulator:
             residual=residual,
             E0=e0,
             bound=bound,
-            mode=self._mode,
             forced=problem.has_forcing,
-            problem=problem,
             window_error=window_error,
         )
 

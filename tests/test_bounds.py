@@ -187,6 +187,24 @@ def _dead_tip_trace():
     return prob, bs.run(prob, mesh, TimeGrid.from_dt(2.0, 1 / 100))
 
 
+def test_damper_only_window_reads_level_zero():
+    # the run's columns start at t_0 = grid.times[0]: a kinetic integral
+    # that peaks only there sets the window, and a tip at rest only there
+    # fails it at t = 0
+    prob = bs.preset("mast_constant")
+    bc = prob.boundary
+    grid = TimeGrid.from_dt(1.0, 0.25)   # levels t_0..t_4, columns t_0..t_3
+    tip = np.array([1.0, 0.5, 0.25, 0.5])
+    kinetic = np.array([2.0, 0.1, 0.1, 0.1])
+    lam_max, regime = bs.lambda_window(prob, (grid, tip, tip, kinetic))
+    assert regime == "theorem2"
+    assert lam_max == np.min(bc.k_a**2 * tip**2 + bc.k_v**2 * tip**2) / (2.0 * 2.0)
+    assert lam_max < 1.0 / bs.beta_constants(prob)[0]   # the run's term decides
+    tip[0] = 0.0
+    with pytest.raises(ValueError, match="fails at t = 0$"):
+        bs.lambda_window(prob, (grid, tip, tip, kinetic))
+
+
 def test_theorem2_condition_violated_at_rest_start():
     _, trace = _dead_tip_trace()
     e = bs.energy(trace)

@@ -178,15 +178,19 @@ def test_simulate_blow_up_leaves_no_partial_artifacts(tmp_path, monkeypatch, cap
 def _stored_window(prob, trace):
     """The penalty window of a stored trace: the damper-only one from a pass
     of its own over the history (the oracle of the streamed window), whose
-    kinetic column is ``m sum h w u_t^2`` with plain Gauss weights."""
+    kinetic column is ``m sum h w u_t^2`` with plain Gauss weights, and
+    whose t = 0 entries come from the analytic initial velocity."""
     if bounds.classify_regime(prob) != "theorem2":
         return bounds.lambda_window(prob)[0]
     quad, hist = trace.system.quadrature, trace.dof_history
     mesh = trace.system.mesh
     weights = np.tile(mesh.h * fem.gauss_rule(len(quad.xi))[1], mesh.element_count)
-    tip_vel, tip_ang, kinetic = np.empty((3, trace.grid.step_count - 2))
+    tip_vel, tip_ang, kinetic = np.empty((3, trace.grid.step_count - 1))
+    u1, length = prob.initial.u1, prob.length
+    tip_vel[0], tip_ang[0] = u1(length), u1.d1(length)
+    kinetic[0] = fem.integrate_data(prob, lambda x: prob.rho(x) * u1(x) ** 2)
     for first, stop in windows(trace.grid.step_count):
-        out = slice(first, stop - 2)   # the window's interior levels first + 1 .. stop - 2
+        out = slice(first + 1, stop - 1)   # the window's interior levels first + 1 .. stop - 2
         ut = (hist[first + 2:stop] - hist[first:stop - 2]) / (2.0 * trace.grid.dt)
         ut_q = quad.values(ut)
         kinetic[out] = float(prob.rho(0.0)) * quad.integral(weights, ut_q, ut_q)
@@ -854,6 +858,28 @@ def test_a_failed_run_removes_only_the_directories_it_made(tmp_path, capsys, com
     (existing / "keep.txt").write_text("kept\n")
     assert main([*args, "--out", str(existing)]) == 3
     assert os.listdir(existing) == ["keep.txt"]
+
+
+@pytest.mark.parametrize("writer, command", [
+    ("_write_json", "bounds"), ("_write_table", "verify"), ("_write_table", "convergence")])
+def test_a_failed_write_publishes_nothing(tmp_path, monkeypatch, writer, command):
+    # every artifact is written under a temporary name: a write that fails
+    # part-way leaves no artifact, and the new --out directory is gone
+    def broken(*args):
+        with open(args[-1], "w") as fh:   # the path
+            fh.write("{\n")
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, writer, broken)
+    args = [command, "--preset", "test_NE1", "--nodes", "11", "--ratio", "10"]
+    with pytest.raises(OSError, match="disk full"):
+        main([*args, "--out", str(tmp_path / "new" / "out")])
+    assert not (tmp_path / "new").exists()
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    with pytest.raises(OSError, match="disk full"):
+        main([*args, "--out", str(existing)])
+    assert os.listdir(existing) == []
 
 
 def test_bounds_command_undamped_exits_one(tmp_path, capsys):

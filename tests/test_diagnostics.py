@@ -206,6 +206,55 @@ def test_initial_energy_of_ne1_is_exact():
     assert bs.initial_energy(bs.preset("test_NE1")) == pytest.approx(17.4, abs=1e-12)
 
 
+def _kinds_problem(kind):
+    """cantilever_dampers with every coefficient and both initial profiles
+    of one kind, table or polynomial."""
+    if kind == "table":
+        x = (0.0, 0.25, 0.5, 0.75, 1.0)
+        fields = dict(rho=CoefficientField.table((0.0, 0.5, 1.0), (1.0, 2.0, 1.5)),
+                      mu=CoefficientField.table((0.0, 0.5, 1.0), (1.0, 2.0, 0.5)),
+                      rigidity=CoefficientField.table((0.0, 1.0), (1.0, 1.3)),
+                      initial=InitialData(
+                          u0=SpatialProfile.table(x, (0.0, 0.1, 0.3, 0.2, 0.4), clamp_left=True),
+                          u1=SpatialProfile.table(x, (0.0, 0.5, -0.3, 0.2, 1.0))))
+    else:
+        fields = dict(rho=CoefficientField.polynomial((1.0, 0.5)),
+                      mu=CoefficientField.polynomial((0.5, 0.2)),
+                      rigidity=CoefficientField.polynomial((1.0, 0.3)),
+                      initial=InitialData(u0=SpatialProfile.polynomial((0.0, 0.0, 1.0, -0.5)),
+                                          u1=SpatialProfile.polynomial((0.0, 0.3, 0.7))))
+    return dataclasses.replace(bs.preset("cantilever_dampers"), **fields)
+
+
+@pytest.mark.parametrize("name", [*bs.PRESET_NAMES, "table", "polynomial"])
+def test_a_runs_initial_energy_is_initial_energy(name):
+    # level 0 of the record is filled once, and E(0) is read from it with
+    # the E formula that initial_energy applies: the same float, bitwise
+    prob = bs.preset(name) if name in bs.PRESET_NAMES else _kinds_problem(name)
+    assert bs.validate(prob).ok
+    e = bs.energy(bs.run(prob, bs.Mesh(prob.length, 9), TimeGrid(prob.final_time, 21)))
+    assert e.E0 == bs.initial_energy(prob) > 0.0
+
+
+def test_a_run_integrates_its_initial_data_three_times(monkeypatch):
+    # int rho u1^2, int r u0''^2 and int mu u1^2, once each for level 0 of
+    # the record; the damper-only window reads the kinetic one from there
+    from beamstab import bounds, diagnostics, fem
+
+    calls, integrate = [], fem.integrate_data
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return integrate(*args, **kwargs)
+
+    prob = bs.preset("mast_constant")
+    trace = bs.run(prob, bs.Mesh(1.0, 9), TimeGrid(prob.final_time, 2 * CHUNK_LEVELS + 3))
+    for module in (fem, diagnostics, bounds):
+        monkeypatch.setattr(module, "integrate_data", counted, raising=False)
+    assert bs.energy(trace).bound.regime == "theorem2"
+    assert len(calls) == 3
+
+
 def test_ne1_energy_curves_match_reference_exponentials():
     trace = _ne1_trace()
     for mode in ("paper", "basis"):
