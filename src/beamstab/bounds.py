@@ -74,7 +74,7 @@ def classify_regime(problem: BeamProblem) -> str:
     bc = problem.boundary
     if mu0 > 0.0:
         return "theorem1_special_4_1" if bc.k_a == 0.0 and bc.k_v == 0.0 else "theorem1"
-    if bc.k_a + bc.k_v <= 0.0:
+    if not problem.is_damped:
         raise ValueError("k_a + k_v + mu0 > 0 fails: the system is undamped")
     rho0, rho1 = problem.rho_bounds
     r0, r1 = problem.rigidity_bounds

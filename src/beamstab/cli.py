@@ -64,7 +64,7 @@ class RunConfig:
     is_preset: bool
     nodes: int = 41
     dt: float | None = None
-    ratio: float | None = None   # dt = h_x / ratio when dt not given
+    ratio: float = 40.0          # dt = h_x / ratio when dt not given
     out_dir: str = "."
     decimate: int = 1
     mode: str = "paper"
@@ -137,15 +137,12 @@ def _config_from_args(args) -> RunConfig:
     for flag, value in (("--dt", args.dt), ("--ratio", args.ratio)):
         if value is not None and not (0.0 < value < math.inf):
             raise _UsageError(f"{flag} must be positive and finite; got {value:g}")
-    ratio = args.ratio if args.dt is None else None
-    if args.dt is None and ratio is None:
-        ratio = 40.0
     return RunConfig(
         source=args.preset or args.problem,
         is_preset=args.preset is not None,
         nodes=args.nodes,
         dt=args.dt,
-        ratio=ratio,
+        ratio=RunConfig.ratio if args.ratio is None else args.ratio,
         out_dir=args.out,
         decimate=getattr(args, "decimate", 1),
         mode=args.mode,

@@ -12,10 +12,9 @@ Fields are read from DOF rows in two ways: ``FieldKernel`` gives values and
 curvatures at local points ``xi`` of every element, and ``nodal`` gives the
 nodal displacements or slopes, the clamped node's zero first.
 
-Assembly, ``element_matrices`` and the field kernel of the diagnostics read
-one Gauss table: the shape values and curvatures at the element Gauss points
-and the three weight arrays ``h w rho``, ``h w mu``, ``h w r``
-(``Quadrature``).
+Assembly and the field kernel of the diagnostics read one Gauss table: the
+shape values and curvatures at the element Gauss points and the three
+weight arrays ``h w rho``, ``h w mu``, ``h w r`` (``Quadrature``).
 Assembly produces symmetric banded mass/damping/stiffness matrices
 
     mass      = integral rho psi_i psi_j
@@ -62,7 +61,6 @@ __all__ = [
     "SemiDiscreteSystem",
     "hermite_shapes",
     "gauss_rule",
-    "element_matrices",
     "assemble",
     "FieldKernel",
     "nodal",
@@ -195,9 +193,6 @@ class BandedCholesky:
         if info < 0 or not np.all(np.isfinite(self._factor)):
             raise np.linalg.LinAlgError(_NOT_FINITE)
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._dpbtrs(self._factor, rhs, lower=0)[0]
-
     def solve_in_place(self, rhs: np.ndarray) -> None:
         """Overwrite ``rhs``, a contiguous float64 vector, with the solution."""
         if self._dpbtrs(self._factor, rhs, lower=0, overwrite_b=1)[0] is not rhs:
@@ -227,9 +222,6 @@ class DenseCholesky:
         self._inverse = np.linalg.inv(a)
         if not np.all(np.isfinite(self._inverse)):
             raise np.linalg.LinAlgError(_NOT_FINITE)
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return self._inverse @ rhs
 
     def solve_in_place(self, rhs: np.ndarray) -> None:
         """Overwrite ``rhs``, a contiguous float64 vector, with the solution."""
@@ -400,17 +392,6 @@ def _element_batch(kernel: "FieldKernel", weights: np.ndarray):
     return (np.einsum("eq,qa,qb->eab", w_rho, vals, vals),
             np.einsum("eq,qa,qb->eab", w_mu, vals, vals),
             np.einsum("eq,qa,qb->eab", w_r, curv, curv))
-
-
-def element_matrices(problem: BeamProblem, x_left: float, h: float):
-    """Element mass/damping/stiffness for one element [x_left, x_left + h]:
-    the one-element case of what ``assemble`` computes for all elements.
-
-    Local DOF order is (left value, left slope, right value, right slope);
-    no boundary or clamping terms are applied here.
-    """
-    xi, weights = _gauss_weights(problem, np.array([x_left], dtype=float), h)
-    return tuple(m[0] for m in _element_batch(FieldKernel(h, xi), weights))
 
 
 def assemble(problem: BeamProblem, mesh: Mesh) -> SemiDiscreteSystem:

@@ -494,8 +494,6 @@ def validate(problem: BeamProblem) -> ValidationReport:
         mu0, _ = problem.mu_bounds
         if mu0 < 0.0:
             errs.append(f"mu0 >= 0 fails (inf mu = {mu0:g})")
-    else:
-        mu0 = 0.0
 
     b = problem.boundary
     for name, value in (("k_r", b.k_r), ("k_d", b.k_d), ("k_a", b.k_a), ("k_v", b.k_v)):
@@ -530,7 +528,7 @@ def validate(problem: BeamProblem) -> ValidationReport:
                 errs.append(f"{name}: table does not cover [0, {problem.final_time}]")
 
     if not errs:
-        if b.k_a + b.k_v + mu0 <= 0.0:
+        if not problem.is_damped:
             report.warnings.append(
                 "k_a + k_v + mu0 > 0 fails: no viscous or boundary damping present"
             )

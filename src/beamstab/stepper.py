@@ -11,11 +11,9 @@ by the process that steps it.  The scheme needs three history levels;
 the first two steps come from the trapezoidal rule on the first-order
 reformulation, which keeps the global order at two.
 
-``TimeStepper.step`` advances one level on its own and is the reference
-the whole-run loop ``TimeStepper.blocks`` is tested against.  The step
-matrix is constant (fixed dt), so the loop factors it once and repeats only
-the solve, in place on the new level's row.  Each step solves for the
-increment: with the step matrix ``S = 2M/dt^2 + 3C/(2dt) + K`` it solves
+The step matrix is constant (fixed dt), so the loop ``TimeStepper.blocks``
+factors it once and repeats only the solve, in place on the new level's
+row.  Each step solves for the increment: with the step matrix ``S = 2M/dt^2 + 3C/(2dt) + K`` it solves
 ``S (U^j - U^{j-1}) = load + H (U^{j-3}, U^{j-2}, U^{j-1})`` and adds
 ``U^{j-1}``.  ``H = [A3 | A2 | A1 - S]`` is one n x 3n operator with
 ``A3 = M/dt^2``, ``A2 = -(4M/dt^2 + C/(2dt))`` and
@@ -30,10 +28,8 @@ increment rather than with |U^j|.  An error proportional to |U^j|, made
 again every step, biases the run, and the energy-balance residual then
 stops falling and grows with M.  The loop evaluates the end loads once over the whole
 grid and applies ``H`` to the three previous levels where they already lie
-contiguously in its buffer; ``step`` applies it to the three levels
-concatenated.  Both add the load, solve and add ``U^{j-1}`` the same way,
-so the history is bitwise identical to startup() followed by repeated
-step().
+contiguously in its buffer.  The tests check it bitwise against a one-level
+step that applies ``H`` to the three levels concatenated.
 
 ``blocks`` yields the run in the windows of ``fem.windows``, the one cut
 of a history: each block of interior levels with both neighbours.  All
@@ -144,7 +140,7 @@ class TimeStepper:
     """Steps one (system, grid) pair.
 
     The iteration matrices are built on first use, by the first
-    ``startup``, ``step`` or ``blocks`` call, not by the constructor: a run
+    ``startup`` or ``blocks`` call, not by the constructor: a run
     stepped by ``forked_blocks`` builds them in its child, so the caller
     never loads scipy.  That first call raises LinAlgError if a matrix to
     factor is not positive definite or not finite.
@@ -180,8 +176,8 @@ class TimeStepper:
         initial = sys_.problem.initial
         u = interpolate_profile(initial.u0, sys_.mesh)
         v = interpolate_profile(initial.u1, sys_.mesh)
-        a = self._operators.mass.solve(
-            sys_.load(0.0) - sys_.damping.matvec(v) - sys_.stiffness.matvec(u))
+        a = sys_.load(0.0) - sys_.damping.matvec(v) - sys_.stiffness.matvec(u)
+        self._operators.mass.solve_in_place(a)
         return u, v, a
 
     def startup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -191,26 +187,17 @@ class TimeStepper:
         u, v, a = self.initial_state()
         levels = [u]
         for k in range(2):
-            rhs = (sys_.load(grid.times[k + 1])
-                   + (2.0 / dt) * sys_.mass.matvec(v)
-                   + sys_.mass.matvec(a)
-                   - sys_.stiffness.matvec(u)
-                   - (0.5 * dt) * sys_.stiffness.matvec(v))
-            v_new = self._operators.startup.solve(rhs)
+            v_new = (sys_.load(grid.times[k + 1])
+                     + (2.0 / dt) * sys_.mass.matvec(v)
+                     + sys_.mass.matvec(a)
+                     - sys_.stiffness.matvec(u)
+                     - (0.5 * dt) * sys_.stiffness.matvec(v))
+            self._operators.startup.solve_in_place(v_new)
             u = u + 0.5 * dt * (v + v_new)
             a = (2.0 / dt) * (v_new - v) - a
             v = v_new
             levels.append(u)
         return tuple(levels)
-
-    def step(self, history, j: int) -> np.ndarray:
-        """Advance to level j >= 3 from history ``(U^{j-3}, U^{j-2}, U^{j-1})``."""
-        if j < 3:
-            raise ValueError("step needs three history levels (j >= 3)")
-        u3, u2, u1 = history
-        ops = self._operators
-        rhs = self.system.load(self.grid.times[j]) + ops.history @ np.concatenate([u3, u2, u1])
-        return u1 + ops.step.solve(rhs)
 
     def blocks(self):
         """Integrate over the whole grid, yielding ``(first, window)`` per
@@ -307,8 +294,7 @@ class TimeStepper:
             os.waitpid(pid, 0)
 
     def run(self) -> SolutionTrace:
-        """Integrate over the whole grid and keep every window of ``blocks()``;
-        bitwise equal to startup() + step()."""
+        """Integrate over the whole grid and keep every window of ``blocks()``."""
         history = np.empty((self.grid.step_count, self.system.n))
         for first, window in self.blocks():
             history[first:first + len(window)] = window

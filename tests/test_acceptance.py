@@ -11,9 +11,10 @@ import time
 
 import numpy as np
 import pytest
+from oracles import (element_matrices, gauss_element_matrices, hand_recurrence, scalar_system,
+                     step_levels)
 
 import beamstab as bs
-from beamstab.fem import BandedSymmetricMatrix, SemiDiscreteSystem
 from beamstab.stepper import TimeGrid, TimeStepper
 
 DAMPED_PRESETS = ("cantilever_free", "cantilever_spring",
@@ -140,20 +141,11 @@ def test_criterion_6_temporal_and_spatial_convergence():
 def test_criterion_7_oracle_equivalence():
     # element integrals against a 50-point Gauss oracle with independent
     # shape-polynomial definitions
-    polys = [np.array([2.0, -3.0, 0.0, 1.0]), np.array([1.0, -2.0, 1.0, 0.0]),
-             np.array([-2.0, 3.0, 0.0, 0.0]), np.array([1.0, -1.0, 0.0, 0.0])]
-    s, w = np.polynomial.legendre.leggauss(50)
-    s, w = 0.5 * (s + 1.0), 0.5 * w
-    vals = np.stack([np.polyval(p, s) for p in polys])
-    d2 = np.stack([np.polyval(np.polyder(p, 2), s) for p in polys])
-    mass_oracle = np.einsum("q,aq,bq->ab", w, vals, vals)
-    stiff_oracle = np.einsum("q,aq,bq->ab", w, d2, d2)
-
     import dataclasses
 
-    from beamstab.fem import element_matrices
     from beamstab.problem import CoefficientField
 
+    mass_oracle, stiff_oracle = gauss_element_matrices(1.0, np.ones_like, np.ones_like)
     unit = dataclasses.replace(bs.preset("cantilever_free"),
                                mu=CoefficientField.constant(0.0))
     m_e, _, k_e = element_matrices(unit, 0.0, 1.0)
@@ -161,24 +153,12 @@ def test_criterion_7_oracle_equivalence():
     stiff_err = np.max(np.abs(k_e - stiff_oracle)) / np.max(np.abs(stiff_oracle))
 
     # scalar three-level recurrence solved by hand
-    def mat(v):
-        out = BandedSymmetricMatrix(1, 0)
-        out.add(0, 0, v)
-        return out
-
     m, c, k, dt = 2.0, 0.3, 1.7, 0.05
-    system = SemiDiscreteSystem(mat(m), mat(c), mat(k),
-                                lambda t: np.zeros(1), None, None, None)
-    stepper = TimeStepper(system, TimeGrid.from_dt(1.0, dt))
-    lhs = 2.0 * m / dt**2 + 1.5 * c / dt + k
-    hand = [1.0, 0.9, 0.85]
-    mine = [np.array([v]) for v in hand]
-    worst = 0.0
-    for j in range(3, 15):
-        hand.append((m * (5 * hand[-1] - 4 * hand[-2] + hand[-3]) / dt**2
-                     + c * (4 * hand[-1] - hand[-2]) / (2 * dt)) / lhs)
-        mine.append(stepper.step((mine[-3], mine[-2], mine[-1]), j))
-        worst = max(worst, abs(hand[-1] - mine[-1][0]))
+    stepper = TimeStepper(scalar_system(m, c, k), TimeGrid.from_dt(1.0, dt))
+    start = [1.0, 0.9, 0.85]
+    hand = hand_recurrence(m, c, k, dt, start, 15)
+    mine = step_levels(stepper, [np.array([v]) for v in start], 15)
+    worst = max(abs(a - b[0]) for a, b in zip(hand, mine, strict=True))
 
     ok = mass_err <= 1e-12 and stiff_err <= 1e-12 and worst <= 1e-12
     _report(7, ok, f"element err {max(mass_err, stiff_err):.2e}, "

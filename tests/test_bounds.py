@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import trapezoid
 
 import beamstab as bs
@@ -86,6 +88,30 @@ def test_undamped_has_no_regime():
                                mu=CoefficientField.constant(0.0))
     with pytest.raises(ValueError, match=r"k_a \+ k_v \+ mu0 > 0 fails"):
         bs.classify_regime(prob)
+
+
+_END_OR_MU = st.one_of(st.just(0.0), st.floats(0.0, 10.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.tuples(*[_END_OR_MU] * 4), _END_OR_MU)
+def test_validate_and_regime_read_one_damping_presence_rule(ends, mu):
+    # validate's warning, classify_regime's refusal and is_damped agree on
+    # every valid constant-coefficient problem
+    k_r, k_d, k_a, k_v = ends
+    prob = dataclasses.replace(bs.preset("mast_constant"),
+                               mu=CoefficientField.constant(mu),
+                               boundary=BoundaryParams(k_r=k_r, k_d=k_d, k_a=k_a, k_v=k_v))
+    report = bs.validate(prob)
+    assert report.ok
+    warned = any("no viscous or boundary damping present" in w for w in report.warnings)
+    try:
+        bs.classify_regime(prob)
+        refused = False
+    except ValueError as exc:
+        assert "the system is undamped" in str(exc)
+        refused = True
+    assert warned == refused == (not prob.is_damped)
 
 
 def test_damper_only_variable_coefficients_has_no_certificate():

@@ -984,6 +984,20 @@ def test_step_rule_must_be_positive_and_finite(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_bare_config_steps_at_h_over_40_as_the_cli_does():
+    prob = pb.preset("mast_constant")
+    bare = cli.RunConfig("mast_constant", True)
+    assert bare.resolve_dt(prob) == prob.length / (bare.nodes - 1) / 40.0
+
+    def parsed(*flags):
+        args = cli._build_parser().parse_args(["simulate", "--preset", "mast_constant", *flags])
+        return cli._config_from_args(args).resolve_dt(prob)
+
+    assert parsed() == bare.resolve_dt(prob)
+    assert parsed("--ratio", "10") == prob.length / (bare.nodes - 1) / 10.0
+    assert parsed("--dt", "0.01") == 0.01
+
+
 @pytest.mark.parametrize("args, error", [
     (["--preset", "test_NE1", "--decimate", "0"], "--decimate must be >= 1"),
     (["--preset", "test_NE1", "--decimate", "-2"], "--decimate must be >= 1"),

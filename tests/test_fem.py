@@ -5,34 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
+from oracles import element_matrices, gauss_element_matrices
 
 import beamstab.fem as fem
 from beamstab import problem as pb
-
-# independent shape definitions for oracle integration (coefficient arrays
-# for np.polyval, highest power first); slope shapes scale by h separately
-HERMITE_POLYS = [
-    np.array([2.0, -3.0, 0.0, 1.0]),   # 1 - 3 s^2 + 2 s^3
-    np.array([1.0, -2.0, 1.0, 0.0]),   # s - 2 s^2 + s^3
-    np.array([-2.0, 3.0, 0.0, 0.0]),   # 3 s^2 - 2 s^3
-    np.array([1.0, -1.0, 0.0, 0.0]),   # -s^2 + s^3
-]
-
-
-def _oracle_element_matrices(h, rho_fn, r_fn, points=50):
-    """Dense element mass/stiffness via high-order Gauss on [0, h]."""
-    s, w = np.polynomial.legendre.leggauss(points)
-    s = 0.5 * (s + 1.0)
-    w = 0.5 * w
-    scale = np.array([1.0, h, 1.0, h])
-    vals = np.stack([np.polyval(p, s) for p in HERMITE_POLYS]) * scale[:, None]
-    d2 = np.stack([np.polyval(np.polyder(p, 2), s) for p in HERMITE_POLYS])
-    d2 = d2 * (scale / h**2)[:, None]
-    x = h * s
-    m = h * np.einsum("q,aq,bq->ab", w * rho_fn(x), vals, vals)
-    k = h * np.einsum("q,aq,bq->ab", w * r_fn(x), d2, d2)
-    return m, k
-
 
 # ---------------------------------------------------------------------------
 # shape functions
@@ -133,18 +110,16 @@ def _unit_problem(rho=1.0, r=1.0):
 
 def test_element_mass_matrix_first_row():
     # single element with h = 1: the classic consistent-mass first row
-    m_e, _, _ = fem.element_matrices(_unit_problem(), 0.0, 1.0)
+    m_e, _, _ = element_matrices(_unit_problem(), 0.0, 1.0)
     assert m_e[0] == pytest.approx([13 / 35, 11 / 210, 9 / 70, -13 / 420], rel=1e-12)
-    oracle, _ = _oracle_element_matrices(1.0, lambda x: np.ones_like(x),
-                                         lambda x: np.ones_like(x))
+    oracle, _ = gauss_element_matrices(1.0, np.ones_like, np.ones_like)
     assert np.max(np.abs(m_e - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
 def test_element_stiffness_matrix_first_row():
-    _, _, k_e = fem.element_matrices(_unit_problem(), 0.0, 1.0)
+    _, _, k_e = element_matrices(_unit_problem(), 0.0, 1.0)
     assert k_e[0] == pytest.approx([12.0, 6.0, -12.0, 6.0], rel=1e-12)
-    _, oracle = _oracle_element_matrices(1.0, lambda x: np.ones_like(x),
-                                         lambda x: np.ones_like(x))
+    _, oracle = gauss_element_matrices(1.0, np.ones_like, np.ones_like)
     assert np.max(np.abs(k_e - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
@@ -155,8 +130,8 @@ def test_variable_coefficient_element_matches_oracle():
         rigidity=pb.CoefficientField.polynomial((1.0, 1.0)))
     h = 0.25
     for x0 in (0.0, 0.25, 0.5, 0.75):
-        m_e, _, k_e = fem.element_matrices(prob, x0, h)
-        om, ok = _oracle_element_matrices(
+        m_e, _, k_e = element_matrices(prob, x0, h)
+        om, ok = gauss_element_matrices(
             h, lambda s: prob.rho(x0 + s), lambda s: prob.rigidity(x0 + s))
         assert np.max(np.abs(m_e - om)) <= 1e-12 * np.max(np.abs(om))
         assert np.max(np.abs(k_e - ok)) <= 1e-12 * np.max(np.abs(ok))
@@ -204,7 +179,7 @@ def test_definiteness():
     rng = np.random.default_rng(7)
     x = rng.standard_normal(n)
     for _ in range(30):
-        x = solve.solve(x)
+        solve.solve_in_place(x)
         x /= np.linalg.norm(x)
     lam_min = x @ system.mass.matvec(x)
     assert lam_min > 0.0
@@ -229,9 +204,9 @@ def test_banded_assembly_equals_dense_naive_assembly():
     dense = np.zeros((3, n, n))
     for e in range(mesh.element_count):
         x0 = mesh.nodes[e]
-        om, ok = _oracle_element_matrices(
+        om, ok = gauss_element_matrices(
             h, lambda s: prob.rho(x0 + s), lambda s: prob.rigidity(x0 + s))
-        oc, _ = _oracle_element_matrices(
+        oc, _ = gauss_element_matrices(
             h, lambda s: prob.mu(x0 + s), lambda s: prob.rigidity(x0 + s))
         for a in range(4):
             for b in range(4):
@@ -268,21 +243,26 @@ def test_banded_cholesky_solves():
     system = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 11))
     rng = np.random.default_rng(4)
     b = rng.standard_normal(system.n)
-    x = system.stiffness.factor().solve(b)
+    x = b.copy()
+    system.stiffness.factor().solve_in_place(x)
     assert system.stiffness.to_dense() @ x == pytest.approx(b, rel=1e-10)
 
 
 def test_banded_in_place_kernels_and_factor_time_checks(kernels):
-    # both kinds of factor keep one contract, error texts included
+    # both kinds of factor keep one contract, error texts included; a solve
+    # is bitwise that of numpy's inverse or of scipy's banded Cholesky
     system = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 11))
-    for kind, factor in (("dense", fem.DenseCholesky), ("banded", fem.BandedCholesky)):
+    b = np.random.default_rng(5).standard_normal(system.n)
+    for kind, factor, want in (
+            ("dense", fem.DenseCholesky, np.linalg.inv(system.stiffness.to_dense()) @ b),
+            ("banded", fem.BandedCholesky, scipy.linalg.cho_solve_banded(
+                (scipy.linalg.cholesky_banded(system.stiffness.bands), False), b))):
         kernels(kind)
         solve = system.stiffness.factor()
         assert type(solve) is factor
-        b = np.random.default_rng(5).standard_normal(system.n)
         x = b.copy()
         solve.solve_in_place(x)
-        assert np.array_equal(x, solve.solve(b))
+        assert np.array_equal(x, want)
         with pytest.raises(ValueError, match="^rhs must be a contiguous float64 vector$"):
             solve.solve_in_place(np.zeros(2 * system.n)[::2])
 
@@ -350,7 +330,7 @@ def test_system_matrices_equal_the_dense_element_scatter(name):
         dense = np.zeros((3, n, n))
         for e in range(mesh.element_count):
             local = _element_matrices_per_point(prob, mesh.nodes[e], mesh.h)
-            for got, want in zip(fem.element_matrices(prob, mesh.nodes[e], mesh.h), local):
+            for got, want in zip(element_matrices(prob, mesh.nodes[e], mesh.h), local):
                 assert np.array_equal(got, want)
                 assert np.array_equal(np.signbit(got), np.signbit(want))
             for d, m_e in zip(dense, local):
