@@ -27,7 +27,7 @@ mesh = bs.Mesh(prob.length, 41)
 grid = bs.TimeGrid.from_dt(prob.final_time, mesh.h / 40.0)
 trace = bs.run(prob, mesh, grid)
 
-energy = bs.energy(trace, mode="paper")
+energy = bs.energy(trace)
 print(f"E(0) = {energy.E0:g} (the reference value is 17.4)")
 for t_probe in (0.25, 0.75, 1.25):
     j = int(np.argmin(np.abs(energy.times - t_probe)))
@@ -61,7 +61,7 @@ mast = bs.preset("mast_constant")
 m_mesh = bs.Mesh(mast.length, 41)
 m_grid = bs.TimeGrid.from_dt(mast.final_time, m_mesh.h / 40.0)
 m_trace = bs.run(mast, m_mesh, m_grid)
-m_energy = bs.energy(m_trace, mode="basis")
+m_energy = bs.energy(m_trace)
 m_bound = m_energy.bound
 m_report = bs.verify_envelopes(m_energy, m_bound)
 print(f"\nmast: regime {m_bound.regime}, lambda_max {m_bound.lambda_max:.5f}, "

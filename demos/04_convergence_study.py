@@ -52,7 +52,7 @@ for level in range(4):
     nodes = 10 * 2**level + 1
     m = bs.Mesh(spring.length, nodes)
     grid = bs.TimeGrid.from_dt(spring.final_time, m.h / 40.0)
-    energy = bs.energy(bs.run(spring, m, grid), mode="basis")
+    energy = bs.energy(bs.run(spring, m, grid))
     res = bs.identity_residual(energy)
     residuals.append(res)
     order = "" if level == 0 else f"   order {np.log2(residuals[-2] / res):.3f}"

@@ -26,7 +26,7 @@ grid = bs.TimeGrid.from_dt(base.final_time, mesh.h / 20.0)
 
 def summarize(prob):
     trace = bs.run(prob, mesh, grid)
-    energy = bs.energy(trace, mode="basis")
+    energy = bs.energy(trace)
     bound = energy.bound
     return {
         "beta1": bound.beta1,

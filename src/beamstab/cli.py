@@ -2,8 +2,7 @@
 
     beamstab <validate|simulate|verify|convergence|sweep|bounds>
              [--preset NAME | --problem FILE] [--nodes M]
-             [--dt H | --ratio R] [--lambda L] [--mode paper|basis]
-             [--out DIR] ...
+             [--dt H | --ratio R] [--lambda L] [--out DIR] ...
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 usage
 error.  Outputs are deterministic: identical inputs produce byte-identical
@@ -67,7 +66,6 @@ class RunConfig:
     ratio: float = 40.0          # dt = h_x / ratio when dt not given
     out_dir: str = "."
     decimate: int = 1
-    mode: str = "paper"
     lam: float | None = None
 
     def resolve_dt(self, prob: BeamProblem) -> float:
@@ -101,8 +99,6 @@ def _add_common(sub):
                      help="time step as h_x / ratio (default 40 when --dt absent)")
     sub.add_argument("--lambda", dest="lam", type=float,
                      help="Lyapunov penalty weight override")
-    sub.add_argument("--mode", choices=("paper", "basis"), default="paper",
-                     help="curvature post-processing mode")
     sub.add_argument("--out", default=".", help="output directory")
 
 
@@ -145,7 +141,6 @@ def _config_from_args(args) -> RunConfig:
         ratio=RunConfig.ratio if args.ratio is None else args.ratio,
         out_dir=args.out,
         decimate=getattr(args, "decimate", 1),
-        mode=args.mode,
         lam=args.lam,
     )
 
@@ -222,7 +217,7 @@ def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None,
     """The energy diagnostics of the configured run, whose windows also go
     to the trace writer given an open ``trace.csv``."""
     system, grid = assemble(prob, config.mesh(prob)), config.grid(prob)
-    acc = diagnostics.EnergyAccumulator(system, grid, lam=config.lam, mode=config.mode)
+    acc = diagnostics.EnergyAccumulator(system, grid, lam=config.lam)
     consumers = [acc.add]
     if trace_file is not None:
         writer = stepper.TraceWriter(system, grid, decimate=config.decimate)
@@ -238,15 +233,15 @@ class _ErrorAccumulator:
 
     u and u_x are compared on every level, each once.  u_t (the centered
     rows of ``fem.velocities``) and u_xx are compared on the interior
-    levels; u_xx is the paper-mode nodal curvature or, in basis mode, the
-    Hermite curvature at the nodes (left-element limits, the right one at
-    x = 0).  Only running maxima of |error| and sums of squares are kept.
+    levels; u_xx is the Hermite curvature at the nodes (left-element limits,
+    the right one at x = 0), the curvature the energy diagnostics integrate.
+    Only running maxima of |error| and sums of squares are kept.
     """
 
     QUANTITIES = ("u", "u_x", "u_t", "u_xx")
 
-    def __init__(self, exact, system, grid: stepper.TimeGrid, mode: str):
-        self._exact, self._grid, self._mode = exact, grid, mode
+    def __init__(self, exact, system, grid: stepper.TimeGrid):
+        self._exact, self._grid = exact, grid
         self._mesh = system.mesh
         self._kernel = FieldKernel(self._mesh.h, (0.0, 1.0))
         self.max = dict.fromkeys(self.QUANTITIES, 0.0)
@@ -256,12 +251,6 @@ class _ErrorAccumulator:
     def _take(self, name: str, err: np.ndarray) -> None:
         self.max[name] = max(self.max[name], float(np.max(np.abs(err))))
         self._squares[name] += float(np.sum(err**2))
-
-    def _curvature(self, u: np.ndarray) -> np.ndarray:
-        if self._mode == "paper":
-            return diagnostics._nodal_curvature(u, self._mesh.h)
-        curv = self._kernel.curvatures(u)
-        return np.concatenate([curv[:, :1, 0], curv[:, :, 1]], axis=1)
 
     def add(self, window: np.ndarray, first: int) -> None:
         if first != self._next:
@@ -276,7 +265,9 @@ class _ErrorAccumulator:
         t = times[first + 1:stop - 1, None]
         ut = velocities(window, self._grid.dt)
         self._take("u_t", nodal(ut, 0) - exact.u_t(x, t))
-        self._take("u_xx", self._curvature(window[1:-1]) - exact.u_xx(x, t))
+        curv = self._kernel.curvatures(window[1:-1])
+        self._take("u_xx", np.concatenate([curv[:, :1, 0], curv[:, :, 1]], axis=1)
+                   - exact.u_xx(x, t))
 
     def rows(self) -> list[tuple[str, float, float]]:
         """``(quantity, max error, L2 error over the space-time grid)``."""
@@ -288,7 +279,7 @@ class _ErrorAccumulator:
 def _streamed_errors(prob: BeamProblem, config: RunConfig, exact) -> _ErrorAccumulator:
     """The errors of the configured run against ``exact``."""
     system, grid = assemble(prob, config.mesh(prob)), config.grid(prob)
-    errors = _ErrorAccumulator(exact, system, grid, config.mode)
+    errors = _ErrorAccumulator(exact, system, grid)
     _feed(system, grid, [errors.add], _steps_ahead())
     return errors
 

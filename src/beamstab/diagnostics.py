@@ -21,10 +21,9 @@ analytic initial data, not the interpolant, so the residual isolates the
 error of the evolution; ``initial_energy`` applies the same E formula to
 them.
 
-Curvature comes in two flavors: ``mode='basis'`` differentiates the Hermite
-interpolant exactly, ``mode='paper'`` reproduces the reference
-post-processing (centered x-differences of the nodal slopes, linearly
-interpolated between nodes).
+The curvature u_xx is the second derivative of the Hermite interpolant,
+so E is the discrete energy ``1/2 v'Mv + 1/2 u'Ku`` of the run's own
+matrices (v the centered velocity).
 
 Fields are never formed for the whole history.  ``EnergyAccumulator`` is
 fed the levels of one run one window of ``fem.windows`` at a time, in
@@ -53,14 +52,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import bounds
 from .fem import (
     CHUNK_LEVELS,
     SemiDiscreteSystem,
     integrate_data,
-    nodal,
     velocities,
     windows,
 )
@@ -75,8 +72,6 @@ __all__ = [
     "initial_energy",
     "export_energy_csv",
 ]
-
-MODES = ("paper", "basis")
 
 
 def _initial_record(problem: BeamProblem) -> np.ndarray:
@@ -100,16 +95,6 @@ def _energy(record: np.ndarray, bc) -> np.ndarray:
 def initial_energy(problem: BeamProblem) -> float:
     """Initial total energy from the analytic initial data."""
     return float(_energy(_initial_record(problem), problem.boundary))
-
-
-def _nodal_curvature(dofs2d: np.ndarray, h: float) -> np.ndarray:
-    """Centered x-differences of the nodal slopes; one-sided at the two ends."""
-    theta = nodal(dofs2d, 1)
-    out = np.empty_like(theta)
-    out[:, 1:-1] = (theta[:, 2:] - theta[:, :-2]) / (2.0 * h)
-    out[:, 0] = (-3.0 * theta[:, 0] + 4.0 * theta[:, 1] - theta[:, 2]) / (2.0 * h)
-    out[:, -1] = (3.0 * theta[:, -1] - 4.0 * theta[:, -2] + theta[:, -3]) / (2.0 * h)
-    return out
 
 
 def _cumulative_trapezoid(y: np.ndarray, dx: float) -> np.ndarray:
@@ -170,14 +155,11 @@ class EnergyAccumulator:
     """
 
     def __init__(self, system: SemiDiscreteSystem, grid: TimeGrid,
-                 lam: float | None = None, mode: str = "paper"):
-        if mode not in MODES:
-            raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
+                 lam: float | None = None):
         bounds.check_explicit_penalty(system.problem, lam)
-        self._system, self._grid, self._lam, self._mode = system, grid, lam, mode
+        self._system, self._grid, self._lam = system, grid, lam
         self._next = 0   # the first level of the next window
         quad = system.quadrature
-        self._lerp = np.stack([1.0 - quad.xi, quad.xi])  # nodal values -> Gauss points
         # u, u_t and the curvature at the Gauss points, and a product; the
         # velocity rows; the zero-padded rows of ``fem.element_local``: reused
         # by every block, so the reduction allocates no block-sized arrays
@@ -199,11 +181,7 @@ class EnergyAccumulator:
         padded = self._padded[:len(u)]
         quad.values(u, out=u_q, padded=padded)
         quad.values(ut, out=ut_q, padded=padded)
-        if self._mode == "basis":
-            quad.curvatures(u, out=curv_q, padded=padded)
-        else:
-            np.matmul(sliding_window_view(_nodal_curvature(u, self._system.mesh.h), 2, axis=1),
-                      self._lerp, out=curv_q)
+        quad.curvatures(u, out=curv_q, padded=padded)
         kinetic, bending, cross, mu_disp, mu_rate, end_disp, end_rot, tip_vel, tip_ang = \
             self._record[:, first + 1:self._next + 1]   # views of the block's columns
         kinetic[:] = quad.integral(quad.w_rho, ut_q, ut_q, work)
@@ -257,11 +235,11 @@ class EnergyAccumulator:
         )
 
 
-def energy(trace: SolutionTrace, lam: float | None = None, mode: str = "paper") -> EnergyTrace:
+def energy(trace: SolutionTrace, lam: float | None = None) -> EnergyTrace:
     """Compute E, J, L and the dissipation integrals of a stored trace: its
     history fed to an ``EnergyAccumulator`` window by window (see there for
     ``lam``)."""
-    acc = EnergyAccumulator(trace.system, trace.grid, lam, mode)
+    acc = EnergyAccumulator(trace.system, trace.grid, lam)
     for first, stop in windows(trace.grid.step_count):
         acc.add(trace.dof_history[first:stop], first)
     return acc.result()

@@ -34,7 +34,7 @@ def ne1_run():
     grid = TimeGrid.from_dt(1.5, mesh.h / 40.0)
     start = time.perf_counter()
     trace = bs.run(prob, mesh, grid)
-    energy = bs.energy(trace, mode="paper")
+    energy = bs.energy(trace)
     elapsed = time.perf_counter() - start
     return prob, trace, energy, elapsed
 
@@ -47,7 +47,7 @@ def preset_energies():
         mesh = bs.Mesh(prob.length, 41)
         grid = TimeGrid.from_dt(prob.final_time, mesh.h / 40.0)
         trace = bs.run(prob, mesh, grid)
-        out[name] = (prob, trace, bs.energy(trace, mode="basis"))
+        out[name] = (prob, trace, bs.energy(trace))
     return out
 
 
@@ -91,7 +91,7 @@ def test_criterion_4_energy_identity_refinement():
         nodes = 10 * 2**level + 1
         mesh = bs.Mesh(prob.length, nodes)
         grid = TimeGrid.from_dt(prob.final_time, mesh.h / 40.0)
-        energy = bs.energy(bs.run(prob, mesh, grid), mode="basis")
+        energy = bs.energy(bs.run(prob, mesh, grid))
         residuals.append(bs.identity_residual(energy))
         e0 = energy.E0
     orders = [np.log2(residuals[i] / residuals[i + 1]) for i in range(3)]

@@ -172,7 +172,7 @@ def test_damper_only_window_is_the_papers_for_a_constant_density(m, nodes, ratio
 def test_theorem2_window_is_reproducible_and_matches_recompute():
     prob, trace = _mast_trace(21, 20)
     lam1 = bs.energy(trace).bound.lambda_max
-    lam2 = bs.energy(trace, mode="basis").bound.lambda_max
+    lam2 = bs.energy(trace).bound.lambda_max
     regime = bs.classify_regime(prob)
     assert regime == "theorem2"
     assert lam1 == lam2  # bit-exact across calls
@@ -315,11 +315,11 @@ def test_default_penalty_is_99_percent_of_window():
 # envelope verification
 # ---------------------------------------------------------------------------
 
-def _ne1_energy(nodes=21, ratio=20, mode="paper"):
+def _ne1_energy(nodes=21, ratio=20):
     prob = bs.preset("test_NE1")
     mesh = bs.Mesh(1.0, nodes)
     grid = TimeGrid.from_dt(1.5, mesh.h / ratio)
-    return prob, bs.energy(bs.run(prob, mesh, grid), mode=mode)
+    return prob, bs.energy(bs.run(prob, mesh, grid))
 
 
 def test_ne1_envelopes_hold_with_zero_violations():
@@ -357,13 +357,13 @@ def test_rest_state_envelopes_are_trivial():
         initial=InitialData(u0=SpatialProfile.polynomial((0.0,)),
                             u1=SpatialProfile.polynomial((0.0,))))
     trace = bs.run(prob, bs.Mesh(1.0, 9), TimeGrid(2.0, 101))
-    e = bs.energy(trace, mode="basis")
+    e = bs.energy(trace)
     assert bs.verify_envelopes(e, e.bound).ok
 
 
 def test_mast_envelope_verifies():
     _, trace = _mast_trace(21, 20)
-    e = bs.energy(trace, mode="basis")
+    e = bs.energy(trace)
     assert e.bound.regime == "theorem2"
     report = bs.verify_envelopes(e, e.bound)
     assert report.ok and not report.informational
@@ -376,7 +376,7 @@ def test_every_damped_preset_envelope_verifies_at_acceptance_resolution(name):
     mesh = bs.Mesh(prob.length, 41)
     grid = TimeGrid.from_dt(prob.final_time, mesh.h / 40.0)
     trace = bs.run(prob, mesh, grid)
-    e = bs.energy(trace, mode="basis")
+    e = bs.energy(trace)
     report = bs.verify_envelopes(e, e.bound)
     assert report.ok and not report.informational
 

@@ -32,8 +32,7 @@ def _runs(draw):
         g_M=draw(st.sampled_from(loads[:3])), g_Q=draw(st.sampled_from(loads))))
     config = cli.RunConfig(
         "", False, nodes=draw(st.integers(3, 21)), ratio=draw(st.sampled_from([5.0, 10.0])),
-        mode=draw(st.sampled_from(["paper", "basis"])), decimate=draw(st.integers(1, 7)),
-        lam=draw(st.sampled_from([None, 0.01, 0.3])))
+        decimate=draw(st.integers(1, 7)), lam=draw(st.sampled_from([None, 0.01, 0.3])))
     return prob, config
 
 
