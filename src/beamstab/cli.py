@@ -15,12 +15,12 @@ Every command that runs the beam feeds each window of
 writer, the error reducer of ``verify`` and ``convergence``), so it holds
 O(N + CHUNK_LEVELS n) of a run of N levels and n DOFs, never the O(N n)
 history.  Every artifact of every command is written under a temporary
-name and renamed into place only when the run succeeds.  When this
-process may use a second CPU and can fork, a run steps in a forked child
-(``TimeStepper.forked_blocks``) while this process reduces the windows;
-members in the sweep's worker pool, which already fills the CPUs, step
-in-process.  The windows are the same bytes either way, and so are the
-artifacts.
+name and renamed into place only when the run succeeds.  ``_steps_ahead``
+decides where every run steps: in a forked child (``forked_blocks``),
+while this process reduces the windows, if this process can fork, may use
+a second CPU and was not started by ``multiprocessing`` (a sweep's pool
+worker, which fills its CPU, was); in-process otherwise.  The windows are
+the same bytes either way, and so are the artifacts.
 """
 
 from __future__ import annotations
@@ -194,26 +194,31 @@ def _usable_cpus() -> int:
 
 
 def _steps_ahead() -> bool:
-    """Whether a run may step in a forked child: this process can fork, and
-    a second CPU is there for the child while this one reduces."""
-    return hasattr(os, "fork") and _usable_cpus() > 1
+    """Where a run steps: in a forked child when this process can fork, a
+    second CPU is there for the child while this one reduces, and
+    ``multiprocessing`` did not start this process (a worker of the sweep's
+    pool, which already fills the CPUs); in-process otherwise."""
+    if not (hasattr(os, "fork") and _usable_cpus() > 1):
+        return False
+    import multiprocessing   # off the import of a one-CPU run
+
+    return multiprocessing.parent_process() is None
 
 
-def _feed(system, grid: stepper.TimeGrid, consumers, ahead: bool = False) -> None:
+def _feed(system, grid: stepper.TimeGrid, consumers) -> None:
     """Integrate one run and feed each window of levels to every consumer
-    ``f(window, first)``; the DOF history is never stored.  With ``ahead``
-    the windows come from ``TimeStepper.forked_blocks``, which steps in a
-    child process; the windows are the same bytes."""
+    ``f(window, first)``; the DOF history is never stored.  The windows are
+    the same bytes wherever ``_steps_ahead`` steps the run."""
     steps = stepper.TimeStepper(system, grid)
+    stream = steps.forked_blocks() if _steps_ahead() else steps.blocks()
     # closed here, not by the collector, if this loop fails: that reaps the child
-    with contextlib.closing(steps.forked_blocks() if ahead else steps.blocks()) as stream:
+    with contextlib.closing(stream):
         for first, window in stream:
             for consume in consumers:
                 consume(window, first)
 
 
-def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None,
-                     ahead: bool = False):
+def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None):
     """The energy diagnostics of the configured run, whose windows also go
     to the trace writer given an open ``trace.csv``."""
     system, grid = assemble(prob, config.mesh(prob)), config.grid(prob)
@@ -222,7 +227,7 @@ def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None,
     if trace_file is not None:
         writer = stepper.TraceWriter(system, grid, decimate=config.decimate)
         consumers.insert(0, functools.partial(writer.write, trace_file))
-    _feed(system, grid, consumers, ahead)
+    _feed(system, grid, consumers)
     return acc.result()
 
 
@@ -280,46 +285,48 @@ def _streamed_errors(prob: BeamProblem, config: RunConfig, exact) -> _ErrorAccum
     """The errors of the configured run against ``exact``."""
     system, grid = assemble(prob, config.mesh(prob)), config.grid(prob)
     errors = _ErrorAccumulator(exact, system, grid)
-    _feed(system, grid, [errors.add], _steps_ahead())
+    _feed(system, grid, [errors.add])
     return errors
 
 
 @contextlib.contextmanager
 def _published(out_dir: str, names):
     """Temporary paths in ``out_dir``, which is made here with its missing
-    parents, to write ``names`` under.  They are renamed into place if the
-    block succeeds.  If it fails they are removed, and so are the
-    directories made here, deepest first, as far as they are empty; one
-    that existed before stays.  So a run that fails part-way leaves no
-    partial artifact and no empty directory."""
+    parents, to write ``names`` under; a path that cannot be made a
+    directory (a file, a path under one, no name) is a usage error.  The
+    paths are renamed into place if the block succeeds.  If it fails they
+    are removed, and so are the directories made here, deepest first, as
+    far as they are empty; one that existed before stays.  So a run that
+    fails part-way leaves no partial artifact and no empty directory."""
     made, head = [], os.path.abspath(out_dir)
     while not os.path.exists(head):
         made.append(head)
         head = os.path.dirname(head)
-    os.makedirs(out_dir, exist_ok=True)
     tmp = {name: os.path.join(out_dir, f".{name}.{os.getpid()}.tmp") for name in names}
     try:
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise _UsageError(
+                f"cannot make the output directory {out_dir!r}: {exc.strerror}") from None
         yield tmp
     except BaseException:
-        for path in tmp.values():
-            with contextlib.suppress(FileNotFoundError):
+        for path in tmp.values():   # if written at all
+            with contextlib.suppress(OSError):
                 os.remove(path)
-        for made_dir in made:
-            try:
+        for made_dir in made:   # one a sweep member wrote to is not empty, nor its parents
+            with contextlib.suppress(OSError):
                 os.rmdir(made_dir)
-            except OSError:   # not empty: a member of a sweep wrote there
-                break
         raise
     for name, path in tmp.items():
         os.replace(path, os.path.join(out_dir, name))
 
 
-def _simulate_pipeline(prob: BeamProblem, config: RunConfig, out_dir: str,
-                       ahead: bool) -> dict:
+def _simulate_pipeline(prob: BeamProblem, config: RunConfig) -> dict:
     """Run one simulation and write trace.csv, energy.csv, bounds.json."""
-    with _published(out_dir, ("trace.csv", "energy.csv", "bounds.json")) as paths:
+    with _published(config.out_dir, ("trace.csv", "energy.csv", "bounds.json")) as paths:
         with open(paths["trace.csv"], "w") as fh:
-            energy_trace = _streamed_energy(prob, config, fh, ahead)
+            energy_trace = _streamed_energy(prob, config, fh)
         diagnostics.export_energy_csv(energy_trace, paths["energy.csv"])
         payload = bounds_mod.bound_report(prob, energy_trace)
         _write_json(payload, paths["bounds.json"])
@@ -339,7 +346,7 @@ def cmd_validate(config: RunConfig) -> int:
 
 def cmd_simulate(config: RunConfig) -> int:
     prob = _load_valid(config)
-    result = _simulate_pipeline(prob, config, config.out_dir, _steps_ahead())
+    result = _simulate_pipeline(prob, config)
     e = result["energy"]
     print(f"wrote trace.csv, energy.csv, bounds.json to {config.out_dir}")
     print(f"E(0) = {e.E0:.6g}, E(T-) = {e.E[-1]:.6g}"
@@ -355,8 +362,8 @@ def cmd_verify(config: RunConfig) -> int:
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
     prob = _load(config)
-    rows = _streamed_errors(prob, config, exact).rows()
     with _published(config.out_dir, ("errors.csv",)) as paths:
+        rows = _streamed_errors(prob, config, exact).rows()
         _write_table(("quantity", "max_error", "l2_error"), rows, paths["errors.csv"])
     for name, mx, l2 in rows:
         print(f"{name:5s} max {mx:.3e}  l2 {l2:.3e}")
@@ -375,41 +382,38 @@ def cmd_convergence(config: RunConfig, levels: int) -> int:
     prob = _load_valid(config)
     exact = None
     if config.is_preset:
-        try:
+        with contextlib.suppress(ValueError):   # a preset without an exact solution
             exact = problem_mod.exact_solution(config.source)
-        except ValueError:
-            exact = None
     if exact is None and prob.has_forcing:
         raise _UsageError(
             "convergence needs an exact solution (test_NE1) or homogeneous forcing")
 
     dt0 = config.resolve_dt(prob)
     rows = []
-    if exact is not None:
-        # temporal error study at fixed mesh
-        errors = []
-        for k in range(levels):
-            level = dataclasses.replace(config, dt=dt0 / 2**k)
-            err = _streamed_errors(prob, level, exact).max["u"]
-            errors.append(err)
-            order = _order(errors[-2], err) if k else float("nan")
-            rows.append(("temporal_u_error", k, level.mesh(prob).h, level.grid(prob).dt,
-                         err, order))
-
-    if not prob.has_forcing:
-        # energy-balance residual under simultaneous space-time refinement
-        residuals = []
-        for k in range(levels):
-            level = dataclasses.replace(config, nodes=(config.nodes - 1) * 2**k + 1,
-                                        dt=dt0 / 2**k)
-            res = diagnostics.identity_residual(
-                _streamed_energy(prob, level, ahead=_steps_ahead()))
-            residuals.append(res)
-            order = _order(residuals[-2], res) if k else float("nan")
-            rows.append(("identity_residual", k, level.mesh(prob).h, level.grid(prob).dt,
-                         res, order))
-
     with _published(config.out_dir, ("convergence.csv",)) as paths:
+        if exact is not None:
+            # temporal error study at fixed mesh
+            errors = []
+            for k in range(levels):
+                level = dataclasses.replace(config, dt=dt0 / 2**k)
+                err = _streamed_errors(prob, level, exact).max["u"]
+                errors.append(err)
+                order = _order(errors[-2], err) if k else float("nan")
+                rows.append(("temporal_u_error", k, level.mesh(prob).h, level.grid(prob).dt,
+                             err, order))
+
+        if not prob.has_forcing:
+            # energy-balance residual under simultaneous space-time refinement
+            residuals = []
+            for k in range(levels):
+                level = dataclasses.replace(config, nodes=(config.nodes - 1) * 2**k + 1,
+                                            dt=dt0 / 2**k)
+                res = diagnostics.identity_residual(_streamed_energy(prob, level))
+                residuals.append(res)
+                order = _order(residuals[-2], res) if k else float("nan")
+                rows.append(("identity_residual", k, level.mesh(prob).h, level.grid(prob).dt,
+                             res, order))
+
         _write_table(("study", "level", "h_x", "dt", "value", "order"), rows,
                      paths["convergence.csv"])
     for study, k, hx, dt, value, order in rows:
@@ -428,12 +432,11 @@ def _member_dir(param: str, value: float) -> str:
     return f"{param}_{value:g}"
 
 
-def _sweep_member(base: BeamProblem, param: str, value: float, config: RunConfig,
-                  ahead: bool) -> dict:
+def _sweep_member(base: BeamProblem, param: str, value: float, config: RunConfig) -> dict:
     """Run one sweep member, write its artifacts and return its sweep.csv row."""
-    prob = _with_parameter(base, param, value)
     sub = os.path.join(config.out_dir, _member_dir(param, value))
-    result = _simulate_pipeline(prob, config, sub, ahead)
+    result = _simulate_pipeline(_with_parameter(base, param, value),
+                                dataclasses.replace(config, out_dir=sub))
     e, b = result["energy"], result["bounds"]
     return {
         "value": value,
@@ -477,27 +480,25 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
     # fem.DENSE_MAX_N DOFs); the only other threads are OpenBLAS's, which it
     # shuts down before a fork.  pool.map re-raises a member's exception
     # with its own type, and the members not yet started are then
-    # cancelled.  The pool fills the CPUs, so its members step in-process.
-    # The output directory is made here, before any member starts, so a
-    # failed member removes only its own directory.
-    import multiprocessing
-
+    # cancelled.  The pool fills the CPUs, so its members step in-process
+    # (``_steps_ahead``).  The output directory is made here, before any
+    # member starts, so a failed member removes only its own directory.
     member = functools.partial(_sweep_member, base, param, config=config)
     workers = min(len(values), _usable_cpus())
     cols = ("value", "beta0", "beta1", "lambda_max", "lambda", "M_d", "sigma",
             "E0", "E_final_over_E0", "j_mu", "j_a", "j_v")
     with _published(config.out_dir, ("sweep.csv",)) as paths:
-        if workers > 1 and "fork" in multiprocessing.get_all_start_methods():
+        if workers > 1 and hasattr(os, "fork"):
+            import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:
-                summaries = list(pool.map(functools.partial(member, ahead=False),
-                                          values))   # in value order
+                summaries = list(pool.map(member, values))   # in value order
             finally:
                 pool.shutdown(cancel_futures=True)
         else:
-            summaries = [member(v, ahead=_steps_ahead()) for v in values]
+            summaries = list(map(member, values))
         _write_table(("param", *cols), [(param, *(row[c] for c in cols)) for row in summaries],
                      paths["sweep.csv"])
     print(f"wrote {os.path.join(config.out_dir, 'sweep.csv')} ({len(values)} runs)")
@@ -512,12 +513,10 @@ def cmd_bounds(config: RunConfig) -> int:
         print(f"no decay certificate: {exc}", file=sys.stderr)
         return 1
 
-    energy_trace = None
-    if regime == "theorem2":
-        # window depends on the solution: run the configured simulation
-        energy_trace = _streamed_energy(prob, config, ahead=_steps_ahead())
-    payload = bounds_mod.bound_report(prob, energy_trace, config.lam)
     with _published(config.out_dir, ("bounds.json",)) as paths:
+        # the damper-only window depends on the solution: run the configured simulation
+        energy_trace = _streamed_energy(prob, config) if regime == "theorem2" else None
+        payload = bounds_mod.bound_report(prob, energy_trace, config.lam)
         _write_json(payload, paths["bounds.json"])
     if payload.get("note"):
         print(f"beta0 = {payload['beta0']:.6g}, beta1 = {payload['beta1']:.6g}; "

@@ -424,10 +424,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.errors
 
-    @property
-    def empty(self) -> bool:
-        return not self.errors and not self.warnings
-
     def __str__(self) -> str:
         lines = [f"ERROR: {e}" for e in self.errors]
         lines += [f"WARNING: {w}" for w in self.warnings]

@@ -44,8 +44,10 @@ at once; no CLI command stores one.  ``export_trace_csv`` and
 ``diagnostics.energy`` feed a stored history through the same windows.
 
 ``forked_blocks`` yields the same windows, stepped by a forked child
-process while the caller reduces the windows before them, so on a machine
-with a second free CPU the step loop and the reduction overlap.  The child
+process while the caller reduces the windows before them, so the step loop
+and the reduction overlap.  The CLI's one rule, ``cli._steps_ahead``, takes
+it when the process can fork, may use a second CPU and was not started by
+``multiprocessing``: a sweep's pool worker steps in-process.  The child
 runs ``blocks()`` and sends each window's first level and bytes through one
 ``multiprocessing.connection`` pipe, sized 1 MiB where the platform allows
 (a few windows at M = 321); the caller reads each window into one reused

@@ -221,7 +221,7 @@ def _assert_same_energy(stored, streamed):
 
 @pytest.mark.parametrize("explicit_lam", [False, True])
 @pytest.mark.parametrize("name", pb.PRESET_NAMES)
-def test_streamed_pass_is_bitwise_the_stored_energy_and_window(name, explicit_lam):
+def test_streamed_pass_is_bitwise_the_stored_energy_and_window(monkeypatch, name, explicit_lam):
     prob = pb.preset(name)
     config = cli.RunConfig(name, True, nodes=9, ratio=20.0)
     trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
@@ -229,8 +229,9 @@ def test_streamed_pass_is_bitwise_the_stored_energy_and_window(name, explicit_la
     lam_max = _stored_window(prob, trace)
     if explicit_lam:
         config.lam = 0.5 * lam_max
-    for ahead in (False, True):   # stepped in-process, then in a forked child
-        streamed = cli._streamed_energy(prob, config, ahead=ahead)
+    for cpus in (1, 2):   # stepped in-process, then in a forked child
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+        streamed = cli._streamed_energy(prob, config)
         _assert_same_energy(diagnostics.energy(trace, lam=config.lam), streamed)
         assert streamed.bound.lambda_max == lam_max
         assert streamed.window_error is None
@@ -238,7 +239,7 @@ def test_streamed_pass_is_bitwise_the_stored_energy_and_window(name, explicit_la
 
 @pytest.mark.parametrize("lam", [None, 0.01])
 @pytest.mark.parametrize("case", ["dead_tip", "undamped"])
-def test_streamed_pass_fails_the_window_like_the_stored_one(case, lam):
+def test_streamed_pass_fails_the_window_like_the_stored_one(monkeypatch, case, lam):
     base = pb.preset("mast_constant")
     if case == "dead_tip":  # the tip starts at rest
         prob = dataclasses.replace(base, initial=dataclasses.replace(
@@ -249,9 +250,10 @@ def test_streamed_pass_fails_the_window_like_the_stored_one(case, lam):
     trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
     with pytest.raises(ValueError) as window:
         _stored_window(prob, trace)
-    for ahead in (False, True):   # stepped in-process, then in a forked child
+    for cpus in (1, 2):   # stepped in-process, then in a forked child
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         if lam is None:
-            streamed = cli._streamed_energy(prob, config, ahead=ahead)
+            streamed = cli._streamed_energy(prob, config)
             _assert_same_energy(diagnostics.energy(trace), streamed)
             assert streamed.bound is None
             assert streamed.window_error == str(window.value)
@@ -259,7 +261,7 @@ def test_streamed_pass_fails_the_window_like_the_stored_one(case, lam):
             with pytest.raises(ValueError) as stored:
                 diagnostics.energy(trace, lam=lam)
             with pytest.raises(ValueError) as streamed:
-                cli._streamed_energy(prob, config, ahead=ahead)
+                cli._streamed_energy(prob, config)
             assert str(streamed.value) == str(stored.value)
             assert str(window.value) in str(stored.value)
     if case == "dead_tip":
@@ -514,24 +516,37 @@ def _files(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def _log_stepping(monkeypatch, log):
+    """Append ``<method> <pid>`` to the file ``log`` whenever any process
+    calls ``TimeStepper.blocks`` or ``TimeStepper.forked_blocks``: a run
+    stepped in a forked child logs ``forked_blocks`` from the process that
+    reduces it and ``blocks`` from the child."""
+    for name in ("blocks", "forked_blocks"):
+        def logged(self, name=name, real=getattr(stepper.TimeStepper, name)):
+            with open(log, "a") as fh:   # one short append per call
+                fh.write(f"{name} {os.getpid()}\n")
+            return real(self)
+
+        monkeypatch.setattr(stepper.TimeStepper, name, logged)
+
+
+def _stepped(log):
+    """The ``(method, pid)`` pairs ``_log_stepping`` wrote to ``log``, pids as ints."""
+    return [(name, int(pid)) for name, pid in map(str.split, log.read_text().splitlines())]
+
+
 def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
-    # forcing two workers also runs the pooled path on a one-CPU machine
-    real_pipeline = cli._simulate_pipeline
-    runs, pids = {}, {}
+    # forcing two workers also runs the pooled path on a one-CPU machine;
+    # either way every member steps in-process, in the pool's worker or here
+    runs, steps = {}, {}
     for workers in (1, 2):
-        log = tmp_path / f"pids_{workers}.txt"
-
-        def logged(prob, config, out_dir, ahead, log=log):
-            with open(log, "a") as fh:  # one short append per member
-                fh.write(f"{os.getpid()}\n")
-            return real_pipeline(prob, config, out_dir, ahead)
-
-        monkeypatch.setattr(cli, "_simulate_pipeline", logged)
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-        out = tmp_path / f"workers_{workers}"
-        assert _sweep(["--preset", "cantilever_dampers"], "k_v", "4,0,2,1", out,
-                      "--ratio", "10") == 0
-        runs[workers], pids[workers] = _files(out), log.read_text().split()
+        log, out = tmp_path / f"steps_{workers}.txt", tmp_path / f"workers_{workers}"
+        with monkeypatch.context() as patch:
+            _log_stepping(patch, log)
+            patch.setattr(cli, "_usable_cpus", lambda: workers)
+            assert _sweep(["--preset", "cantilever_dampers"], "k_v", "4,0,2,1", out,
+                          "--ratio", "10") == 0
+        runs[workers], steps[workers] = _files(out), _stepped(log)
 
     members = [f"k_v_{v}/{name}" for v in "4021"
                for name in ("bounds.json", "energy.csv", "trace.csv")]
@@ -539,9 +554,10 @@ def test_sweep_outputs_do_not_depend_on_the_worker_count(tmp_path, monkeypatch):
     assert runs[2] == runs[1]
     rows = runs[2]["sweep.csv"].decode().splitlines()[1:]
     assert [float(r.split(",")[1]) for r in rows] == [4.0, 0.0, 2.0, 1.0]
-    assert pids[1] == [str(os.getpid())] * 4
-    assert len(pids[2]) == 4 and str(os.getpid()) not in pids[2]
-    assert 1 <= len(set(pids[2])) <= 2
+    assert steps[1] == [("blocks", os.getpid())] * 4
+    assert [name for name, _ in steps[2]] == ["blocks"] * 4
+    pids = {pid for _, pid in steps[2]}
+    assert 1 <= len(pids) <= 2 and os.getpid() not in pids
 
 
 @pytest.mark.parametrize("cpus, values, pool_size", [
@@ -934,6 +950,34 @@ def test_a_second_cpu_steps_each_run_in_one_child_with_the_same_bytes(
     assert runs[2] == runs[1]
 
 
+@pytest.mark.parametrize("args, runs", [
+    (["simulate", "--preset", "cantilever_dampers"], 1),
+    (["bounds", "--preset", "mast_constant"], 1),
+    (["verify", "--preset", "test_NE1"], 1),
+    (["convergence", "--preset", "cantilever_dampers", "--levels", "3"], 3),
+    (["sweep", "--preset", "cantilever_dampers", "--param", "k_v", "--values", "2"], 1)],
+    ids=["simulate", "bounds-damper-only", "verify", "convergence", "sweep-one-value"])
+def test_a_second_cpu_steps_every_run_through_forked_blocks(tmp_path, monkeypatch, args, runs):
+    # cli._steps_ahead is the one stepping rule: on two CPUs this process
+    # asks forked_blocks for each run's windows and a child steps them with
+    # blocks(); on one CPU this process steps every run itself, to the same bytes
+    files = {}
+    for cpus in (2, 1):
+        log, out = tmp_path / f"steps_{cpus}.txt", tmp_path / str(cpus)
+        with monkeypatch.context() as patch:
+            _log_stepping(patch, log)
+            patch.setattr(cli, "_usable_cpus", lambda: cpus)
+            assert main([*args, "--nodes", "9", "--ratio", "10", "--out", str(out)]) == 0
+        steps, files[cpus] = _stepped(log), _files(out)
+        if cpus == 2:
+            assert steps[0::2] == [("forked_blocks", os.getpid())] * runs
+            children = [pid for name, pid in steps[1::2] if name == "blocks"]
+            assert len(children) == len(set(children)) == runs and os.getpid() not in children
+        else:
+            assert steps == [("blocks", os.getpid())] * runs
+    assert files[2] == files[1] and files[1]
+
+
 @pytest.mark.parametrize("failure, nodes", [
     # at M = 9 the whole run fits in the pipe; at M = 161 (17 MB) the child
     # is blocked on a full pipe when the consumer fails
@@ -950,10 +994,11 @@ def test_a_failing_consumer_reaps_the_stepping_child(monkeypatch, forks, failure
         real_add(self, rows, first)
 
     monkeypatch.setattr(diagnostics.EnergyAccumulator, "add", add)
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     open_fds = len(os.listdir("/dev/fd"))
     config = cli.RunConfig("mast_constant", True, nodes=nodes, ratio=20.0)
     with _time_limit(60), pytest.raises(failure, match="consumer failed"):
-        cli._streamed_energy(pb.preset("mast_constant"), config, ahead=True)
+        cli._streamed_energy(pb.preset("mast_constant"), config)
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):   # no child left, not even a zombie
         os.waitpid(-1, os.WNOHANG)
@@ -1050,6 +1095,29 @@ def test_a_damper_only_lambda_no_run_can_admit_is_refused_before_stepping(
                  "--lambda", lam, "--out", str(out)]) == 3
     assert capsys.readouterr().err == f"usage error: {error}\n"
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("out", ["file", "file/sub", "", "new/" + "x" * 300],
+                         ids=["file", "under-a-file", "empty", "name-too-long"])
+@pytest.mark.parametrize("args", [
+    ["simulate", "--preset", "test_NE1"],
+    ["sweep", "--preset", "cantilever_dampers", "--param", "k_v", "--values", "1,2"],
+    ["bounds", "--preset", "mast_constant"],
+    ["verify", "--preset", "test_NE1"],
+    ["convergence", "--preset", "test_NE1"]], ids=lambda args: args[0])
+def test_an_out_that_cannot_be_made_a_directory_is_refused_before_stepping(
+        tmp_path, monkeypatch, capsys, args, out):
+    # a file in the way, a path under a file, no name, or a name too long
+    # (after new/ was made): one usage error line, and nothing left behind
+    _no_stepping(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "file").write_text("kept\n")
+    assert main([*args, "--nodes", "9", "--out", out]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage error: cannot make the output directory {out!r}: ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert os.listdir(tmp_path) == ["file"] and (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_usage_errors():

@@ -324,7 +324,7 @@ def test_identity_residual_keeps_falling_past_m_241():
     residuals = []
     for nodes in (161, 321, 481):
         config = cli.RunConfig("", False, nodes=nodes, ratio=40.0)
-        energy = cli._streamed_energy(prob, config, ahead=cli._steps_ahead())
+        energy = cli._streamed_energy(prob, config)
         residuals.append(bs.identity_residual(energy) / energy.E0)
     assert residuals[0] / residuals[1] >= 0.8 * 4.0, residuals
     assert residuals[1] / residuals[2] >= 0.8 * 2.25, residuals

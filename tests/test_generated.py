@@ -5,6 +5,7 @@ import dataclasses
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,13 +37,16 @@ def _runs(draw):
     return prob, config
 
 
-def _outcome(prob, config, ahead):
+def _outcome(prob, config, cpus):
     """Every array of the run's EnergyTrace as bytes, or the exception's type
-    and text, with the trace.csv text written before either."""
+    and text, with the trace.csv text written before either, stepped where
+    ``cli._steps_ahead`` puts a run on ``cpus`` CPUs: in a forked child on
+    two, in-process on one."""
     trace_csv = io.StringIO()
     try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            energy = cli._streamed_energy(prob, config, trace_csv, ahead=ahead)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_usable_cpus", lambda: cpus)
+            energy = cli._streamed_energy(prob, config, trace_csv)
     except Exception as exc:
         return type(exc), str(exc), trace_csv.getvalue()
     fields = {f.name: getattr(energy, f.name) for f in dataclasses.fields(energy)}
@@ -55,4 +59,4 @@ def _outcome(prob, config, ahead):
 def test_forked_windows_give_the_in_process_bytes(run):
     prob, config = run
     assert cli.validate(prob).ok
-    assert _outcome(prob, config, ahead=True) == _outcome(prob, config, ahead=False)
+    assert _outcome(prob, config, cpus=2) == _outcome(prob, config, cpus=1)

@@ -75,7 +75,7 @@ def test_knots_are_a_tables_nodes_and_empty_otherwise():
 
 def test_ne1_validates_clean():
     report = pb.validate(_ne1())
-    assert report.empty
+    assert report.errors == [] and report.warnings == []
 
 
 def test_zero_rigidity_is_flagged():
