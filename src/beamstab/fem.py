@@ -30,15 +30,14 @@ round the same way for the same rows only, so this is what keeps streamed
 and stored results bitwise equal.
 
 Small and large systems step with different kernels, by one rule keyed on
-the system size n: up to DENSE_MAX_N DOFs, ``matvec``, ``factor`` and
-``block_row`` are numpy's dense products (a solve is one product with the
-precomputed inverse); above it they are BLAS ``dsbmv``, LAPACK
-``dpbtrf``/``dpbtrs`` and a CSR product.  Both kinds of factor check the
-same things and raise the same errors.  scipy is imported only where a
-banded kernel is first used, so importing this module loads numpy only, a
-process that never factors or steps (the reducing parent of a forked run)
-never loads scipy, and neither does any process of a run with n <=
-DENSE_MAX_N.
+the system size n: up to DENSE_MAX_N DOFs, ``factor`` and ``block_row``
+are numpy's dense products (a solve is one product with the precomputed
+inverse); above it they are LAPACK ``dpbtrf``/``dpbtrs`` and a CSR
+product.  Both kinds of factor check the same things and raise the same
+errors.  scipy is imported only where a banded kernel is first used, so
+importing this module loads numpy only, a process that never factors or
+steps (the reducing parent of a forked run) never loads scipy, and neither
+does any process of a run with n <= DENSE_MAX_N.
 """
 
 from __future__ import annotations
@@ -77,7 +76,7 @@ HALF_BANDWIDTH = 3  # two coupled nodes x two DOFs -> |i - j| <= 3
 CHUNK_LEVELS = 64
 
 # Systems of at most this many DOFs (M <= 81 nodes) use numpy's dense
-# kernels, larger ones the banded LAPACK/BLAS/CSR kernels.  A BDF2 step
+# kernels, larger ones the banded LAPACK/CSR kernels.  A BDF2 step
 # (cantilever_dampers, one BLAS thread, 2-core x86-64) took 6.4 / 8.5 /
 # 12.8 / 19.3 / 28.5 / 54.8 us dense against 9.0 / 10.5 / 12.2 / 14.2 /
 # 14.9 / 18.1 us banded at n = 40 / 80 / 120 / 160 / 200 / 240.  So an
@@ -125,8 +124,8 @@ class BandedSymmetricMatrix:
 
     ``bands[b + i - j, j] == A[i, j]`` for ``j - b <= i <= j`` with
     half-bandwidth ``b``; symmetry holds by construction since only the
-    upper triangle is stored.  The bands are Fortran-ordered, so BLAS and
-    LAPACK read them without a copy.
+    upper triangle is stored.  The bands are Fortran-ordered, so LAPACK
+    reads them without a copy.
     """
 
     def __init__(self, n: int, halfband: int = HALF_BANDWIDTH):
@@ -151,15 +150,6 @@ class BandedSymmetricMatrix:
             a[idx, idx + d] = diag
             a[idx + d, idx] = diag
         return a
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """``A x``: the dense product up to DENSE_MAX_N DOFs, BLAS ``dsbmv``
-        above."""
-        if self.n <= DENSE_MAX_N:
-            return self.to_dense() @ x
-        from scipy.linalg.blas import dsbmv
-
-        return dsbmv(self.halfband, 1.0, self.bands, x, lower=0)
 
     def factor(self) -> "DenseCholesky | BandedCholesky":
         """The checked factor: dense up to DENSE_MAX_N DOFs, banded above."""
@@ -363,9 +353,9 @@ def integrate_data(problem: BeamProblem, f) -> float:
 class SemiDiscreteSystem:
     """Assembled matrices and load of the space-discretized beam.
 
-    ``load(t)`` is the load vector at one time.  ``end_load(times)`` holds
-    its only entries that can be nonzero, those of the end displacement and
-    end slope DOFs, for an array of times: shape ``times.shape + (2,)``.
+    ``end_load(times)`` holds the only entries of the load vector that can
+    be nonzero, those of the end displacement and end slope DOFs (the last
+    two), for an array of times: shape ``times.shape + (2,)``.
     ``quadrature`` is the Gauss table the matrices were assembled from; the
     diagnostics integrate fields with it.
     """
@@ -373,10 +363,9 @@ class SemiDiscreteSystem:
     mass: BandedSymmetricMatrix
     damping: BandedSymmetricMatrix
     stiffness: BandedSymmetricMatrix
-    load: callable
+    end_load: callable
     mesh: Mesh
     problem: BeamProblem
-    end_load: callable = None
     quadrature: "Quadrature" = None
 
     @property
@@ -435,13 +424,7 @@ def assemble(problem: BeamProblem, mesh: Mesh) -> SemiDiscreteSystem:
         # the extra end moment/shear enter the weak statement negated
         return np.stack([-g_q(times), -g_m(times)], axis=-1)
 
-    def load(t: float) -> np.ndarray:
-        f = np.zeros(n)
-        f[end_disp:] = end_load(t)
-        return f
-
-    return SemiDiscreteSystem(mass, damping, stiffness, load, mesh, problem, end_load,
-                              quadrature)
+    return SemiDiscreteSystem(mass, damping, stiffness, end_load, mesh, problem, quadrature)
 
 
 # ---------------------------------------------------------------------------

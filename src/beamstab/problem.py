@@ -64,6 +64,19 @@ def _table_pairs(nodes, values, what: str = "table", var: str = "x",
     return nodes, values
 
 
+def _number(value):
+    """``value`` if it is a JSON number (an int or a float); TypeError for a
+    bool or a string, which ``float`` would read as a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return value
+
+
+def _numbers(values) -> list:
+    """A JSON array of numbers, each checked by ``_number``."""
+    return [_number(v) for v in values]
+
+
 @dataclass(frozen=True)
 class CoefficientField:
     """A spatially varying material coefficient on ``[0, L]``.
@@ -129,11 +142,11 @@ class CoefficientField:
     def from_dict(d: dict) -> "CoefficientField":
         kind, data = d["kind"], d["data"]
         if kind == "constant":
-            return CoefficientField.constant(data)
+            return CoefficientField.constant(_number(data))
         if kind == "polynomial":
-            return CoefficientField.polynomial(data)
+            return CoefficientField.polynomial(_numbers(data))
         if kind == "table":
-            return CoefficientField.table(data["x"], data["y"])
+            return CoefficientField.table(_numbers(data["x"]), _numbers(data["y"]))
         raise ValueError(f"unknown coefficient kind {kind!r}")
 
 
@@ -219,9 +232,9 @@ class TimeFunction:
         if kind == "zero":
             return TimeFunction.zero()
         if kind == "exponential":
-            return TimeFunction.exponential(data["a"], data["b"])
+            return TimeFunction.exponential(_number(data["a"]), _number(data["b"]))
         if kind == "table":
-            return TimeFunction.table(data["t"], data["y"])
+            return TimeFunction.table(_numbers(data["t"]), _numbers(data["y"]))
         raise ValueError(f"unknown time-function kind {kind!r}")
 
 
@@ -294,9 +307,9 @@ class SpatialProfile:
     def from_dict(d: dict, clamp_left: bool = False) -> "SpatialProfile":
         kind, data = d["kind"], d["data"]
         if kind == "polynomial":
-            return SpatialProfile.polynomial(data)
+            return SpatialProfile.polynomial(_numbers(data))
         if kind == "table":
-            return SpatialProfile.table(data["x"], data["y"], clamp_left)
+            return SpatialProfile.table(_numbers(data["x"]), _numbers(data["y"]), clamp_left)
         raise ValueError(f"unknown profile kind {kind!r}")
 
 
@@ -324,7 +337,7 @@ class BoundaryParams:
 
     @staticmethod
     def from_dict(d: dict) -> "BoundaryParams":
-        return BoundaryParams(float(d["k_r"]), float(d["k_d"]), float(d["k_a"]), float(d["k_v"]))
+        return BoundaryParams(*(float(_number(d[key])) for key in ("k_r", "k_d", "k_a", "k_v")))
 
 
 @dataclass(frozen=True)
@@ -550,8 +563,8 @@ def problem_to_dict(problem: BeamProblem) -> dict:
 
 def problem_from_dict(d: dict) -> BeamProblem:
     return BeamProblem(
-        length=float(d["length"]),
-        final_time=float(d["final_time"]),
+        length=float(_number(d["length"])),
+        final_time=float(_number(d["final_time"])),
         rho=CoefficientField.from_dict(d["rho"]),
         mu=CoefficientField.from_dict(d["mu"]),
         rigidity=CoefficientField.from_dict(d["r"]),

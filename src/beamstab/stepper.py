@@ -9,7 +9,16 @@ three-level backward difference quotients
 so each step solves one SPD system whose matrix is factored once per run,
 by the process that steps it.  The scheme needs three history levels;
 the first two steps come from the trapezoidal rule on the first-order
-reformulation, which keeps the global order at two.
+reformulation, which keeps the global order at two.  The trapezoidal rule
+keeps ``M a_k = F_k - C V^k - K U^k`` at every level, so the start carries
+no acceleration: it solves
+
+    (2M/dt + C + dt K/2) V^{k+1} = F_k + F_{k+1} + (2M/dt - C - dt K/2) V^k - 2K U^k
+
+with ``U^{k+1} = U^k + dt (V^k + V^{k+1}) / 2``, from the interpolated
+initial data.  Its right-hand side, the loads aside, is one product of
+``[2M/dt - C - dt K/2 | -2K]`` with ``(V^k, U^k)``.  So a run factors two
+matrices, the step's and the start's.
 
 The step matrix is constant (fixed dt), so the loop ``TimeStepper.blocks``
 factors it once and repeats only the solve, in place on the new level's
@@ -155,7 +164,8 @@ class TimeStepper:
     @functools.cached_property
     def _operators(self) -> SimpleNamespace:
         """The checked factors (``BandedSymmetricMatrix.factor``) of the
-        step, startup and mass matrices, and the history operator H."""
+        step and startup matrices, the history operator H and the
+        startup's block row."""
         dt = self.grid.dt
         m, c, k = self.system.mass, self.system.damping, self.system.stiffness
         return SimpleNamespace(
@@ -167,36 +177,27 @@ class TimeStepper:
                 combine([(-4.0 / dt**2, m), (-0.5 / dt, c)]),
                 combine([(3.0 / dt**2, m), (0.5 / dt, c), (-1.0, k)])]),
             startup=combine([(2.0 / dt, m), (1.0, c), (0.5 * dt, k)]).factor(),
-            mass=m.factor())
+            # the startup's right-hand side is loads + [2M/dt - C - dt K/2 | -2K] (V^k, U^k)
+            startup_row=block_row([
+                combine([(2.0 / dt, m), (-1.0, c), (-0.5 * dt, k)]),
+                combine([(-2.0, k)])]))
 
-    def initial_state(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Interpolated initial displacement/velocity and consistent acceleration.
-
-        The acceleration solves ``M a = F(0) - C v0 - K u0``.
-        """
-        sys_ = self.system
+    def startup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """First three DOF vectors: the interpolated initial displacement and
+        two trapezoidal steps from it and the interpolated initial velocity."""
+        sys_, grid = self.system, self.grid
+        dt = grid.dt
+        ops = self._operators
         initial = sys_.problem.initial
         u = interpolate_profile(initial.u0, sys_.mesh)
         v = interpolate_profile(initial.u1, sys_.mesh)
-        a = sys_.load(0.0) - sys_.damping.matvec(v) - sys_.stiffness.matvec(u)
-        self._operators.mass.solve_in_place(a)
-        return u, v, a
-
-    def startup(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """First three DOF vectors: interpolated data plus two trapezoidal steps."""
-        sys_, grid = self.system, self.grid
-        dt = grid.dt
-        u, v, a = self.initial_state()
+        end_loads = sys_.end_load(grid.times[:3])
         levels = [u]
         for k in range(2):
-            v_new = (sys_.load(grid.times[k + 1])
-                     + (2.0 / dt) * sys_.mass.matvec(v)
-                     + sys_.mass.matvec(a)
-                     - sys_.stiffness.matvec(u)
-                     - (0.5 * dt) * sys_.stiffness.matvec(v))
-            self._operators.startup.solve_in_place(v_new)
+            v_new = ops.startup_row @ np.concatenate([v, u])
+            v_new[-2:] += end_loads[k] + end_loads[k + 1]
+            ops.startup.solve_in_place(v_new)
             u = u + 0.5 * dt * (v + v_new)
-            a = (2.0 / dt) * (v_new - v) - a
             v = v_new
             levels.append(u)
         return tuple(levels)

@@ -3,7 +3,8 @@
 Nothing here is part of the package: each oracle is either a one-case
 slice of a batched library path (``step``, ``element_matrices``) or an
 independent computation of what the library computes (the 50-point Gauss
-element integrals, the scalar three-level recurrence solved by hand).
+element integrals, the scalar three-level recurrence solved by hand, the
+trapezoidal start in its acceleration form).
 """
 
 import numpy as np
@@ -29,9 +30,34 @@ def step(stepper, history, j: int) -> np.ndarray:
         raise ValueError("step needs three history levels (j >= 3)")
     u3, u2, u1 = history
     ops = stepper._operators
-    rhs = stepper.system.load(stepper.grid.times[j]) + ops.history @ np.concatenate([u3, u2, u1])
+    rhs = ops.history @ np.concatenate([u3, u2, u1])
+    rhs[-2:] += stepper.system.end_load(stepper.grid.times[j])
     ops.step.solve_in_place(rhs)
     return u1 + rhs
+
+
+def trapezoidal_start(system, grid) -> list[np.ndarray]:
+    """Levels 0, 1, 2 of a run: the interpolated initial displacement and
+    two trapezoidal steps of the first-order system, in the acceleration
+    form, with dense matrices and ``np.linalg.solve``: the acceleration
+    starts from ``M a_0 = F_0 - C v_0 - K u_0`` and each step solves
+    ``(2M/dt + C + dt K/2) v_{k+1} = F_{k+1} + M (2 v_k / dt + a_k) - K (u_k + dt v_k / 2)``."""
+    m, c, k = (mat.to_dense() for mat in (system.mass, system.damping, system.stiffness))
+    dt = grid.dt
+    loads = np.zeros((3, system.n))
+    loads[:, -2:] = system.end_load(grid.times[:3])
+    u = fem.interpolate_profile(system.problem.initial.u0, system.mesh)
+    v = fem.interpolate_profile(system.problem.initial.u1, system.mesh)
+    a = np.linalg.solve(m, loads[0] - c @ v - k @ u)
+    lhs = 2.0 / dt * m + c + 0.5 * dt * k
+    levels = [u]
+    for j in (1, 2):
+        v_new = np.linalg.solve(lhs, loads[j] + m @ (2.0 / dt * v + a) - k @ (u + 0.5 * dt * v))
+        u = u + 0.5 * dt * (v + v_new)
+        a = 2.0 / dt * (v_new - v) - a
+        v = v_new
+        levels.append(u)
+    return levels
 
 
 def step_levels(stepper, levels, count: int) -> list[np.ndarray]:
@@ -71,12 +97,14 @@ def gauss_element_matrices(h, rho_fn, r_fn, points=50):
 
 
 def scalar_system(m, c, k) -> SemiDiscreteSystem:
-    """The 1-DOF system ``m u'' + c u' + k u = 0``."""
+    """The 1-DOF system ``m u'' + c u' + k u = 0``; its one DOF is its
+    only end DOF, so its end loads have one (zero) entry a time."""
     def mat(v):
         out = BandedSymmetricMatrix(1, 0)
         out.add(0, 0, v)
         return out
-    return SemiDiscreteSystem(mat(m), mat(c), mat(k), lambda t: np.zeros(1), None, None, None)
+    return SemiDiscreteSystem(mat(m), mat(c), mat(k), lambda t: np.zeros(np.shape(t) + (1,)),
+                              None, None)
 
 
 def hand_recurrence(m, c, k, dt, start, count: int) -> list[float]:

@@ -81,14 +81,22 @@ def _malformed(case):
         d["rho"] = 5
     elif case == "mu_data_null":
         d["mu"] = {"kind": "polynomial", "data": None}
+    elif case == "length_bool":
+        d["length"] = True
+    elif case == "k_v_string":
+        d["boundary"]["k_v"] = "1"
+    elif case == "table_entry_string":
+        d["mu"] = {"kind": "table", "data": {"x": [0.0, 1.0], "y": [1.0, "2"]}}
     else:
         d["length"] = None
     return d
 
 
-@pytest.mark.parametrize("case", ["rho_number", "mu_data_null", "length_null", "list"])
+@pytest.mark.parametrize("case", ["rho_number", "mu_data_null", "length_null", "list",
+                                  "length_bool", "k_v_string", "table_entry_string"])
 def test_malformed_problem_file_is_a_usage_error(tmp_path, capsys, case):
-    # values of the wrong type raise TypeError while the file is read
+    # values of the wrong type raise TypeError while the file is read; a
+    # bool or a string is not a number, though float() would read it as one
     path = tmp_path / "problem.json"
     path.write_text(json.dumps(_malformed(case)))
     assert main(["validate", "--problem", str(path)]) == 3
@@ -823,7 +831,7 @@ def test_no_command_stores_a_run(tmp_path, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy_module():
-    # fem imports LAPACK, BLAS and the sparse product where they are first used
+    # fem imports LAPACK and the sparse product where they are first used
     code = ("import sys, beamstab.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert _python(code).strip() == "[]"
