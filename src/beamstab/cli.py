@@ -1,14 +1,29 @@
 """Command-line front end: problem files in, traces/energies/bounds out.
 
-    beamstab <validate|simulate|verify|convergence|sweep|bounds>
-             [--preset NAME | --problem FILE] [--nodes M]
-             [--dt H | --ratio R] [--lambda L] [--out DIR] ...
+    beamstab validate    SOURCE
+    beamstab simulate    SOURCE [STEP] [--lambda L] [--out DIR] [--decimate K]
+    beamstab verify      --preset NAME [STEP] [--out DIR]
+    beamstab convergence SOURCE [STEP] [--out DIR] [--levels K]
+    beamstab sweep       SOURCE [STEP] [--lambda L] [--out DIR]
+                         --param P --values V1,V2,...
+    beamstab bounds      SOURCE [STEP] [--lambda L] [--out DIR]
+
+    SOURCE = --preset NAME | --problem FILE
+    STEP   = [--nodes M] [--dt H | --ratio R]
+
+Each command accepts only the options it reads, and the parser checks
+their ranges, so an option a command would ignore is a usage error.
+``main`` loads and validates the problem, then builds its mesh and time
+grid once (dt = h_x / R unless --dt is given) for the command.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 usage
-error.  Outputs are deterministic: identical inputs produce byte-identical
-files.  ``sweep`` runs its members in forked worker processes, at most one
-per CPU this process may run on (in-process when only one would run); its
-outputs are byte-identical whatever the worker count.
+error, 4 a worker process died (the stepping child or a sweep worker,
+killed by a signal).  Outputs are deterministic: identical inputs produce
+byte-identical files (except for 51 <= M <= 81, where the dense kernels'
+bytes depend on the OpenBLAS thread count).  ``sweep`` runs its members in forked worker
+processes, at most one per CPU this process may run on (in-process when
+only one would run); its outputs are byte-identical whatever the worker
+count.
 
 Every command that runs the beam feeds each window of
 ``TimeStepper.blocks()`` to its reducers (the energy diagnostics, the trace
@@ -33,7 +48,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,7 +56,7 @@ from . import diagnostics, problem as problem_mod, stepper
 from .fem import FieldKernel, Mesh, assemble, nodal, velocities
 from .problem import BeamProblem, load_problem, preset, validate
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 SWEEP_PARAMS = ("k_r", "k_a", "k_d", "k_v", "mu_scale")
 
@@ -55,32 +69,6 @@ class _InvalidProblem(Exception):
     """A problem that fails ``validate``; the message is the report (exit 1)."""
 
 
-@dataclass
-class RunConfig:
-    """Resolved run options shared by all commands."""
-
-    source: str                  # preset name or file path
-    is_preset: bool
-    nodes: int = 41
-    dt: float | None = None
-    ratio: float = 40.0          # dt = h_x / ratio when dt not given
-    out_dir: str = "."
-    decimate: int = 1
-    lam: float | None = None
-
-    def resolve_dt(self, prob: BeamProblem) -> float:
-        if self.dt is not None:
-            return self.dt
-        h_x = prob.length / (self.nodes - 1)
-        return h_x / self.ratio
-
-    def grid(self, prob: BeamProblem) -> stepper.TimeGrid:
-        return stepper.TimeGrid.from_dt(prob.final_time, self.resolve_dt(prob))
-
-    def mesh(self, prob: BeamProblem) -> Mesh:
-        return Mesh(prob.length, self.nodes)
-
-
 # ---------------------------------------------------------------------------
 # argument handling
 # ---------------------------------------------------------------------------
@@ -90,16 +78,23 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _add_common(sub):
-    sub.add_argument("--preset", help="named example problem")
-    sub.add_argument("--problem", help="JSON problem file")
-    sub.add_argument("--nodes", type=int, default=41, help="mesh node count M (>= 3)")
-    sub.add_argument("--dt", type=float, help="time step")
-    sub.add_argument("--ratio", type=float,
-                     help="time step as h_x / ratio (default 40 when --dt absent)")
-    sub.add_argument("--lambda", dest="lam", type=float,
-                     help="Lyapunov penalty weight override")
-    sub.add_argument("--out", default=".", help="output directory")
+def _at_least(least: int):
+    """An argparse type: an integer no smaller than ``least``."""
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}; got {value}")
+        return value
+
+    return integer
+
+
+def positive_finite(text: str) -> float:
+    """An argparse type: a positive, finite float."""
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite; got {value:g}")
+    return value
 
 
 def _build_parser() -> _Parser:
@@ -107,13 +102,29 @@ def _build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="command", required=True)
     for name in ("validate", "simulate", "verify", "convergence", "sweep", "bounds"):
         sub = subs.add_parser(name)
-        _add_common(sub)
+        if name == "verify":   # the exact solutions are attached to presets
+            sub.add_argument("--preset", required=True, help="named example problem")
+        else:
+            source = sub.add_mutually_exclusive_group(required=True)
+            source.add_argument("--preset", help="named example problem")
+            source.add_argument("--problem", help="JSON problem file")
+        if name == "validate":
+            continue
+        sub.add_argument("--nodes", type=_at_least(3), default=41, help="mesh node count M")
+        step = sub.add_mutually_exclusive_group()
+        step.add_argument("--dt", type=positive_finite, help="time step")
+        step.add_argument("--ratio", type=positive_finite, default=40.0,
+                          help="time step as h_x / ratio when --dt is absent")
+        if name in ("simulate", "sweep", "bounds"):
+            sub.add_argument("--lambda", dest="lam", type=float,
+                             help="Lyapunov penalty weight override")
+        sub.add_argument("--out", default=".", help="output directory")
         if name == "simulate":
-            sub.add_argument("--decimate", type=int, default=1,
+            sub.add_argument("--decimate", type=_at_least(1), default=1,
                              help="keep every k-th time level in the trace CSV")
         if name == "convergence":
-            sub.add_argument("--levels", type=int, default=3,
-                             help="number of refinement levels (>= 3)")
+            sub.add_argument("--levels", type=_at_least(3), default=3,
+                             help="number of refinement levels")
         if name == "sweep":
             sub.add_argument("--param", required=True, choices=SWEEP_PARAMS)
             sub.add_argument("--values", required=True,
@@ -121,49 +132,16 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    if (args.preset is None) == (args.problem is None):
-        raise _UsageError("give exactly one of --preset or --problem")
-    if args.dt is not None and args.ratio is not None:
-        raise _UsageError("give at most one of --dt and --ratio")
-    if args.nodes < 3:
-        raise _UsageError("--nodes must be >= 3")
-    if getattr(args, "decimate", 1) < 1:
-        raise _UsageError("--decimate must be >= 1")
-    for flag, value in (("--dt", args.dt), ("--ratio", args.ratio)):
-        if value is not None and not (0.0 < value < math.inf):
-            raise _UsageError(f"{flag} must be positive and finite; got {value:g}")
-    return RunConfig(
-        source=args.preset or args.problem,
-        is_preset=args.preset is not None,
-        nodes=args.nodes,
-        dt=args.dt,
-        ratio=RunConfig.ratio if args.ratio is None else args.ratio,
-        out_dir=args.out,
-        decimate=getattr(args, "decimate", 1),
-        lam=args.lam,
-    )
-
-
-def _load(config: RunConfig) -> BeamProblem:
-    if config.is_preset:
+def _load(args) -> BeamProblem:
+    if args.preset is not None:
         try:
-            return preset(config.source)
+            return preset(args.preset)
         except ValueError as exc:
             raise _UsageError(str(exc)) from None
     try:
-        return load_problem(config.source)
+        return load_problem(args.problem)
     except (OSError, KeyError, TypeError, ValueError) as exc:
-        raise _UsageError(f"cannot read problem file {config.source}: {exc}") from None
-
-
-def _load_valid(config: RunConfig) -> BeamProblem:
-    """The configured problem; raises _InvalidProblem if ``validate`` fails."""
-    prob = _load(config)
-    report = validate(prob)
-    if not report.ok:
-        raise _InvalidProblem(str(report))
-    return prob
+        raise _UsageError(f"cannot read problem file {args.problem}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -218,14 +196,15 @@ def _feed(system, grid: stepper.TimeGrid, consumers) -> None:
                 consume(window, first)
 
 
-def _streamed_energy(prob: BeamProblem, config: RunConfig, trace_file=None):
-    """The energy diagnostics of the configured run, whose windows also go
-    to the trace writer given an open ``trace.csv``."""
-    system, grid = assemble(prob, config.mesh(prob)), config.grid(prob)
-    acc = diagnostics.EnergyAccumulator(system, grid, lam=config.lam)
+def _streamed_energy(prob: BeamProblem, mesh: Mesh, grid: stepper.TimeGrid, lam=None,
+                     trace_file=None, decimate: int = 1):
+    """The energy diagnostics of one run, whose windows also go to the trace
+    writer, keeping every ``decimate``-th level, given an open ``trace.csv``."""
+    system = assemble(prob, mesh)
+    acc = diagnostics.EnergyAccumulator(system, grid, lam=lam)
     consumers = [acc.add]
     if trace_file is not None:
-        writer = stepper.TraceWriter(system, grid, decimate=config.decimate)
+        writer = stepper.TraceWriter(system, grid, decimate=decimate)
         consumers.insert(0, functools.partial(writer.write, trace_file))
     _feed(system, grid, consumers)
     return acc.result()
@@ -281,9 +260,10 @@ class _ErrorAccumulator:
                 for name in self.QUANTITIES]
 
 
-def _streamed_errors(prob: BeamProblem, config: RunConfig, exact) -> _ErrorAccumulator:
-    """The errors of the configured run against ``exact``."""
-    system, grid = assemble(prob, config.mesh(prob)), config.grid(prob)
+def _streamed_errors(prob: BeamProblem, mesh: Mesh, grid: stepper.TimeGrid,
+                     exact) -> _ErrorAccumulator:
+    """The errors of one run against ``exact``."""
+    system = assemble(prob, mesh)
     errors = _ErrorAccumulator(exact, system, grid)
     _feed(system, grid, [errors.add])
     return errors
@@ -322,11 +302,12 @@ def _published(out_dir: str, names):
         os.replace(path, os.path.join(out_dir, name))
 
 
-def _simulate_pipeline(prob: BeamProblem, config: RunConfig) -> dict:
+def _simulate_pipeline(prob: BeamProblem, mesh: Mesh, grid: stepper.TimeGrid, lam,
+                       out_dir: str, decimate: int = 1) -> dict:
     """Run one simulation and write trace.csv, energy.csv, bounds.json."""
-    with _published(config.out_dir, ("trace.csv", "energy.csv", "bounds.json")) as paths:
+    with _published(out_dir, ("trace.csv", "energy.csv", "bounds.json")) as paths:
         with open(paths["trace.csv"], "w") as fh:
-            energy_trace = _streamed_energy(prob, config, fh)
+            energy_trace = _streamed_energy(prob, mesh, grid, lam, fh, decimate)
         diagnostics.export_energy_csv(energy_trace, paths["energy.csv"])
         payload = bounds_mod.bound_report(prob, energy_trace)
         _write_json(payload, paths["bounds.json"])
@@ -337,33 +318,22 @@ def _simulate_pipeline(prob: BeamProblem, config: RunConfig) -> dict:
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(config: RunConfig) -> int:
-    prob = _load(config)
-    report = validate(prob)
-    print(report)
-    return 0 if report.ok else 1
-
-
-def cmd_simulate(config: RunConfig) -> int:
-    prob = _load_valid(config)
-    result = _simulate_pipeline(prob, config)
+def cmd_simulate(prob: BeamProblem, mesh: Mesh, grid: stepper.TimeGrid, args) -> int:
+    result = _simulate_pipeline(prob, mesh, grid, args.lam, args.out, args.decimate)
     e = result["energy"]
-    print(f"wrote trace.csv, energy.csv, bounds.json to {config.out_dir}")
+    print(f"wrote trace.csv, energy.csv, bounds.json to {args.out}")
     print(f"E(0) = {e.E0:.6g}, E(T-) = {e.E[-1]:.6g}"
           + (", forced run: decay guarantees informational only" if e.forced else ""))
     return 0
 
 
-def cmd_verify(config: RunConfig) -> int:
-    if not config.is_preset:
-        raise _UsageError("verify needs a preset with an attached exact solution")
+def cmd_verify(prob: BeamProblem, mesh: Mesh, grid: stepper.TimeGrid, args) -> int:
     try:
-        exact = problem_mod.exact_solution(config.source)
+        exact = problem_mod.exact_solution(args.preset)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
-    prob = _load(config)
-    with _published(config.out_dir, ("errors.csv",)) as paths:
-        rows = _streamed_errors(prob, config, exact).rows()
+    with _published(args.out, ("errors.csv",)) as paths:
+        rows = _streamed_errors(prob, mesh, grid, exact).rows()
         _write_table(("quantity", "max_error", "l2_error"), rows, paths["errors.csv"])
     for name, mx, l2 in rows:
         print(f"{name:5s} max {mx:.3e}  l2 {l2:.3e}")
@@ -376,47 +346,37 @@ def _order(coarse: float, fine: float) -> float:
     return math.log2(coarse / fine) if coarse > 0 and fine > 0 else float("nan")
 
 
-def cmd_convergence(config: RunConfig, levels: int) -> int:
-    if levels < 3:
-        raise _UsageError("--levels must be >= 3")
-    prob = _load_valid(config)
+def cmd_convergence(prob: BeamProblem, mesh: Mesh, dt: float, args) -> int:
     exact = None
-    if config.is_preset:
+    if args.preset is not None:
         with contextlib.suppress(ValueError):   # a preset without an exact solution
-            exact = problem_mod.exact_solution(config.source)
+            exact = problem_mod.exact_solution(args.preset)
     if exact is None and prob.has_forcing:
         raise _UsageError(
             "convergence needs an exact solution (test_NE1) or homogeneous forcing")
 
-    dt0 = config.resolve_dt(prob)
-    rows = []
-    with _published(config.out_dir, ("convergence.csv",)) as paths:
+    rows = []   # at level k > 0, rows[-1] is level k - 1 of the same study
+    with _published(args.out, ("convergence.csv",)) as paths:
         if exact is not None:
             # temporal error study at fixed mesh
-            errors = []
-            for k in range(levels):
-                level = dataclasses.replace(config, dt=dt0 / 2**k)
-                err = _streamed_errors(prob, level, exact).max["u"]
-                errors.append(err)
-                order = _order(errors[-2], err) if k else float("nan")
-                rows.append(("temporal_u_error", k, level.mesh(prob).h, level.grid(prob).dt,
-                             err, order))
+            for k in range(args.levels):
+                grid = stepper.TimeGrid.from_dt(prob.final_time, dt / 2**k)
+                err = _streamed_errors(prob, mesh, grid, exact).max["u"]
+                order = _order(rows[-1][4], err) if k else float("nan")
+                rows.append(("temporal_u_error", k, mesh.h, grid.dt, err, order))
 
         if not prob.has_forcing:
             # energy-balance residual under simultaneous space-time refinement
-            residuals = []
-            for k in range(levels):
-                level = dataclasses.replace(config, nodes=(config.nodes - 1) * 2**k + 1,
-                                            dt=dt0 / 2**k)
-                res = diagnostics.identity_residual(_streamed_energy(prob, level))
-                residuals.append(res)
-                order = _order(residuals[-2], res) if k else float("nan")
-                rows.append(("identity_residual", k, level.mesh(prob).h, level.grid(prob).dt,
-                             res, order))
+            for k in range(args.levels):
+                fine = Mesh(prob.length, (mesh.node_count - 1) * 2**k + 1)
+                grid = stepper.TimeGrid.from_dt(prob.final_time, dt / 2**k)
+                res = diagnostics.identity_residual(_streamed_energy(prob, fine, grid))
+                order = _order(rows[-1][4], res) if k else float("nan")
+                rows.append(("identity_residual", k, fine.h, grid.dt, res, order))
 
         _write_table(("study", "level", "h_x", "dt", "value", "order"), rows,
                      paths["convergence.csv"])
-    for study, k, hx, dt, value, order in rows:
+    for study, k, _, _, value, order in rows:
         print(f"{study} level {k}: value {value:.3e} order {order:.2f}")
     return 0
 
@@ -432,25 +392,35 @@ def _member_dir(param: str, value: float) -> str:
     return f"{param}_{value:g}"
 
 
-def _sweep_member(base: BeamProblem, param: str, value: float, config: RunConfig) -> dict:
-    """Run one sweep member, write its artifacts and return its sweep.csv row."""
-    sub = os.path.join(config.out_dir, _member_dir(param, value))
-    result = _simulate_pipeline(_with_parameter(base, param, value),
-                                dataclasses.replace(config, out_dir=sub))
+def _sweep_member(base: BeamProblem, param: str, mesh: Mesh, grid: stepper.TimeGrid, lam,
+                  out_dir: str, value: float) -> tuple:
+    """Run one sweep member, write its artifacts and return its sweep.csv
+    row, the columns after ``param``."""
+    result = _simulate_pipeline(_with_parameter(base, param, value), mesh, grid, lam,
+                                os.path.join(out_dir, _member_dir(param, value)))
     e, b = result["energy"], result["bounds"]
-    return {
-        "value": value,
-        "beta0": b["beta0"], "beta1": b["beta1"],
-        "lambda_max": b["lambda_max"], "lambda": b["lambda"],
-        "M_d": b["M_d"], "sigma": b["sigma"],
-        "E0": e.E0, "E_final_over_E0": float(e.E[-1] / e.E0) if e.E0 else 0.0,
-        "j_mu": float(e.j_mu[-1]), "j_a": float(e.j_a[-1]), "j_v": float(e.j_v[-1]),
-    }
+    return (value, b["beta0"], b["beta1"], b["lambda_max"], b["lambda"], b["M_d"], b["sigma"],
+            e.E0, float(e.E[-1] / e.E0) if e.E0 else 0.0,
+            float(e.j_mu[-1]), float(e.j_a[-1]), float(e.j_v[-1]))
 
 
-def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
+def _remove_partial_members(out_dir: str, dirs) -> None:
+    """Remove the temporary files that killed sweep workers left in the
+    member directories ``dirs``, which run no clean-up of their own, and the
+    member directories that are then empty."""
+    for member_dir in dirs:
+        path = os.path.join(out_dir, member_dir)
+        with contextlib.suppress(OSError):   # a member not started made no directory
+            for name in os.listdir(path):
+                if name.startswith(".") and name.endswith(".tmp"):
+                    os.remove(os.path.join(path, name))
+            os.rmdir(path)   # if empty
+
+
+def cmd_sweep(base: BeamProblem, mesh: Mesh, grid: stepper.TimeGrid, args) -> int:
+    param = args.param
     try:
-        values = [float(v) for v in values_text.split(",") if v.strip() != ""]
+        values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     except ValueError as exc:
         raise _UsageError(f"bad --values: {exc}") from None
     if not values:
@@ -462,7 +432,6 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
         if dirs.count(d) > 1:  # members run at once: both would write its files
             raise _UsageError(f"two --values share the member directory {d}")
 
-    base = _load_valid(config)
     # every member is checked before any starts, so an invalid one leaves no
     # member directory behind; so is --lambda, wherever no run can make it
     # admissible (a damper-only member's window needs its run, which checks it)
@@ -472,7 +441,7 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
         if not report.ok:
             raise _InvalidProblem(f"{param} = {v:g}: invalid problem\n{report}")
     for member in members:
-        bounds_mod.check_explicit_penalty(member, config.lam)
+        bounds_mod.check_explicit_penalty(member, args.lam)
 
     # Members share nothing, so they run in worker processes.  ``fork`` keeps
     # this process's imports (a ``spawn`` worker would import numpy and the
@@ -483,40 +452,44 @@ def cmd_sweep(config: RunConfig, param: str, values_text: str) -> int:
     # cancelled.  The pool fills the CPUs, so its members step in-process
     # (``_steps_ahead``).  The output directory is made here, before any
     # member starts, so a failed member removes only its own directory.
-    member = functools.partial(_sweep_member, base, param, config=config)
+    member = functools.partial(_sweep_member, base, param, mesh, grid, args.lam, args.out)
     workers = min(len(values), _usable_cpus())
-    cols = ("value", "beta0", "beta1", "lambda_max", "lambda", "M_d", "sigma",
-            "E0", "E_final_over_E0", "j_mu", "j_a", "j_v")
-    with _published(config.out_dir, ("sweep.csv",)) as paths:
+    with _published(args.out, ("sweep.csv",)) as paths:
         if workers > 1 and hasattr(os, "fork"):
             import multiprocessing
             from concurrent.futures import ProcessPoolExecutor
+            from concurrent.futures.process import BrokenProcessPool
 
             pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
             try:
-                summaries = list(pool.map(member, values))   # in value order
-            finally:
-                pool.shutdown(cancel_futures=True)
+                try:
+                    summaries = list(pool.map(member, values))   # in value order
+                finally:
+                    pool.shutdown(cancel_futures=True)   # every worker is joined
+            except BrokenProcessPool as exc:   # a worker died, killed by a signal
+                _remove_partial_members(args.out, dirs)
+                raise ChildProcessError(f"a sweep worker died: {exc}") from None
         else:
             summaries = list(map(member, values))
-        _write_table(("param", *cols), [(param, *(row[c] for c in cols)) for row in summaries],
-                     paths["sweep.csv"])
-    print(f"wrote {os.path.join(config.out_dir, 'sweep.csv')} ({len(values)} runs)")
+        _write_table(("param", "value", "beta0", "beta1", "lambda_max", "lambda", "M_d",
+                      "sigma", "E0", "E_final_over_E0", "j_mu", "j_a", "j_v"),
+                     [(param, *row) for row in summaries], paths["sweep.csv"])
+    print(f"wrote {os.path.join(args.out, 'sweep.csv')} ({len(values)} runs)")
     return 0
 
 
-def cmd_bounds(config: RunConfig) -> int:
-    prob = _load_valid(config)
+def cmd_bounds(prob: BeamProblem, mesh: Mesh, grid: stepper.TimeGrid, args) -> int:
     try:
         regime = bounds_mod.classify_regime(prob)
     except ValueError as exc:
         print(f"no decay certificate: {exc}", file=sys.stderr)
         return 1
 
-    with _published(config.out_dir, ("bounds.json",)) as paths:
-        # the damper-only window depends on the solution: run the configured simulation
-        energy_trace = _streamed_energy(prob, config) if regime == "theorem2" else None
-        payload = bounds_mod.bound_report(prob, energy_trace, config.lam)
+    with _published(args.out, ("bounds.json",)) as paths:
+        # the damper-only window depends on the solution: run the simulation
+        energy_trace = (_streamed_energy(prob, mesh, grid, args.lam) if regime == "theorem2"
+                        else None)
+        payload = bounds_mod.bound_report(prob, energy_trace, args.lam)
         _write_json(payload, paths["bounds.json"])
     if payload.get("note"):
         print(f"beta0 = {payload['beta0']:.6g}, beta1 = {payload['beta1']:.6g}; "
@@ -533,29 +506,31 @@ def cmd_bounds(config: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        config = _config_from_args(args)
+        args = _build_parser().parse_args(argv)
+        prob = _load(args)
+        report = validate(prob)
         if args.command == "validate":
-            return cmd_validate(config)
-        if args.command == "simulate":
-            return cmd_simulate(config)
-        if args.command == "verify":
-            return cmd_verify(config)
+            print(report)
+            return 0 if report.ok else 1
+        if not report.ok:
+            raise _InvalidProblem(str(report))
+        mesh = Mesh(prob.length, args.nodes)
+        dt = mesh.h / args.ratio if args.dt is None else args.dt
         if args.command == "convergence":
-            return cmd_convergence(config, args.levels)
-        if args.command == "sweep":
-            return cmd_sweep(config, args.param, args.values)
-        if args.command == "bounds":
-            return cmd_bounds(config)
-        raise _UsageError(f"unknown command {args.command!r}")
+            return cmd_convergence(prob, mesh, dt, args)
+        command = {"simulate": cmd_simulate, "verify": cmd_verify, "sweep": cmd_sweep,
+                   "bounds": cmd_bounds}[args.command]
+        return command(prob, mesh, stepper.TimeGrid.from_dt(prob.final_time, dt), args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 3
     except _InvalidProblem as exc:
         print(exc, file=sys.stderr)
         return 1
+    except ChildProcessError as exc:
+        print(f"process failure: {exc}", file=sys.stderr)
+        return 4
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # LinAlgError subclasses ValueError, so numerics are caught first
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -63,7 +63,8 @@ runs ``blocks()`` and sends each window's first level and bytes through one
 buffer.  Each window holds the bytes ``blocks()`` made, so a caller
 computes bitwise the same results either way.  An exception in the child
 (a blow-up, a failed factorization) is sent through the pipe and raised
-in the caller with its type and text, after the windows before it.  The
+in the caller with its type and text, after the windows before it; a
+child killed by a signal is reaped, and ChildProcessError names it.  The
 child is forked, not spawned, because it steps the system the caller
 already assembled, with the caller's imports.  It factors the step
 matrices itself, so the caller, which only reduces, never loads scipy (nor
@@ -252,7 +253,9 @@ class TimeStepper:
         many windows as the pipe between them holds.
 
         An exception ``blocks()`` raises in the child is raised here, with
-        its type and text, once the windows before it have been taken.
+        its type and text, once the windows before it have been taken.  A
+        child that dies before its last window (killed by a signal) is
+        reaped, and ChildProcessError names the signal from its wait status.
         Closing the generator early (or an exception in the caller) closes
         the pipe, so the child stops at its next send, and reaps it.
         """
@@ -285,16 +288,25 @@ class TimeStepper:
                 os._exit(0)
         sender.close()
         buf = np.empty((CHUNK_LEVELS + 2, self.system.n))   # the longest window
+        ended = False   # by the child's end marker or exception
         try:
-            while (first := receiver.recv()) is not None:
-                if isinstance(first, Exception):
-                    raise first
+            while (first := receiver.recv()) is not None and not isinstance(first, Exception):
                 # recv_bytes_into sizes a buffer by its first dimension
                 count = receiver.recv_bytes_into(buf.reshape(-1)) // buf[0].nbytes
                 yield first, buf[:count]
+            ended = True
+        except (EOFError, OSError):   # the pipe ended, at or in a message: the child is gone
+            pass
         finally:
             receiver.close()
-            os.waitpid(pid, 0)
+            status = os.waitpid(pid, 0)[1]
+        if not ended:
+            code = os.waitstatus_to_exitcode(status)
+            raise ChildProcessError("the stepping process " + (
+                f"was killed by signal {-code} ({signal.strsignal(-code)})" if code < 0
+                else f"exited with status {code}") + " before its last window")
+        if first is not None:
+            raise first
 
     def run(self) -> SolutionTrace:
         """Integrate over the whole grid and keep every window of ``blocks()``."""

@@ -42,6 +42,12 @@ def forks(monkeypatch):
     return pids
 
 
+def _mesh_grid(prob, nodes, ratio=40.0):
+    """The mesh and time grid the CLI builds for ``--nodes nodes --ratio ratio``."""
+    mesh = fem.Mesh(prob.length, nodes)
+    return mesh, stepper.TimeGrid.from_dt(prob.final_time, mesh.h / ratio)
+
+
 def _rest_problem():
     return dataclasses.replace(
         pb.preset("cantilever_dampers"),
@@ -231,16 +237,15 @@ def _assert_same_energy(stored, streamed):
 @pytest.mark.parametrize("name", pb.PRESET_NAMES)
 def test_streamed_pass_is_bitwise_the_stored_energy_and_window(monkeypatch, name, explicit_lam):
     prob = pb.preset(name)
-    config = cli.RunConfig(name, True, nodes=9, ratio=20.0)
-    trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
+    mesh, grid = _mesh_grid(prob, 9, 20.0)
+    trace = stepper.run(prob, mesh, grid)
     assert trace.grid.step_count > 2 * CHUNK_LEVELS + 1
     lam_max = _stored_window(prob, trace)
-    if explicit_lam:
-        config.lam = 0.5 * lam_max
+    lam = 0.5 * lam_max if explicit_lam else None
     for cpus in (1, 2):   # stepped in-process, then in a forked child
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-        streamed = cli._streamed_energy(prob, config)
-        _assert_same_energy(diagnostics.energy(trace, lam=config.lam), streamed)
+        streamed = cli._streamed_energy(prob, mesh, grid, lam)
+        _assert_same_energy(diagnostics.energy(trace, lam=lam), streamed)
         assert streamed.bound.lambda_max == lam_max
         assert streamed.window_error is None
 
@@ -254,14 +259,14 @@ def test_streamed_pass_fails_the_window_like_the_stored_one(monkeypatch, case, l
             base.initial, u1=pb.SpatialProfile.polynomial((0.0,))))
     else:
         prob = dataclasses.replace(base, boundary=pb.BoundaryParams())
-    config = cli.RunConfig("", False, nodes=9, ratio=20.0, lam=lam)
-    trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
+    mesh, grid = _mesh_grid(prob, 9, 20.0)
+    trace = stepper.run(prob, mesh, grid)
     with pytest.raises(ValueError) as window:
         _stored_window(prob, trace)
     for cpus in (1, 2):   # stepped in-process, then in a forked child
         monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
         if lam is None:
-            streamed = cli._streamed_energy(prob, config)
+            streamed = cli._streamed_energy(prob, mesh, grid, lam)
             _assert_same_energy(diagnostics.energy(trace), streamed)
             assert streamed.bound is None
             assert streamed.window_error == str(window.value)
@@ -269,7 +274,7 @@ def test_streamed_pass_fails_the_window_like_the_stored_one(monkeypatch, case, l
             with pytest.raises(ValueError) as stored:
                 diagnostics.energy(trace, lam=lam)
             with pytest.raises(ValueError) as streamed:
-                cli._streamed_energy(prob, config)
+                cli._streamed_energy(prob, mesh, grid, lam)
             assert str(streamed.value) == str(stored.value)
             assert str(window.value) in str(stored.value)
     if case == "dead_tip":
@@ -292,10 +297,10 @@ def test_verify_ne1(tmp_path):
     assert table["u"] < 1e-3
 
 
-def _stored_errors(prob, config, exact):
+def _stored_errors(prob, mesh, grid, exact):
     """The errors of ``verify`` from a stored history, all levels at once:
     the oracle of the streamed error reducer."""
-    trace = stepper.run(prob, config.mesh(prob), config.grid(prob))
+    trace = stepper.run(prob, mesh, grid)
     grid, mesh, hist = trace.grid, trace.system.mesh, trace.dof_history
     u_num = np.concatenate([np.zeros((len(hist), 1)), hist[:, 0::2]], axis=1)
     ux_num = np.concatenate([np.zeros((len(hist), 1)), hist[:, 1::2]], axis=1)
@@ -318,8 +323,8 @@ def test_verify_streams_the_stored_errors(tmp_path, nodes):
     out = tmp_path / "out"
     assert main(["verify", "--preset", "test_NE1", "--nodes", str(nodes),
                  "--out", str(out)]) == 0
-    config = cli.RunConfig("test_NE1", True, nodes=nodes, ratio=40.0)
-    errors, cell = _stored_errors(pb.preset("test_NE1"), config, pb.exact_solution("test_NE1"))
+    prob = pb.preset("test_NE1")
+    errors, cell = _stored_errors(prob, *_mesh_grid(prob, nodes), pb.exact_solution("test_NE1"))
     rows = (out / "errors.csv").read_text().splitlines()
     assert rows[0] == "quantity, max_error, l2_error"
     assert [r.split(", ")[0] for r in rows[1:]] == list(errors)
@@ -364,27 +369,30 @@ def test_convergence_streams_the_stored_studies(tmp_path, args):
     # convergence.csv byte for byte as the stored histories give it
     out = tmp_path / "out"
     assert main(["convergence", *args, "--levels", "3", "--out", str(out)]) == 0
-    config = cli._config_from_args(cli._build_parser().parse_args(["convergence", *args]))
-    prob = pb.preset(config.source)
-    dt0 = config.resolve_dt(prob)
+    parsed = cli._build_parser().parse_args(["convergence", *args])
+    prob = pb.preset(parsed.preset)
+    dt0 = parsed.dt if parsed.dt is not None else prob.length / (parsed.nodes - 1) / parsed.ratio
     lines = ["study, level, h_x, dt, value, order"]
 
     def study(name, values, levels):
-        for k, (value, level) in enumerate(zip(values, levels)):
+        for k, (value, (mesh, grid)) in enumerate(zip(values, levels)):
             order = math.log2(values[k - 1] / value) if k else float("nan")
-            lines.append(f"{name}, {k}, {level.mesh(prob).h:.17g}, "
-                         f"{level.grid(prob).dt:.17g}, {value:.17g}, {order:.17g}")
+            lines.append(f"{name}, {k}, {mesh.h:.17g}, "
+                         f"{grid.dt:.17g}, {value:.17g}, {order:.17g}")
 
-    if config.source == "test_NE1":
-        levels = [dataclasses.replace(config, dt=dt0 / 2**k) for k in range(3)]
+    def grid(k):
+        return stepper.TimeGrid.from_dt(prob.final_time, dt0 / 2**k)
+
+    if parsed.preset == "test_NE1":
+        levels = [(fem.Mesh(prob.length, parsed.nodes), grid(k)) for k in range(3)]
         exact = pb.exact_solution("test_NE1")
-        study("temporal_u_error", [float(np.max(np.abs(_stored_errors(prob, c, exact)[0]["u"])))
+        study("temporal_u_error", [float(np.max(np.abs(_stored_errors(prob, *c, exact)[0]["u"])))
                                    for c in levels], levels)
     else:
-        levels = [dataclasses.replace(config, nodes=(config.nodes - 1) * 2**k + 1,
-                                      dt=dt0 / 2**k) for k in range(3)]
+        levels = [(fem.Mesh(prob.length, (parsed.nodes - 1) * 2**k + 1), grid(k))
+                  for k in range(3)]
         study("identity_residual", [diagnostics.identity_residual(diagnostics.energy(
-            stepper.run(prob, c.mesh(prob), c.grid(prob)))) for c in levels], levels)
+            stepper.run(prob, *c))) for c in levels], levels)
     assert (out / "convergence.csv").read_text() == "\n".join(lines) + "\n"
 
 
@@ -785,7 +793,7 @@ def test_bounds_peak_memory_does_not_grow_with_the_history(tmp_path):
     # on one CPU 7.9 MiB above it (70.8 against 62.9 MiB).  Storing the
     # history put M = 641 135 MiB above M = 41.
     prob = pb.preset("mast_constant")
-    levels = cli.RunConfig("mast_constant", True, nodes=641, ratio=10.0).grid(prob).step_count
+    levels = _mesh_grid(prob, 641, 10.0)[1].step_count
     assert levels * 2 * 640 * 8 >= 125 * 2**20   # the history a stored run would hold
     peaks = {nodes: _peak_mib(["bounds", "--preset", "mast_constant", "--nodes", str(nodes),
                                "--ratio", "10"], tmp_path / str(nodes)) for nodes in (161, 641)}
@@ -805,7 +813,7 @@ def test_verify_peak_memory_does_not_grow_with_the_history(tmp_path):
     # child's; this process peaked at 35.2 against 32.8 MiB), and in-process
     # on one CPU 2.8 MiB above it (63.7 against 60.9 MiB).
     prob = pb.preset("test_NE1")
-    levels = cli.RunConfig("test_NE1", True, nodes=641, ratio=10.0).grid(prob).step_count
+    levels = _mesh_grid(prob, 641, 10.0)[1].step_count
     assert levels * 2 * 640 * 8 >= 90 * 2**20   # the history a stored run would hold
     peaks = {nodes: _peak_mib(["verify", "--preset", "test_NE1", "--nodes", str(nodes),
                                "--ratio", "10"], tmp_path / str(nodes)) for nodes in (161, 641)}
@@ -827,7 +835,8 @@ def test_no_command_stores_a_run(tmp_path, monkeypatch):
                  ["convergence", "--preset", "cantilever_spring", *small],
                  ["sweep", "--preset", "mast_constant", "--param", "k_v", "--values", "1,2",
                   *small]):
-        assert main([*args, "--out", str(tmp_path / args[0])]) == 0, args
+        out = [] if args[0] == "validate" else ["--out", str(tmp_path / args[0])]
+        assert main([*args, *out]) == 0, args
 
 
 def test_cli_import_loads_no_scipy_module():
@@ -1004,9 +1013,9 @@ def test_a_failing_consumer_reaps_the_stepping_child(monkeypatch, forks, failure
     monkeypatch.setattr(diagnostics.EnergyAccumulator, "add", add)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
     open_fds = len(os.listdir("/dev/fd"))
-    config = cli.RunConfig("mast_constant", True, nodes=nodes, ratio=20.0)
+    prob = pb.preset("mast_constant")
     with _time_limit(60), pytest.raises(failure, match="consumer failed"):
-        cli._streamed_energy(pb.preset("mast_constant"), config)
+        cli._streamed_energy(prob, *_mesh_grid(prob, nodes, 20.0))
     assert len(forks) == 1
     with pytest.raises(ChildProcessError):   # no child left, not even a zombie
         os.waitpid(-1, os.WNOHANG)
@@ -1018,8 +1027,7 @@ def test_back_to_back_forked_runs_all_succeed(tmp_path, monkeypatch, forks):
     # reduces the last window; the pause there makes sure it has exited, so
     # the parent reads the marker from a pipe whose writer is gone.
     args = ["bounds", "--preset", "mast_constant", "--nodes", "21", "--ratio", "10"]
-    levels = cli.RunConfig("mast_constant", True, nodes=21, ratio=10.0).grid(
-        pb.preset("mast_constant")).step_count
+    levels = _mesh_grid(pb.preset("mast_constant"), 21, 10.0)[1].step_count
     real_add = diagnostics.EnergyAccumulator.add
 
     def add(self, rows, first=0):
@@ -1040,27 +1048,31 @@ def test_back_to_back_forked_runs_all_succeed(tmp_path, monkeypatch, forks):
 def test_step_rule_must_be_positive_and_finite(tmp_path, capsys, flag, value):
     assert main(["simulate", "--preset", "test_NE1", "--nodes", "9", flag, value,
                  "--out", str(tmp_path / "out")]) == 3
-    assert capsys.readouterr().err.startswith(f"usage error: {flag} must be positive and finite")
+    assert capsys.readouterr().err.startswith(
+        f"usage error: argument {flag}: must be positive and finite")
     assert not (tmp_path / "out").exists()
 
 
-def test_a_bare_config_steps_at_h_over_40_as_the_cli_does():
-    prob = pb.preset("mast_constant")
-    bare = cli.RunConfig("mast_constant", True)
-    assert bare.resolve_dt(prob) == prob.length / (bare.nodes - 1) / 40.0
+def test_the_cli_steps_at_h_over_40_by_default(tmp_path, monkeypatch):
+    # the dt each command's grid is built from: bounds on a theorem-1
+    # problem builds it and steps nothing
+    prob = pb.preset("test_NE1")
+    requested, from_dt = [], stepper.TimeGrid.from_dt
 
-    def parsed(*flags):
-        args = cli._build_parser().parse_args(["simulate", "--preset", "mast_constant", *flags])
-        return cli._config_from_args(args).resolve_dt(prob)
+    def recorded(final_time, dt):
+        requested.append(dt)
+        return from_dt(final_time, dt)
 
-    assert parsed() == bare.resolve_dt(prob)
-    assert parsed("--ratio", "10") == prob.length / (bare.nodes - 1) / 10.0
-    assert parsed("--dt", "0.01") == 0.01
+    monkeypatch.setattr(stepper.TimeGrid, "from_dt", recorded)
+    for flags in ([], ["--ratio", "10"], ["--dt", "0.01"], ["--nodes", "11"]):
+        assert main(["bounds", "--preset", "test_NE1", *flags, "--out", str(tmp_path)]) == 0
+    assert requested == [prob.length / 40 / 40.0, prob.length / 40 / 10.0, 0.01,
+                         prob.length / 10 / 40.0]
 
 
 @pytest.mark.parametrize("args, error", [
-    (["--preset", "test_NE1", "--decimate", "0"], "--decimate must be >= 1"),
-    (["--preset", "test_NE1", "--decimate", "-2"], "--decimate must be >= 1"),
+    (["--preset", "test_NE1", "--decimate", "0"], "argument --decimate: must be >= 1; got 0"),
+    (["--preset", "test_NE1", "--decimate", "-2"], "argument --decimate: must be >= 1; got -2"),
     # outside the theorem-1 window, which needs no run
     (["--preset", "cantilever_dampers", "--lambda", "5"],
      "lambda must satisfy 0 < lambda < lambda_max = 0.5; got 5"),
@@ -1131,8 +1143,112 @@ def test_an_out_that_cannot_be_made_a_directory_is_refused_before_stepping(
 def test_usage_errors():
     assert main(["validate"]) == 3                               # no source
     assert main(["validate", "--preset", "nope"]) == 3           # unknown preset
-    assert main(["validate", "--preset", "test_NE1",
+    assert main(["simulate", "--preset", "test_NE1",
                  "--dt", "0.1", "--ratio", "10"]) == 3           # both step rules
+    assert main(["simulate", "--preset", "test_NE1",
+                 "--dt", "0.1", "--ratio", "40"]) == 3           # the default ratio too
     assert main(["validate", "--problem", "/no/such/file.json"]) == 3
     assert main(["simulate", "--preset", "test_NE1", "--nodes", "2"]) == 3
     assert main(["nonsense"]) == 3
+
+
+_OPTIONS = {   # what each command reads, and so all it accepts
+    "validate": {"--preset", "--problem"},
+    "simulate": {"--preset", "--problem", "--nodes", "--dt", "--ratio", "--lambda", "--out",
+                 "--decimate"},
+    "verify": {"--preset", "--nodes", "--dt", "--ratio", "--out"},
+    "convergence": {"--preset", "--problem", "--nodes", "--dt", "--ratio", "--out", "--levels"},
+    "sweep": {"--preset", "--problem", "--nodes", "--dt", "--ratio", "--lambda", "--out",
+              "--param", "--values"},
+    "bounds": {"--preset", "--problem", "--nodes", "--dt", "--ratio", "--lambda", "--out"},
+}
+
+
+@pytest.mark.parametrize("command", list(_OPTIONS))
+def test_each_command_accepts_only_the_options_it_reads(command):
+    import argparse
+
+    assert sum(map(len, _OPTIONS.values())) == 38
+    subs = next(action for action in cli._build_parser()._actions
+                if isinstance(action, argparse._SubParsersAction))
+    accepted = {flag for action in subs.choices[command]._actions
+                for flag in action.option_strings} - {"-h", "--help"}
+    assert accepted == _OPTIONS[command]
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "--preset", "test_NE1", "--nodes", "99"],
+    ["validate", "--preset", "test_NE1", "--dt", "0.01"],
+    ["validate", "--preset", "test_NE1", "--ratio", "7"],
+    ["validate", "--preset", "test_NE1", "--lambda", "-5"],
+    ["validate", "--preset", "test_NE1", "--out", "out"],
+    ["validate", "--preset", "test_NE1", "--lambda", "-5", "--nodes", "99", "--ratio", "7",
+     "--out", "/dev/null/x"],
+    ["verify", "--preset", "test_NE1", "--problem", "problem.json", "--out", "out"],
+    ["verify", "--preset", "test_NE1", "--lambda", "-5", "--out", "out"],
+    ["convergence", "--preset", "cantilever_spring", "--nodes", "5", "--lambda", "0.3",
+     "--out", "out"],
+    ["convergence", "--preset", "cantilever_spring", "--nodes", "5", "--lambda", "100",
+     "--out", "out"]],
+    ids=["validate-nodes", "validate-dt", "validate-ratio", "validate-lambda", "validate-out",
+         "validate-all", "verify-problem", "verify-lambda", "convergence-lambda",
+         "convergence-lambda-100"])
+def test_an_option_the_command_does_not_read_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, args):
+    # one line, before anything is read, stepped or written
+    _no_stepping(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    assert main(args) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage error: unrecognized arguments: --")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert os.listdir(tmp_path) == []
+
+
+def _kill_in_child(parent):
+    """SIGKILL this process unless it is ``parent``: as the OOM killer would."""
+    if os.getpid() != parent:
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+@pytest.mark.parametrize("command", ["bounds", "sweep"])
+def test_a_killed_worker_process_exits_four_and_leaves_nothing(
+        tmp_path, monkeypatch, capsys, forks, command):
+    # bounds: the forked stepping child dies after two windows; sweep: each
+    # pool worker dies while it writes its member's trace.csv
+    parent, out = os.getpid(), tmp_path / "new" / "out"
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    if command == "bounds":
+        real_blocks = stepper.TimeStepper.blocks
+
+        def blocks(self):
+            for first, window in real_blocks(self):
+                if first > CHUNK_LEVELS:
+                    _kill_in_child(parent)
+                yield first, window
+
+        monkeypatch.setattr(stepper.TimeStepper, "blocks", blocks)
+        with _time_limit(60):
+            code = main(["bounds", "--preset", "mast_constant", "--nodes", "21",
+                         "--out", str(out)])
+        message = "the stepping process was killed by signal 9"
+        with pytest.raises(ChildProcessError):   # reaped: no child left, not even a zombie
+            os.waitpid(-1, os.WNOHANG)
+    else:
+        real_add = diagnostics.EnergyAccumulator.add
+
+        def add(self, rows, first=0):
+            if first > CHUNK_LEVELS:
+                _kill_in_child(parent)
+            real_add(self, rows, first)
+
+        monkeypatch.setattr(diagnostics.EnergyAccumulator, "add", add)
+        code = _sweep(["--preset", "cantilever_dampers"], "k_v", "1,2", out, "--ratio", "20")
+        message = "a sweep worker died: "
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith(f"process failure: {message}") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert os.getpid() == parent and forks
+    assert not (tmp_path / "new").exists()

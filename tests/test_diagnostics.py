@@ -175,9 +175,11 @@ def test_unknown_mode_rejected(capsys):
         bs.EnergyAccumulator(trace.system, trace.grid, mode="basis")
     with pytest.raises(TypeError, match="mode"):
         bs.energy(trace, mode="basis")
-    assert not any(f.name == "mode" for f in dataclasses.fields(cli.RunConfig))
-    assert cli.main(["simulate", "--preset", "test_NE1", "--mode", "basis"]) == 3
-    assert "--mode" in capsys.readouterr().err
+    sweep = ["--param", "k_v", "--values", "1"]
+    for command, extra in (("validate", []), ("simulate", []), ("verify", []),
+                           ("convergence", []), ("sweep", sweep), ("bounds", [])):
+        assert cli.main([command, "--preset", "test_NE1", *extra, "--mode", "basis"]) == 3
+        assert "--mode" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +275,9 @@ def test_a_damped_homogeneous_run_never_gains_energy(name, nodes):
     # centered nodal-slope curvature rose by 5e-4 to 4e-2 E(0) at t_1 here.
     from beamstab import cli
 
-    e = cli._streamed_energy(bs.preset(name), cli.RunConfig(name, True, nodes=nodes))
+    prob = bs.preset(name)
+    mesh = bs.Mesh(prob.length, nodes)
+    e = cli._streamed_energy(prob, mesh, TimeGrid.from_dt(prob.final_time, mesh.h / 40))
     rises = np.diff(np.concatenate([[e.E0], e.E]))
     assert e.E0 > 0.0
     assert rises[0] <= 1e-12 * e.E0
@@ -323,8 +327,8 @@ def test_identity_residual_keeps_falling_past_m_241():
     prob = bs.preset("cantilever_dampers")
     residuals = []
     for nodes in (161, 321, 481):
-        config = cli.RunConfig("", False, nodes=nodes, ratio=40.0)
-        energy = cli._streamed_energy(prob, config)
+        mesh = bs.Mesh(prob.length, nodes)
+        energy = cli._streamed_energy(prob, mesh, TimeGrid.from_dt(prob.final_time, mesh.h / 40))
         residuals.append(bs.identity_residual(energy) / energy.E0)
     assert residuals[0] / residuals[1] >= 0.8 * 4.0, residuals
     assert residuals[1] / residuals[2] >= 0.8 * 2.25, residuals

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import beamstab.cli as cli
 from beamstab import problem as pb
+from beamstab.fem import Mesh
+from beamstab.stepper import TimeGrid
 
 _CONSTANT = st.one_of(st.none(), st.just(0.0), st.floats(0.1, 8.0))  # None: the preset's
 
@@ -31,22 +33,23 @@ def _runs(draw):
              pb.TimeFunction.exponential(1e-300, 1000.0)]
     prob = dataclasses.replace(prob, forcing=pb.BoundaryForcing(
         g_M=draw(st.sampled_from(loads[:3])), g_Q=draw(st.sampled_from(loads))))
-    config = cli.RunConfig(
-        "", False, nodes=draw(st.integers(3, 21)), ratio=draw(st.sampled_from([5.0, 10.0])),
-        decimate=draw(st.integers(1, 7)), lam=draw(st.sampled_from([None, 0.01, 0.3])))
-    return prob, config
+    mesh = Mesh(prob.length, draw(st.integers(3, 21)))
+    grid = TimeGrid.from_dt(prob.final_time, mesh.h / draw(st.sampled_from([5.0, 10.0])))
+    decimate, lam = draw(st.integers(1, 7)), draw(st.sampled_from([None, 0.01, 0.3]))
+    return prob, mesh, grid, lam, decimate
 
 
-def _outcome(prob, config, cpus):
+def _outcome(run, cpus):
     """Every array of the run's EnergyTrace as bytes, or the exception's type
     and text, with the trace.csv text written before either, stepped where
     ``cli._steps_ahead`` puts a run on ``cpus`` CPUs: in a forked child on
     two, in-process on one."""
+    prob, mesh, grid, lam, decimate = run
     trace_csv = io.StringIO()
     try:
         with np.errstate(over="ignore", invalid="ignore"), pytest.MonkeyPatch.context() as patch:
             patch.setattr(cli, "_usable_cpus", lambda: cpus)
-            energy = cli._streamed_energy(prob, config, trace_csv)
+            energy = cli._streamed_energy(prob, mesh, grid, lam, trace_csv, decimate)
     except Exception as exc:
         return type(exc), str(exc), trace_csv.getvalue()
     fields = {f.name: getattr(energy, f.name) for f in dataclasses.fields(energy)}
@@ -57,6 +60,5 @@ def _outcome(prob, config, cpus):
 @settings(max_examples=25, deadline=None, derandomize=True, database=None)
 @given(_runs())
 def test_forked_windows_give_the_in_process_bytes(run):
-    prob, config = run
-    assert cli.validate(prob).ok
-    assert _outcome(prob, config, cpus=2) == _outcome(prob, config, cpus=1)
+    assert cli.validate(run[0]).ok
+    assert _outcome(run, cpus=2) == _outcome(run, cpus=1)
