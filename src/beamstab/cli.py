@@ -17,13 +17,13 @@ their ranges, so an option a command would ignore is a usage error.
 grid once (dt = h_x / R unless --dt is given) for the command.
 
 Exit codes: 0 success, 1 validation error, 2 numerical failure, 3 usage
-error, 4 a worker process died (the stepping child or a sweep worker,
-killed by a signal).  Outputs are deterministic: identical inputs produce
-byte-identical files (except for 51 <= M <= 81, where the dense kernels'
-bytes depend on the OpenBLAS thread count).  ``sweep`` runs its members in forked worker
-processes, at most one per CPU this process may run on (in-process when
-only one would run); its outputs are byte-identical whatever the worker
-count.
+error (a grid or mesh too large to allocate too), 4 a worker process died
+(the stepping child or a sweep worker, killed by a signal).  Identical
+inputs produce byte-identical files, whatever the BLAS thread count, the
+worker count and where a run steps, on one build of numpy and scipy (not
+across CPU architectures or library builds).  ``sweep`` runs its members
+in forked worker processes, at most one per CPU this process may run on
+(in-process when only one would run).
 
 Every command that runs the beam feeds each window of
 ``TimeStepper.blocks()`` to its reducers (the energy diagnostics, the trace
@@ -531,6 +531,9 @@ def main(argv=None) -> int:
     except ChildProcessError as exc:
         print(f"process failure: {exc}", file=sys.stderr)
         return 4
+    except MemoryError as exc:   # a grid or mesh too large to allocate, here or in a worker
+        print(f"usage error: not enough memory: {exc}", file=sys.stderr)
+        return 3
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         # LinAlgError subclasses ValueError, so numerics are caught first
         print(f"numerical failure: {exc}", file=sys.stderr)

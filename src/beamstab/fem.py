@@ -31,13 +31,13 @@ and stored results bitwise equal.
 
 Small and large systems step with different kernels, by one rule keyed on
 the system size n: up to DENSE_MAX_N DOFs, ``factor`` and ``block_row``
-are numpy's dense products (a solve is one product with the precomputed
-inverse); above it they are LAPACK ``dpbtrf``/``dpbtrs`` and a CSR
-product.  Both kinds of factor check the same things and raise the same
-errors.  scipy is imported only where a banded kernel is first used, so
-importing this module loads numpy only, a process that never factors or
-steps (the reducing parent of a forked run) never loads scipy, and neither
-does any process of a run with n <= DENSE_MAX_N.
+are numpy's dense products (a solve is one product with an inverse
+built from a banded Cholesky factor in numpy); above it they are LAPACK
+``dpbtrf``/``dpbtrs`` and a CSR product.  Both kinds of factor check the
+same things and raise the same errors.  scipy is imported only where a
+banded kernel is first used, so importing this module loads numpy only,
+a process that never factors or steps (the reducing parent of a forked
+run) never loads scipy, nor does any process of a run with n <= DENSE_MAX_N.
 """
 
 from __future__ import annotations
@@ -193,39 +193,39 @@ class DenseCholesky:
     """A small SPD matrix, checked like ``BandedCholesky`` and solved with
     its precomputed inverse, one matrix-vector product a solve.
 
-    The checks raise BandedCholesky's errors: not finite, or the order of
-    the first leading minor that is not positive definite.  That order is
-    found only on failure, by bisection over the leading blocks: once one
-    is not positive definite, no larger one is.
+    One pass factors ``L L^T`` column by column over the band: its first
+    pivot that is not positive is the order of the first leading minor that
+    is not positive definite, as LAPACK's ``info`` gives it.  The inverse is
+    forward and back substitution on the identity, a row at a time from at
+    most ``halfband`` others: no product is large enough for BLAS to
+    thread, so the bytes do not depend on the thread count.
     """
 
     def __init__(self, matrix: BandedSymmetricMatrix):
-        a = matrix.to_dense()
+        a, b = matrix.to_dense(), matrix.halfband
         if not np.all(np.isfinite(a)):
             raise np.linalg.LinAlgError(_NOT_FINITE)
-        if not _cholesky_succeeds(a):
-            good, bad = 0, len(a)   # a[:good, :good] is positive definite, a[:bad, :bad] not
-            while bad - good > 1:
-                mid = (good + bad) // 2
-                good, bad = (mid, bad) if _cholesky_succeeds(a[:mid, :mid]) else (good, mid)
-            raise _not_positive_definite(bad)
-        self._inverse = np.linalg.inv(a)
-        if not np.all(np.isfinite(self._inverse)):
+        low, x = np.zeros_like(a), np.eye(len(a))
+        for j in range(len(a)):
+            lo, below = max(0, j - b), slice(j + 1, j + b + 1)
+            row = low[j, lo:j]
+            pivot = a[j, j] - row @ row
+            if not pivot > 0.0:
+                raise _not_positive_definite(j + 1)
+            low[j, j] = math.sqrt(pivot)
+            low[below, j] = (a[below, j] - low[below, lo:j] @ row) / low[j, j]
+            x[j] = (x[j] - row @ x[lo:j]) / low[j, j]         # L Y = I, row j
+        for j in reversed(range(len(a))):                   # L^T X = Y, row j
+            x[j] = (x[j] - low[j + 1:j + b + 1, j] @ x[j + 1:j + b + 1]) / low[j, j]
+        if not np.all(np.isfinite(x)):
             raise np.linalg.LinAlgError(_NOT_FINITE)
+        self._inverse = x
 
     def solve_in_place(self, rhs: np.ndarray) -> None:
         """Overwrite ``rhs``, a contiguous float64 vector, with the solution."""
         if rhs.ndim != 1 or rhs.dtype != np.float64 or not rhs.flags.c_contiguous:
             raise ValueError("rhs must be a contiguous float64 vector")
         rhs[:] = self._inverse @ rhs
-
-
-def _cholesky_succeeds(a: np.ndarray) -> bool:
-    try:
-        np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return False
-    return True
 
 
 def combine(terms) -> BandedSymmetricMatrix:

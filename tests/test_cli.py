@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import math
 import multiprocessing
@@ -744,14 +745,15 @@ def test_each_run_decides_its_certificate_once(tmp_path, monkeypatch, args, runs
     assert len(calls) == runs
 
 
-def _python(code: str, *args) -> str:
+def _python(code: str, *args, **env) -> str:
     """The standard output of ``python -c code args`` in a fresh interpreter
-    that imports this package, which must exit 0."""
+    that imports this package, with the environment variables ``env`` set
+    too, which must exit 0."""
     import beamstab
 
     src = os.path.dirname(os.path.dirname(os.path.abspath(beamstab.__file__)))
     proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
-                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          env=dict(os.environ, PYTHONPATH=src, **env), capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -777,6 +779,41 @@ sys.exit(code)
 def _peak_mib(args, out):
     """Peak RSS of one whole CLI run, its children's included."""
     return int(_python(_PEAK_LAUNCHER, *args, "--out", out).split()[-1]) / 1024.0
+
+
+# Runs the CLI; "one" as the first argument first confines this thread to
+# its first CPU, after numpy has started its BLAS threads, so the run steps
+# in-process while the BLAS keeps its thread count.
+_PINNED_LAUNCHER = """\
+import os, sys
+from beamstab.cli import main
+if sys.argv[1] == "one":
+    os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:1])
+sys.exit(main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize("cpus, args", [
+    ("all", ["simulate", "--nodes", "51"]),
+    ("all", ["simulate", "--nodes", "81"]),
+    ("all", ["sweep", "--nodes", "61", "--param", "k_v", "--values", "1,2"]),
+    ("one", ["simulate", "--nodes", "61"])],
+    ids=["simulate-51", "simulate-81", "sweep-61", "simulate-61-one-cpu"])
+def test_the_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, cpus, args):
+    # n = 100 to 160, the dense kernels.  On two CPUs or more a simulate run
+    # steps in a forked child and a sweep's members in pool workers, each
+    # stepping in-process; on one CPU the run steps in-process.  Where the
+    # dense inverse was np.linalg.inv's, M = 61's files differed
+    if cpus == "one" and not hasattr(os, "sched_setaffinity"):
+        pytest.skip("no CPU affinity to pin a run to one CPU")
+    digests = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        _python(_PINNED_LAUNCHER, cpus, *args, "--preset", "cantilever_dampers",
+                "--out", out, OPENBLAS_NUM_THREADS=threads)
+        digests.append({str(path.relative_to(out)): hashlib.sha256(path.read_bytes()).digest()
+                        for path in out.rglob("*") if path.is_file()})
+    assert digests[0] and digests[0] == digests[1]
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
@@ -1212,6 +1249,31 @@ def _kill_in_child(parent):
         os.kill(os.getpid(), signal.SIGKILL)
 
 
+def _fail_past_the_first_window(monkeypatch, where, fail):
+    """Call ``fail()`` once a run is past its first window: where it steps
+    (``where == "child"``, in ``TimeStepper.blocks``) or where a sweep
+    member reduces (``"worker"``, in ``EnergyAccumulator.add``)."""
+    if where == "child":
+        real_blocks = stepper.TimeStepper.blocks
+
+        def blocks(self):
+            for first, window in real_blocks(self):
+                if first > CHUNK_LEVELS:
+                    fail()
+                yield first, window
+
+        monkeypatch.setattr(stepper.TimeStepper, "blocks", blocks)
+    else:
+        real_add = diagnostics.EnergyAccumulator.add
+
+        def add(self, rows, first=0):
+            if first > CHUNK_LEVELS:
+                fail()
+            real_add(self, rows, first)
+
+        monkeypatch.setattr(diagnostics.EnergyAccumulator, "add", add)
+
+
 @pytest.mark.parametrize("command", ["bounds", "sweep"])
 def test_a_killed_worker_process_exits_four_and_leaves_nothing(
         tmp_path, monkeypatch, capsys, forks, command):
@@ -1219,16 +1281,9 @@ def test_a_killed_worker_process_exits_four_and_leaves_nothing(
     # pool worker dies while it writes its member's trace.csv
     parent, out = os.getpid(), tmp_path / "new" / "out"
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+    _fail_past_the_first_window(monkeypatch, "child" if command == "bounds" else "worker",
+                                lambda: _kill_in_child(parent))
     if command == "bounds":
-        real_blocks = stepper.TimeStepper.blocks
-
-        def blocks(self):
-            for first, window in real_blocks(self):
-                if first > CHUNK_LEVELS:
-                    _kill_in_child(parent)
-                yield first, window
-
-        monkeypatch.setattr(stepper.TimeStepper, "blocks", blocks)
         with _time_limit(60):
             code = main(["bounds", "--preset", "mast_constant", "--nodes", "21",
                          "--out", str(out)])
@@ -1236,14 +1291,6 @@ def test_a_killed_worker_process_exits_four_and_leaves_nothing(
         with pytest.raises(ChildProcessError):   # reaped: no child left, not even a zombie
             os.waitpid(-1, os.WNOHANG)
     else:
-        real_add = diagnostics.EnergyAccumulator.add
-
-        def add(self, rows, first=0):
-            if first > CHUNK_LEVELS:
-                _kill_in_child(parent)
-            real_add(self, rows, first)
-
-        monkeypatch.setattr(diagnostics.EnergyAccumulator, "add", add)
         code = _sweep(["--preset", "cantilever_dampers"], "k_v", "1,2", out, "--ratio", "20")
         message = "a sweep worker died: "
     assert code == 4
@@ -1251,4 +1298,37 @@ def test_a_killed_worker_process_exits_four_and_leaves_nothing(
     assert err.startswith(f"process failure: {message}") and err.count("\n") == 1
     assert "Traceback" not in err
     assert os.getpid() == parent and forks
+    assert not (tmp_path / "new").exists()
+
+
+@pytest.mark.parametrize("where", ["simulate", "bounds", "child", "worker"])
+def test_a_request_too_large_to_allocate_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, forks, where):
+    # simulate, bounds: --dt 1e-17 asks this process for a grid of 2e17
+    # levels (1.4 EiB), beyond any address space; child, worker: the forked
+    # stepping child or a sweep's pool worker cannot allocate
+    parent, out = os.getpid(), tmp_path / "new" / "out"
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+
+    def out_of_memory():
+        if os.getpid() != parent:
+            raise MemoryError("Unable to allocate 7.00 EiB for an array")
+
+    if where in ("simulate", "bounds"):
+        _no_stepping(monkeypatch)
+        code = main([where, "--preset", "cantilever_free", "--nodes", "5", "--dt", "1e-17",
+                     "--out", str(out)])
+    else:
+        _fail_past_the_first_window(monkeypatch, where, out_of_memory)
+        if where == "child":
+            with _time_limit(60):
+                code = main(["simulate", "--preset", "cantilever_free", "--nodes", "21",
+                             "--out", str(out)])
+        else:
+            code = _sweep(["--preset", "cantilever_dampers"], "k_v", "1,2", out, "--ratio", "20")
+        assert forks
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: not enough memory: Unable to allocate ")
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "new").exists()

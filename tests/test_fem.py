@@ -10,6 +10,7 @@ from oracles import element_matrices, gauss_element_matrices
 
 import beamstab.fem as fem
 from beamstab import problem as pb
+from beamstab import stepper
 
 # ---------------------------------------------------------------------------
 # shape functions
@@ -237,25 +238,23 @@ def test_banded_cholesky_solves():
 
 
 def test_banded_in_place_kernels_and_factor_time_checks(kernels):
-    # both kinds of factor keep one contract, error texts included; a solve
-    # is bitwise that of numpy's inverse or of scipy's banded Cholesky
+    # both kinds of factor keep one contract, error texts included; a banded
+    # solve is bitwise scipy's banded Cholesky (a dense one is checked below)
     system = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 11))
-    b = np.random.default_rng(5).standard_normal(system.n)
-    for kind, factor, want in (
-            ("dense", fem.DenseCholesky, np.linalg.inv(system.stiffness.to_dense()) @ b),
-            ("banded", fem.BandedCholesky, scipy.linalg.cho_solve_banded(
-                (scipy.linalg.cholesky_banded(system.stiffness.bands), False), b))):
+    largest = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 81))   # n = DENSE_MAX_N
+    for kind, factor in (("dense", fem.DenseCholesky), ("banded", fem.BandedCholesky)):
         kernels(kind)
         solve = system.stiffness.factor()
         assert type(solve) is factor
-        x = b.copy()
-        solve.solve_in_place(x)
-        assert np.array_equal(x, want)
         with pytest.raises(ValueError, match="^rhs must be a contiguous float64 vector$"):
             solve.solve_in_place(np.zeros(2 * system.n)[::2])
 
-        for entry, minor in ((4, 5), (0, 1), (system.n - 1, system.n)):
-            indefinite = fem.combine([(1.0, system.stiffness)])
+        # the first, a middle and the last leading minor fail; the middle one
+        # of the n = 160 matrix is where a search over leading blocks once
+        # found the order for the dense kind
+        for matrix, entry, minor in ((system, 4, 5), (system, 0, 1),
+                                     (system, system.n - 1, system.n), (largest, 77, 78)):
+            indefinite = fem.combine([(1.0, matrix.stiffness)])
             indefinite.add(entry, entry, -1e9)
             with pytest.raises(np.linalg.LinAlgError, match=(
                     r"^banded Cholesky failed \(matrix not positive definite\): "
@@ -266,6 +265,38 @@ def test_banded_in_place_kernels_and_factor_time_checks(kernels):
         with pytest.raises(np.linalg.LinAlgError,
                            match=r"^banded Cholesky failed \(matrix not finite\)$"):
             not_finite.factor()
+    b = np.random.default_rng(5).standard_normal(system.n)
+    x = b.copy()
+    fem.BandedCholesky(system.stiffness).solve_in_place(x)
+    assert np.array_equal(x, scipy.linalg.cho_solve_banded(
+        (scipy.linalg.cholesky_banded(system.stiffness.bands), False), b))
+
+
+@pytest.mark.parametrize("name", pb.PRESET_NAMES)
+def test_dense_inverse_and_solve_on_the_step_matrices(monkeypatch, name):
+    # the step and startup matrices a run factors, at every dense size of
+    # M = 21 to 81 (n = 40 to 160, dt = h/40).  Measured over the five
+    # presets: max|S X - I| at most 2.7e-13 (cantilever_spring, M = 81; the
+    # inverse np.linalg.inv gave reached 1.2e-13), and a dense solve within
+    # 4.9e-15 of max|x| of LAPACK's banded one (cantilever_free, M = 81)
+    matrices, factor = [], fem.BandedSymmetricMatrix.factor
+    monkeypatch.setattr(fem.BandedSymmetricMatrix, "factor",
+                        lambda self: matrices.append(self) or factor(self))
+    prob = pb.preset(name)
+    for nodes in range(21, 82, 10):
+        mesh = fem.Mesh(prob.length, nodes)
+        grid = stepper.TimeGrid.from_dt(prob.final_time, mesh.h / 40)
+        stepper.TimeStepper(fem.assemble(prob, mesh), grid)._operators   # factors both
+    assert [m.n for m in matrices] == [2 * (nodes - 1) for nodes in range(21, 82, 10)
+                                       for _ in range(2)]
+    for matrix in matrices:
+        dense = fem.DenseCholesky(matrix)
+        assert np.max(np.abs(matrix.to_dense() @ dense._inverse - np.eye(matrix.n))) < 1e-12
+        b = np.random.default_rng(matrix.n).standard_normal(matrix.n)
+        x, y = b.copy(), b.copy()
+        dense.solve_in_place(x)
+        fem.BandedCholesky(matrix).solve_in_place(y)
+        assert np.max(np.abs(x - y)) < 2.5e-14 * np.max(np.abs(y))
 
 
 def test_combine_linear_combination():
