@@ -33,8 +33,9 @@ Small and large systems step with different kernels, by one rule keyed on
 the system size n: up to DENSE_MAX_N DOFs, ``factor`` and ``block_row``
 are numpy's dense products (a solve is one product with an inverse
 built from a banded Cholesky factor in numpy); above it they are LAPACK
-``dpbtrf``/``dpbtrs`` and a CSR product.  Both kinds of factor check the
-same things and raise the same errors.  scipy is imported only where a
+``dpbtrf``/``dpbtrs`` and a product with a CSR array that scipy builds
+from the bands, storing only nonzero entries.  Both kinds of factor check
+the same things and raise the same errors.  scipy is imported only where a
 banded kernel is first used, so importing this module loads numpy only,
 a process that never factors or steps (the reducing parent of a forked
 run) never loads scipy, nor does any process of a run with n <= DENSE_MAX_N.
@@ -79,7 +80,9 @@ CHUNK_LEVELS = 64
 # kernels, larger ones the banded LAPACK/CSR kernels.  A BDF2 step
 # (cantilever_dampers, one BLAS thread, 2-core x86-64) took 6.4 / 8.5 /
 # 12.8 / 19.3 / 28.5 / 54.8 us dense against 9.0 / 10.5 / 12.2 / 14.2 /
-# 14.9 / 18.1 us banded at n = 40 / 80 / 120 / 160 / 200 / 240.  So an
+# 14.9 / 18.1 us banded at n = 40 / 80 / 120 / 160 / 200 / 240 (re-measured
+# once the CSR arrays stored no zeros: 7.7 / 9.4 / 9.7 / 11.0 / 12.3 / 14.0
+# us banded, 8.2 / 8.7 / 10.0 / 11.4 / 13.0 / 13.8 with them).  So an
 # M = 81 run at dt = h/40 (6401 levels) costs about 0.03 s more dense,
 # while the banded kernels cost their process 0.22-0.30 s and 27 MiB of
 # scipy import; at n = 200 the two are close, and at n = 240 dense loses.
@@ -241,35 +244,26 @@ def combine(terms) -> BandedSymmetricMatrix:
 
 def block_row(matrices) -> "np.ndarray | scipy.sparse.csr_array":
     """The n x (k n) block row ``[A_1 | ... | A_k]`` of k banded symmetric
-    n x n matrices: a dense array up to DENSE_MAX_N DOFs, a CSR array read
-    straight from the upper bands above.
+    n x n matrices: a dense array up to DENSE_MAX_N DOFs, a CSR array built
+    by scipy from the upper bands above.
 
-    A CSR row i holds the entries ``A[i, j]``, ``|i - j| <= b``, of each block in
-    turn, in ascending column order.  Band entries that are zero are stored
-    too, so the pattern depends only on n and the half-bandwidths.
+    The upper bands are the DIA data of the upper triangle (offsets b .. 0),
+    and the strict upper triangle transposed gives the lower one.  The CSR
+    array stores only the nonzero entries, each row in ascending column
+    order, with 32-bit indices while they fit, so its pattern follows the
+    values: no block stores the zero that couples the slope of node k with
+    the displacement of node k + 2, which no element joins.
     """
     n = matrices[0].n
     if n <= DENSE_MAX_N:
         return np.hstack([mat.to_dense() for mat in matrices])
     from scipy import sparse
 
-    # 32-bit indices: a product reads a third fewer bytes than with 64-bit ones
-    i = np.arange(n, dtype=np.int32)[:, None]
-    data, cols, inside = [], [], []
-    for k, mat in enumerate(matrices):
-        b = mat.halfband
-        d = np.arange(-b, b + 1, dtype=np.int32)
-        j = i + d  # (n, 2b + 1) columns, some outside [0, n)
-        # A[i, j] = bands[b - |i - j|, max(i, j)]; an entry outside the matrix
-        # reads a clipped column and is dropped below
-        data.append(mat.bands[b - np.abs(d), np.maximum(i, np.clip(j, 0, n - 1))])
-        cols.append(j + k * n)
-        inside.append((j >= 0) & (j < n))
-    inside = np.concatenate(inside, axis=1)
-    indptr = np.concatenate([[0], np.cumsum(inside.sum(axis=1))]).astype(np.int32)
-    return sparse.csr_array(
-        (np.concatenate(data, axis=1)[inside], np.concatenate(cols, axis=1)[inside], indptr),
-        shape=(n, len(matrices) * n))
+    blocks = []
+    for mat in matrices:
+        upper = sparse.dia_array((mat.bands, np.arange(mat.halfband, -1, -1)), shape=(n, n))
+        blocks.append(upper + sparse.triu(upper, 1).T)
+    return sparse.hstack(blocks, format="csr")
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,9 @@ class TimeGrid:
         """Grid whose spacing matches ``dt`` as closely as uniformity allows."""
         if dt <= 0.0:
             raise ValueError("dt must be positive")
+        if not np.isfinite(final_time / dt):
+            raise ValueError(f"dt = {float(dt)!r} is too small for final_time = "
+                             f"{float(final_time)!r}: their ratio overflows")
         n = max(4, int(round(final_time / dt)) + 1)
         return TimeGrid(final_time, n)
 
@@ -340,7 +343,9 @@ class TraceWriter:
 
         if decimate < 1:
             raise ValueError("decimate must be >= 1")
-        self._times, self._last, self._decimate = grid.times, grid.step_count - 1, decimate
+        # a step of N - 1 or more writes levels 0 and N - 1 alone (and fits np.arange)
+        self._last = grid.step_count - 1
+        self._times, self._decimate = grid.times, min(decimate, self._last)
         self._next = 0   # the first level of the next window
         # one level's lines but their numbers: t, the label, u, ", ", u_x,
         # "\n"; the clamped node 0's label carries its zeros and line end,

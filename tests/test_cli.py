@@ -1090,6 +1090,44 @@ def test_step_rule_must_be_positive_and_finite(tmp_path, capsys, flag, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("args, dt, final_time", [
+    (["simulate", "--preset", "cantilever_free", "--nodes", "5", "--dt", "1e-320"], "1e-320", "2.0"),
+    (["simulate", "--preset", "cantilever_free", "--nodes", "5", "--dt", "5e-324"], "5e-324", "2.0"),
+    (["simulate", "--preset", "cantilever_free", "--nodes", "5", "--ratio", "1e308"],
+     "2.5e-309", "2.0"),
+    (["bounds", "--preset", "cantilever_dampers", "--dt", "1e-320"], "1e-320", "2.0"),
+    (["verify", "--preset", "test_NE1", "--nodes", "5", "--dt", "1e-320"], "1e-320", "1.5"),
+    (["convergence", "--preset", "cantilever_free", "--nodes", "5", "--dt", "5e-324"],
+     "5e-324", "2.0")],
+    ids=["simulate-dt", "simulate-least-dt", "simulate-ratio", "bounds", "verify", "convergence"])
+def test_a_step_too_small_for_the_horizon_is_a_usage_error(
+        tmp_path, monkeypatch, capsys, args, dt, final_time):
+    # final_time / dt overflows to inf, so the grid's level count is refused
+    # before anything is allocated or stepped (bounds on a theorem-1 problem
+    # never steps, but builds its grid all the same)
+    _no_stepping(monkeypatch)
+    assert main([*args, "--out", str(tmp_path / "new" / "out")]) == 3
+    assert capsys.readouterr().err == (f"usage error: dt = {dt} is too small for final_time"
+                                       f" = {final_time}: their ratio overflows\n")
+    assert not (tmp_path / "new").exists()
+
+
+def test_a_decimation_beyond_int64_writes_the_first_and_last_levels(tmp_path):
+    # 2^63 - 1 is the largest step np.arange takes as an integer; the writer
+    # clamps any larger one to the last level, which writes the same levels
+    traces = []
+    for decimate in (2**63 - 1, 2**63):
+        out = tmp_path / str(decimate)
+        assert main(["simulate", "--preset", "cantilever_free", "--nodes", "5",
+                     "--decimate", str(decimate), "--out", str(out)]) == 0
+        traces.append((out / "trace.csv").read_bytes())
+    assert traces[0] == traces[1]
+    _, grid = _mesh_grid(pb.preset("cantilever_free"), 5)
+    # after the header, five lines (one per node) a written level
+    times = [line.split(b", ")[0] for line in traces[0].splitlines()[1::5]]
+    assert times == [b"0", b"%.17g" % grid.times[-1]]
+
+
 def test_the_cli_steps_at_h_over_40_by_default(tmp_path, monkeypatch):
     # the dt each command's grid is built from: bounds on a theorem-1
     # problem builds it and steps nothing

@@ -299,6 +299,35 @@ def test_dense_inverse_and_solve_on_the_step_matrices(monkeypatch, name):
         assert np.max(np.abs(x - y)) < 2.5e-14 * np.max(np.abs(y))
 
 
+@pytest.mark.parametrize("name", pb.PRESET_NAMES + ("polynomial_table",))
+def test_banded_block_rows_store_the_nonzero_entries_of_the_dense_blocks(monkeypatch, name):
+    # the history operator and the startup's block row a run builds above
+    # DENSE_MAX_N (M = 82: n = 162; M = 321: n = 640): the dense blocks side
+    # by side, exactly, with no stored zero (the slope of node k against the
+    # displacement of node k + 2 is one), int32 indices and canonical format
+    rows, block_row = [], stepper.block_row
+
+    def recorded(matrices):
+        rows.append((matrices, block_row(matrices)))
+        return rows[-1][1]
+
+    monkeypatch.setattr(stepper, "block_row", recorded)
+    prob = _polynomial_table_problem() if name == "polynomial_table" else pb.preset(name)
+    for nodes in (82, 321):
+        mesh = fem.Mesh(prob.length, nodes)
+        grid = stepper.TimeGrid.from_dt(prob.final_time, mesh.h / 40)
+        stepper.TimeStepper(fem.assemble(prob, mesh), grid)._operators
+    assert [len(matrices) for matrices, _ in rows] == [3, 2, 3, 2]
+    for matrices, csr in rows:
+        assert matrices[0].n > fem.DENSE_MAX_N
+        dense = np.hstack([mat.to_dense() for mat in matrices])
+        assert np.array_equal(csr.toarray(), dense)
+        n = matrices[0].n
+        assert csr.nnz == np.count_nonzero(dense) < len(matrices) * (7 * n - 12)   # the band
+        assert csr.indices.dtype == csr.indptr.dtype == np.int32
+        assert csr.has_canonical_format
+
+
 def test_combine_linear_combination():
     system = fem.assemble(pb.preset("test_NE1"), fem.Mesh(1.0, 7))
     combo = fem.combine([(2.0, system.mass), (-0.5, system.stiffness)])

@@ -579,10 +579,11 @@ def test_trace_pieces_of_any_kernel_call_size_match_the_per_row_writer(tmp_path,
     assert (tmp_path / "block.csv").read_bytes() == (tmp_path / "row.csv").read_bytes()
 
 
-@pytest.mark.parametrize("decimate", [1, 5, 7, 64, 200])
+@pytest.mark.parametrize("decimate", [1, 5, 7, 64, 200, 2**63, 2**64])
 def test_trace_writer_fed_in_blocks_matches_the_per_row_writer(tmp_path, decimate):
     # written levels fall on the seams of the windows, and decimate = 200
-    # writes level 0, then only the last level
+    # writes level 0, then only the last level; so do steps beyond int64,
+    # which np.arange would take as floats
     trace = _special_trace(3 * CHUNK_LEVELS + 9)
     _trace_csv_per_row(trace, tmp_path / "row.csv", decimate=decimate)
     writer = bs.TraceWriter(trace.system, trace.grid, decimate)
