@@ -278,11 +278,11 @@ def _published(out_dir: str, names):
     directory (a file, a path under one, no name) is a usage error.  Each
     temporary is created here, and a name that is a directory refused,
     before the block runs, so a run steps only once its artifacts can be
-    written.  The paths are renamed into place if the block succeeds.  If
-    anything fails they are removed, and so are the directories made here,
-    deepest first, as far as they are empty; one that existed before stays.
-    So a run that fails part-way leaves no partial artifact and no empty
-    directory."""
+    written; either failure is raised by the artifact's name.  The paths
+    are renamed into place if the block succeeds.  If anything fails they
+    are removed, and so are the directories made here, deepest first, as
+    far as they are empty; one that existed before stays.  So a run that
+    fails part-way leaves no partial artifact and no empty directory."""
     made, head = [], os.path.abspath(out_dir)
     while not os.path.exists(head):
         made.append(head)
@@ -298,7 +298,10 @@ def _published(out_dir: str, names):
             dest = os.path.join(out_dir, name)
             if os.path.isdir(dest):
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), dest)
-            open(path, "w").close()
+            try:
+                open(path, "w").close()
+            except OSError as exc:   # reported by the artifact's name, not the temporary's
+                raise OSError(exc.errno, exc.strerror, dest) from None
         yield tmp
         for name, path in tmp.items():
             os.replace(path, os.path.join(out_dir, name))

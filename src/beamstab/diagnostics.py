@@ -32,8 +32,8 @@ neighbours.  The windows come from ``TimeStepper.blocks()`` as they are
 made (every CLI command, none of which stores the history) or as views of
 a stored history (``energy``).  For each window the velocity rows of its
 block are formed (``fem.velocities``), u, u_t and the curvature are
-evaluated at the element Gauss points (``fem.Quadrature``) into reused
-buffers, and the block is reduced to per-level integrals at once, into
+evaluated at the element Gauss points (``fem.Quadrature``), each a fresh
+array, and the block is reduced to per-level integrals at once, into
 the run's one (9, N - 1) record over t_0..t_{N-2}, whose level 0 the
 accumulator fills from the analytic initial data.  The damper-only window
 of ``bounds.compute_decay_bound`` reads the record's kinetic row
@@ -54,13 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bounds
-from .fem import (
-    CHUNK_LEVELS,
-    SemiDiscreteSystem,
-    integrate_data,
-    velocities,
-    windows,
-)
+from .fem import SemiDiscreteSystem, integrate_data, velocities, windows
 from .problem import BeamProblem
 from .stepper import SolutionTrace, TimeGrid
 
@@ -159,13 +153,6 @@ class EnergyAccumulator:
         bounds.check_explicit_penalty(system.problem, lam)
         self._system, self._grid, self._lam = system, grid, lam
         self._next = 0   # the first level of the next window
-        quad = system.quadrature
-        # u, u_t and the curvature at the Gauss points, and a product; the
-        # velocity rows; the zero-padded rows of ``fem.element_local``: reused
-        # by every block, so the reduction allocates no block-sized arrays
-        self._fields = np.empty((4, CHUNK_LEVELS, system.mesh.element_count, len(quad.xi)))
-        self._velocity = np.empty((CHUNK_LEVELS, system.n))
-        self._padded = np.zeros((CHUNK_LEVELS, system.n + 2))
         self._record = np.empty((9, grid.step_count - 1))
         self._record[:, 0] = _initial_record(system.problem)
 
@@ -175,20 +162,16 @@ class EnergyAccumulator:
             raise ValueError(f"window at level {first} is not the next one, at level {self._next}")
         self._next = first + len(window) - 2
         u = window[1:-1]   # the block's rows, levels first + 1 .. self._next
-        ut = velocities(window, self._grid.dt, self._velocity[:len(u)])
+        ut = velocities(window, self._grid.dt)
         quad = self._system.quadrature
-        u_q, ut_q, curv_q, work = self._fields[:, :len(u)]
-        padded = self._padded[:len(u)]
-        quad.values(u, out=u_q, padded=padded)
-        quad.values(ut, out=ut_q, padded=padded)
-        quad.curvatures(u, out=curv_q, padded=padded)
+        u_q, ut_q, curv_q = quad.values(u), quad.values(ut), quad.curvatures(u)
         kinetic, bending, cross, mu_disp, mu_rate, end_disp, end_rot, tip_vel, tip_ang = \
             self._record[:, first + 1:self._next + 1]   # views of the block's columns
-        kinetic[:] = quad.integral(quad.w_rho, ut_q, ut_q, work)
-        bending[:] = quad.integral(quad.w_r, curv_q, curv_q, work)
-        cross[:] = quad.integral(quad.w_rho, u_q, ut_q, work)
-        mu_disp[:] = quad.integral(quad.w_mu, u_q, u_q, work)
-        mu_rate[:] = quad.integral(quad.w_mu, ut_q, ut_q, work)
+        kinetic[:] = quad.integral(quad.w_rho, ut_q, ut_q)
+        bending[:] = quad.integral(quad.w_r, curv_q, curv_q)
+        cross[:] = quad.integral(quad.w_rho, u_q, ut_q)
+        mu_disp[:] = quad.integral(quad.w_mu, u_q, u_q)
+        mu_rate[:] = quad.integral(quad.w_mu, ut_q, ut_q)
         end_disp[:], end_rot[:] = u[:, -2], u[:, -1]
         tip_vel[:], tip_ang[:] = ut[:, -2], ut[:, -1]
 

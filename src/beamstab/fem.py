@@ -10,7 +10,9 @@ owns the displacement DOF 2(i-1) and the slope DOF 2(i-1)+1, leaving
 DOFs 2e-2 .. 2e+1, of which element 0 keeps only its right-node pair.
 Fields are read from DOF rows in two ways: ``FieldKernel`` gives values and
 curvatures at local points ``xi`` of every element, and ``nodal`` gives the
-nodal displacements or slopes, the clamped node's zero first.
+nodal displacements or slopes, the clamped node's zero first.  Every field
+function takes arrays and returns fresh ones, so every reducer calls it
+the same way.
 
 Assembly and the field kernel of the diagnostics read one Gauss table: the
 shape values and curvatures at the element Gauss points and the three
@@ -126,16 +128,16 @@ class BandedSymmetricMatrix:
     """Symmetric matrix stored as upper bands (scipy banded convention).
 
     ``bands[b + i - j, j] == A[i, j]`` for ``j - b <= i <= j`` with
-    half-bandwidth ``b``; symmetry holds by construction since only the
-    upper triangle is stored.  The bands are Fortran-ordered, so LAPACK
-    reads them without a copy.
+    half-bandwidth ``b = min(HALF_BANDWIDTH, n - 1)``; symmetry holds by
+    construction since only the upper triangle is stored.  The bands are
+    Fortran-ordered, so LAPACK reads them without a copy.
     """
 
-    def __init__(self, n: int, halfband: int = HALF_BANDWIDTH):
+    def __init__(self, n: int):
         if n < 1:
             raise ValueError("dimension must be >= 1")
         self.n = n
-        self.halfband = min(halfband, n - 1)
+        self.halfband = min(HALF_BANDWIDTH, n - 1)
         self.bands = np.zeros((self.halfband + 1, n), order="F")
 
     def add(self, i: int, j: int, value: float) -> None:
@@ -234,11 +236,9 @@ class DenseCholesky:
 def combine(terms) -> BandedSymmetricMatrix:
     """Linear combination ``sum(c * A)`` of banded symmetric matrices."""
     terms = list(terms)
-    n = terms[0][1].n
-    hb = max(mat.halfband for _, mat in terms)
-    out = BandedSymmetricMatrix(n, hb)
+    out = BandedSymmetricMatrix(terms[0][1].n)
     for c, mat in terms:
-        out.bands[hb - mat.halfband:, :] += c * mat.bands
+        out.bands += c * mat.bands
     return out
 
 
@@ -425,13 +425,11 @@ def assemble(problem: BeamProblem, mesh: Mesh) -> SemiDiscreteSystem:
 # evaluation and interpolation
 # ---------------------------------------------------------------------------
 
-def element_local(rows: np.ndarray, padded: np.ndarray | None = None) -> np.ndarray:
-    """(T, n) DOF rows -> (T, E, 4) element-local values (a view).  Two zeros
-    padded in front stand for the clamped node, so element e reads [2e:2e+4].
-    ``padded``, if given, is a (T, n + 2) array whose first two columns are
-    zero; the rows are copied into the rest of it."""
-    if padded is None:
-        padded = np.zeros((rows.shape[0], rows.shape[1] + 2))
+def element_local(rows: np.ndarray) -> np.ndarray:
+    """(T, n) DOF rows -> (T, E, 4) element-local values, a view of a copy
+    of the rows with two zeros in front for the clamped node, so element e
+    reads [2e:2e+4]."""
+    padded = np.zeros((rows.shape[0], rows.shape[1] + 2))
     padded[:, 2:] = rows
     return sliding_window_view(padded, 4, axis=1)[:, ::2]
 
@@ -452,17 +450,13 @@ class FieldKernel:
         shapes = np.stack([hermite_shapes(x, h) for x in self.xi])  # (q, 4, 3)
         self._value, self._curvature = shapes[:, :, 0].T, shapes[:, :, 2].T
 
-    def values(self, rows: np.ndarray, out: np.ndarray | None = None,
-               padded: np.ndarray | None = None) -> np.ndarray:
-        """u at the points: (T, n) rows -> (T, E, q), into ``out`` if given;
-        ``padded`` as in ``element_local``."""
-        return np.matmul(element_local(rows, padded), self._value, out=out)
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """u at the points: (T, n) rows -> (T, E, q)."""
+        return element_local(rows) @ self._value
 
-    def curvatures(self, rows: np.ndarray, out: np.ndarray | None = None,
-                   padded: np.ndarray | None = None) -> np.ndarray:
-        """u_xx at the points (element-interior limits): (T, n) rows -> (T, E, q),
-        into ``out`` if given; ``padded`` as in ``element_local``."""
-        return np.matmul(element_local(rows, padded), self._curvature, out=out)
+    def curvatures(self, rows: np.ndarray) -> np.ndarray:
+        """u_xx at the points (element-interior limits): (T, n) rows -> (T, E, q)."""
+        return element_local(rows) @ self._curvature
 
 
 class Quadrature(FieldKernel):
@@ -477,11 +471,9 @@ class Quadrature(FieldKernel):
         self.w_rho, self.w_mu, self.w_r = self._weights.reshape(3, -1)
 
     @staticmethod
-    def integral(weights: np.ndarray, f: np.ndarray, g: np.ndarray,
-                 work: np.ndarray | None = None) -> np.ndarray:
-        """Per-level ``int c f g dx`` of two (T, E, q) fields; ``work`` is an
-        optional contiguous (T, E, q) array that receives the product."""
-        return np.multiply(f, g, out=work).reshape(f.shape[0], -1) @ weights
+    def integral(weights: np.ndarray, f: np.ndarray, g: np.ndarray) -> np.ndarray:
+        """Per-level ``int c f g dx`` of two (T, E, q) fields."""
+        return (f * g).reshape(len(f), -1) @ weights
 
 
 def windows(n_levels: int):
@@ -494,11 +486,10 @@ def windows(n_levels: int):
         yield lo - 1, min(lo + CHUNK_LEVELS, n_levels - 1) + 1
 
 
-def velocities(window: np.ndarray, dt: float, out: np.ndarray | None = None) -> np.ndarray:
+def velocities(window: np.ndarray, dt: float) -> np.ndarray:
     """Centered velocity rows ``(U^{j+1} - U^{j-1}) / (2 dt)`` of a window's
-    interior levels ``window[1:-1]``, into ``out`` if given."""
-    ut = np.subtract(window[2:], window[:-2], out=out)
-    return np.divide(ut, 2.0 * dt, out=ut)
+    interior levels ``window[1:-1]``."""
+    return (window[2:] - window[:-2]) / (2.0 * dt)
 
 
 def interpolate_profile(profile, mesh: Mesh) -> np.ndarray:

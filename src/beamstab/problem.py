@@ -444,24 +444,32 @@ class ValidationReport:
 
 
 # raised by evaluating malformed data: wrong shapes (ValueError, IndexError),
-# non-numeric entries (TypeError), trapped overflow (ArithmeticError)
+# non-numeric entries (TypeError), an integer too large for a float
+# (ArithmeticError); numpy's own overflow gives inf
 _EVALUATION_ERRORS = (ValueError, TypeError, IndexError, ArithmeticError)
 
 
-def _check_evaluable(coeff, length, name, errors) -> bool:
+def _check_evaluable(func, span, name, errors, *, finite: bool) -> bool:
+    """Whether ``func`` (a coefficient, profile or time function) can be
+    evaluated on [0, span], to finite values if ``finite``, and, if a table,
+    has strictly increasing nodes covering it; if not, the first failure is
+    appended to ``errors``."""
     try:
-        x = np.linspace(0.0, length, 101)
-        v = np.asarray(coeff(x), dtype=float)
-        if not np.all(np.isfinite(v)):
-            errors.append(f"{name}: not finite everywhere on [0, {length}]")
+        with np.errstate(all="ignore"):
+            v = np.asarray(func(np.linspace(0.0, span, 101)), dtype=float)
+        if finite and not np.all(np.isfinite(v)):
+            errors.append(f"{name}: not finite everywhere on [0, {span}]")
             return False
     except _EVALUATION_ERRORS as exc:
-        errors.append(f"{name}: not evaluable on [0, {length}] ({exc})")
+        errors.append(f"{name}: not evaluable on [0, {span}] ({exc})")
         return False
-    if coeff.kind == "table":
-        xs = coeff.data[0]
-        if xs[0] > 0.0 or xs[-1] < length:
-            errors.append(f"{name}: table [{xs[0]}, {xs[-1]}] does not cover [0, {length}]")
+    if func.kind == "table":
+        xs = func.data[0]
+        if any(b <= a for a, b in zip(xs, xs[1:])):
+            errors.append(f"{name}: table nodes must be strictly increasing")
+            return False
+        if xs[0] > 0.0 or xs[-1] < span:
+            errors.append(f"{name}: table [{xs[0]}, {xs[-1]}] does not cover [0, {span}]")
             return False
     return True
 
@@ -471,9 +479,10 @@ def validate(problem: BeamProblem) -> ValidationReport:
 
     An empty report means every clause holds:  0 < rho0 <= rho(x) <= rho1,
     0 < r0 <= r(x) <= r1,  0 <= mu0 <= mu(x) <= mu1,  all four boundary
-    constants finite and nonnegative, finite forcing parameters, coefficient
-    and initial-profile tables covering [0, L] and forcing tables [0, T],
-    initial displacement clamped-compatible.  A
+    constants finite and nonnegative, finite forcing parameters, every
+    function evaluable (the coefficients and initial profiles on [0, L],
+    finite there; the forcing on [0, T]), table nodes strictly increasing
+    and covering that interval, initial displacement clamped-compatible.  A
     failing damping-presence clause ``k_a + k_v + mu0 > 0`` is reported as a
     warning only: the system is then undamped and no decay certificate from
     the damped-case analysis applies.
@@ -489,7 +498,7 @@ def validate(problem: BeamProblem) -> ValidationReport:
 
     L = problem.length
     fields = [("rho", problem.rho), ("mu", problem.mu), ("r", problem.rigidity)]
-    evaluable = {name: _check_evaluable(c, L, name, errs) for name, c in fields}
+    evaluable = {name: _check_evaluable(c, L, name, errs, finite=True) for name, c in fields}
 
     if evaluable["rho"]:
         rho0, _ = problem.rho_bounds
@@ -515,7 +524,7 @@ def validate(problem: BeamProblem) -> ValidationReport:
         errs.append("initial: missing initial data")
     else:
         for name, prof in (("initial.u0", problem.initial.u0), ("initial.u1", problem.initial.u1)):
-            _check_evaluable(prof, L, name, errs)
+            _check_evaluable(prof, L, name, errs, finite=True)
         try:
             u0_at_0 = float(problem.initial.u0(0.0))
             u0x_at_0 = float(problem.initial.u0.d1(0.0))
@@ -529,12 +538,10 @@ def validate(problem: BeamProblem) -> ValidationReport:
             pass  # evaluability failure already recorded
 
     for name, g in (("forcing.g_M", problem.forcing.g_M), ("forcing.g_Q", problem.forcing.g_Q)):
-        if not np.isfinite(np.ravel(g.data)).all():
+        # an end load that overflows is its run's numerical failure, not bad data
+        if (_check_evaluable(g, problem.final_time, name, errs, finite=False)
+                and not np.isfinite(np.ravel(g.data)).all()):
             errs.append(f"{name}: parameters must be finite")
-        elif g.kind == "table":
-            ts = g.data[0]
-            if ts[0] > 0.0 or ts[-1] < problem.final_time:
-                errs.append(f"{name}: table does not cover [0, {problem.final_time}]")
 
     if not errs:
         if not problem.is_damped:

@@ -100,7 +100,7 @@ def scalar_system(m, c, k) -> SemiDiscreteSystem:
     """The 1-DOF system ``m u'' + c u' + k u = 0``; its one DOF is its
     only end DOF, so its end loads have one (zero) entry a time."""
     def mat(v):
-        out = BandedSymmetricMatrix(1, 0)
+        out = BandedSymmetricMatrix(1)
         out.add(0, 0, v)
         return out
     return SemiDiscreteSystem(mat(m), mat(c), mat(k), lambda t: np.zeros(np.shape(t) + (1,)),

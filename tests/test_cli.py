@@ -1226,10 +1226,11 @@ _WRITING = {   # each writing command, on a small mesh, and the artifacts it wri
 }
 
 
-def _refused_write(tmp_path, monkeypatch, capsys, command, taken):
+def _refused_write(tmp_path, monkeypatch, capsys, command, taken, artifact):
     """Run ``command`` into ``tmp_path / "out"`` with the path ``taken``
     (relative to it) made a directory, and check that it exits 3 with one
-    line before anything steps, and leaves nothing but what was there."""
+    line that names ``artifact`` before anything steps, and leaves nothing
+    but what was there."""
     _no_stepping(monkeypatch)
     monkeypatch.setattr(cli, "_usable_cpus", lambda: 1)   # every run and member here
     out = tmp_path / "out"
@@ -1240,6 +1241,7 @@ def _refused_write(tmp_path, monkeypatch, capsys, command, taken):
     assert captured.out == ""
     assert captured.err.startswith("usage error: cannot write: ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    assert f"'{out / artifact}'" in captured.err and ".tmp" not in captured.err
     assert sorted(out.rglob("*")) == before   # no temporary left, no artifact in place
 
 
@@ -1248,7 +1250,7 @@ def _refused_write(tmp_path, monkeypatch, capsys, command, taken):
     ("sweep", "k_v_1/trace.csv"), ("sweep", "k_v_1/bounds.json")])
 def test_an_artifact_whose_name_is_a_directory_is_refused_before_stepping(
         tmp_path, monkeypatch, capsys, command, taken):
-    _refused_write(tmp_path, monkeypatch, capsys, command, taken)
+    _refused_write(tmp_path, monkeypatch, capsys, command, taken, taken)
 
 
 @pytest.mark.parametrize("command, name", [
@@ -1260,7 +1262,7 @@ def test_a_temporary_that_cannot_be_created_is_refused_before_stepping(
     # were created and must be removed
     head, _, tail = name.rpartition("/")
     _refused_write(tmp_path, monkeypatch, capsys, command,
-                   os.path.join(head, f".{tail}.{os.getpid()}.tmp"))
+                   os.path.join(head, f".{tail}.{os.getpid()}.tmp"), name)
 
 
 def test_usage_errors():

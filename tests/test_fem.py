@@ -336,7 +336,7 @@ def test_combine_linear_combination():
 
 
 def test_out_of_band_entry_rejected():
-    m = fem.BandedSymmetricMatrix(8, 3)
+    m = fem.BandedSymmetricMatrix(8)
     with pytest.raises(IndexError):
         m.add(0, 4, 1.0)
 

@@ -159,19 +159,36 @@ def test_unclamped_initial_displacement_is_flagged():
     ("mu", pb.CoefficientField("polynomial", ("a",)), TypeError),
     ("rigidity", pb.CoefficientField("table", ((0.0, 1.0), (1.0,))), ValueError),
     ("u0", pb.SpatialProfile("polynomial", ()), IndexError),
+    ("g_M", pb.TimeFunction("exponential", (1.0,)), ValueError),
+    ("g_Q", pb.TimeFunction("table", ((0.0, 1.0), (1.0,))), ValueError),
 ])
 def test_malformed_data_is_reported_not_raised(field, data, error):
     # each datum raises the named error when evaluated; validate reports it
     prob = _ne1()
     if field == "u0":
         bad = dataclasses.replace(prob, initial=dataclasses.replace(prob.initial, u0=data))
+    elif field in ("g_M", "g_Q"):
+        bad = dataclasses.replace(prob, forcing=pb.BoundaryForcing(**{field: data}))
     else:
         bad = dataclasses.replace(prob, **{field: data})
     with pytest.raises(error):
         data(np.linspace(0.0, 1.0, 5))
     report = pb.validate(bad)
-    name = {"rigidity": "r", "u0": "initial.u0"}.get(field, field)
+    name = {"rigidity": "r", "u0": "initial.u0", "g_M": "forcing.g_M",
+            "g_Q": "forcing.g_Q"}.get(field, field)
     assert any(e.startswith(f"{name}: not evaluable") for e in report.errors)
+
+
+@pytest.mark.parametrize("name, change", [
+    ("rho", {"rho": pb.CoefficientField("table", ((0.0, 2.0, 1.0), (1.0, 5.0, 1.0)))}),
+    ("forcing.g_M", {"forcing": pb.BoundaryForcing(
+        g_M=pb.TimeFunction("table", ((0.0, 3.0, 2.0), (0.0, 1.0, 0.0))))}),
+], ids=["rho", "g_M"])
+def test_table_nodes_that_do_not_increase_are_flagged(name, change):
+    # np.interp's result on such a table is undefined; only the checked
+    # constructors refuse one, so validate reports it
+    report = pb.validate(dataclasses.replace(_ne1(), **change))
+    assert report.errors == [f"{name}: table nodes must be strictly increasing"]
 
 
 # ---------------------------------------------------------------------------
